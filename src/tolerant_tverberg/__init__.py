@@ -15,7 +15,6 @@ from .core import (
     InvalidPartitionError,
     Point,
     PointSet,
-    RankError,
     RemovalSet,
     Scalar,
     ShapeError,
@@ -24,7 +23,6 @@ from .core import (
     lex_key,
     order_key_1d,
     to_scalar,
-    total_order_1d,
     validate_partition,
 )
 from .generate import random_point_set
@@ -33,7 +31,6 @@ from .lp import LPOutcome, LPProblem, common_intersection_point, lp_feasible, po
 from .merging import MergeBlock, MergeResult, chunk_and_merge, merge_partitions
 from .one_d import OneDResult, max_tolerance_1d, tolerant_tverberg_1d
 from .reduction import ReducedInstance, center_to_tolerant_instance
-from .selection import select
 from .solvers import (
     BRUTE_FORCE_CAP,
     SolverContract,
@@ -69,7 +66,6 @@ __all__ = [
     "PairProjection",
     "Point",
     "PointSet",
-    "RankError",
     "ReducedInstance",
     "RemovalSet",
     "Scalar",
@@ -96,11 +92,9 @@ __all__ = [
     "random_point_set",
     "render_svg",
     "restricted_growth_strings",
-    "select",
     "to_scalar",
     "tolerant_tverberg_1d",
     "tolerant_tverberg_lifted",
-    "total_order_1d",
     "tukey_depth",
     "validate_partition",
     "verify_tolerance",

@@ -22,7 +22,7 @@ from .one_d import max_tolerance_1d, tolerant_tverberg_1d
 from .reduction import center_to_tolerant_instance
 from .solvers import BRUTE_FORCE_CAP, brute_force_tverberg, get_solver
 from .svgplot import render_svg
-from .verification import DEFAULT_BUDGET, exact_tolerance, is_centerpoint, tukey_depth, verify_tolerance
+from .verification import DEFAULT_BUDGET, centerpoint_depth, exact_tolerance, tukey_depth, verify_tolerance
 
 DEFAULT_SEED = 0
 
@@ -106,7 +106,7 @@ def _cmd_depth(args: argparse.Namespace) -> int:
     points = jsonio.load_point_set(args.input)
     c = _parse_point(args.point, points.dim)
     depth = tukey_depth(c, points, budget=args.budget)
-    center = is_centerpoint(c, points, budget=args.budget)
+    center = depth >= centerpoint_depth(len(points), points.dim)
     print(f"depth={depth} centerpoint={'true' if center else 'false'}")
     return 0
 

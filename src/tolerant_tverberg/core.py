@@ -29,10 +29,6 @@ class DimensionError(TverbergError):
     """Dimension mismatch between points, sets or query objects."""
 
 
-class RankError(TverbergError):
-    """Rank selection query outside 1..len(list)."""
-
-
 class TooFewPointsError(TverbergError):
     """Input point set smaller than the algorithm's requirement."""
 
@@ -120,18 +116,8 @@ class PointSet:
     def ids(self) -> frozenset[int]:
         return frozenset(p.id for p in self.points)
 
-    def point(self, pid: int) -> Point:
-        for p in self.points:
-            if p.id == pid:
-                return p
-        raise TverbergError(f"no point with id {pid}")
-
     def by_id(self) -> dict[int, Point]:
         return {p.id: p for p in self.points}
-
-    def subset(self, ids: Iterable[int]) -> "PointSet":
-        keep = set(ids)
-        return PointSet(self.dim, tuple(p for p in self.points if p.id in keep))
 
     @classmethod
     def from_coords(
@@ -193,21 +179,6 @@ def validate_partition(point_set: PointSet, partition: IndexedPartition) -> bool
 def order_key_1d(p: Point) -> tuple[Fraction, int]:
     """Sort key realizing the strict total order on 1-D points."""
     return (p.coords[0], p.id)
-
-
-def total_order_1d(a: Point, b: Point) -> int:
-    """Strict total order on 1-D points: by coordinate, exact ties by id.
-
-    Returns -1, 0 or +1; 0 only when a and b are the same point.
-    """
-    if a.dim != 1 or b.dim != 1:
-        raise DimensionError("dimension: total_order_1d needs 1-D points")
-    ka, kb = order_key_1d(a), order_key_1d(b)
-    if ka < kb:
-        return -1
-    if ka > kb:
-        return 1
-    return 0
 
 
 def lex_key(p: Point) -> tuple:

@@ -21,6 +21,7 @@ from .core import (
     Point,
     PointSet,
     TooFewPointsError,
+    TverbergError,
     lex_key,
     validate_partition,
 )
@@ -127,6 +128,10 @@ def tolerant_tverberg_lifted(point_set: PointSet, m: int, t: int) -> IndexedPart
     Needs 2^(d-1) (m(t+2)-1) points: the set halves once per lost
     dimension until the tight 1-D construction applies.
     """
+    if m < 1:
+        raise TverbergError(f"m must be at least 1, got m={m}")
+    if t < 0:
+        raise TverbergError(f"t must be nonnegative, got t={t}")
     d = point_set.dim
     need = (2 ** (d - 1)) * (m * (t + 2) - 1)
     if len(point_set) < need:

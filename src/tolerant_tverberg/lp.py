@@ -101,14 +101,17 @@ def lp_feasible(problem: LPProblem) -> LPOutcome:
         witness.append(values[plus] - (values[minus] if minus >= 0 else _ZERO))
 
     # Exact re-substitution of every constraint; a failure here would be
-    # a solver bug, never an input problem.
+    # a solver bug, never an input problem.  Explicit raises, not
+    # asserts, so the check also runs under ``python -O``.
     for row, b in problem.equalities:
         acc = _ZERO
         for coeff, x in zip(row, witness):
             acc += coeff * x
-        assert acc == b, "witness failed exact re-substitution"
+        if acc != b:
+            raise AssertionError("witness failed exact re-substitution")
     for idx in problem.nonneg_vars:
-        assert witness[idx] >= 0, "witness violates nonnegativity"
+        if witness[idx] < 0:
+            raise AssertionError("witness violates nonnegativity")
 
     return LPOutcome("feasible", tuple(witness))
 

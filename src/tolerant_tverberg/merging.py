@@ -19,6 +19,7 @@ from .core import (
     IndexedPartition,
     PointSet,
     TooFewPointsError,
+    TverbergError,
     validate_partition,
 )
 from .solvers import SolverContract
@@ -95,6 +96,8 @@ def chunk_and_merge(
     remainder, which any solver tolerates since extra points only grow
     hulls.
     """
+    if m < 1:
+        raise TverbergError(f"m must be at least 1, got m={m}")
     per_block = solver.points_needed(m)
     n = len(point_set)
     if n < per_block:

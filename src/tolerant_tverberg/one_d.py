@@ -5,6 +5,9 @@ rank) into part 0 and deals the m-1 points of each remaining gap to
 parts 1..m-1 in ascending order.  Part 0 then has t+1 points, every
 other part t+2, and the heavy interleaving makes the partition
 t-tolerant — which is tight: no smaller point set admits one.
+
+The ranks come from one sort by ``order_key_1d`` (coordinate, then
+id), so rank r simply goes to part r mod m.
 """
 
 from __future__ import annotations
@@ -14,12 +17,10 @@ from dataclasses import dataclass
 from .core import (
     DimensionError,
     IndexedPartition,
-    Point,
     PointSet,
     TooFewPointsError,
     order_key_1d,
 )
-from .selection import select
 
 
 @dataclass(frozen=True)
@@ -57,57 +58,13 @@ def tolerant_tverberg_1d(point_set: PointSet, m: int) -> OneDResult:
     assert t is not None
     core_size = m * (t + 2) - 1
 
-    points = list(point_set.points)
-    if n > core_size:
-        cutoff = select(points, core_size)
-        ck = order_key_1d(cutoff)
-        core = [p for p in points if order_key_1d(p) <= ck]
-        surplus = sorted(
-            (p for p in points if order_key_1d(p) > ck), key=order_key_1d
-        )
-    else:
-        core, surplus = points, []
-
-    parts = _interleave(core, m)
-
+    ordered = sorted(point_set.points, key=order_key_1d)
+    parts: list[list[int]] = [[] for _ in range(m)]
+    for rank, p in enumerate(ordered[:core_size], start=1):
+        parts[rank % m].append(p.id)
     # m = 1 never has surplus: core_size = 1*(t+2)-1 = n there.
-    for i, p in enumerate(surplus):
+    for i, p in enumerate(ordered[core_size:]):
         parts[1 + i % (m - 1)].append(p.id)
 
     partition = IndexedPartition(tuple(frozenset(part) for part in parts))
     return OneDResult(partition=partition, achieved_tolerance=t)
-
-
-def _interleave(core: list[Point], m: int) -> list[list[int]]:
-    """Select every point of rank divisible by m into part 0 and deal
-    each leftover run of m-1 consecutive points across parts 1..m-1.
-
-    Splitting always happens at a rank that is a multiple of m, so ranks
-    inside the fragments keep their residues and no sorting of the full
-    input is ever needed.
-    """
-    r = m
-    while 2 * r <= len(core):
-        r *= 2
-
-    queue: list[list[Point]] = [core]
-    part0: list[int] = []
-    while r >= m:
-        next_queue: list[list[Point]] = []
-        for fragment in queue:
-            if len(fragment) >= r:
-                pivot = select(fragment, r)
-                pk = order_key_1d(pivot)
-                part0.append(pivot.id)
-                next_queue.append([p for p in fragment if order_key_1d(p) < pk])
-                next_queue.append([p for p in fragment if order_key_1d(p) > pk])
-            else:
-                next_queue.append(fragment)
-        queue = next_queue
-        r //= 2
-
-    parts: list[list[int]] = [part0] + [[] for _ in range(m - 1)]
-    for fragment in queue:
-        for j, p in enumerate(sorted(fragment, key=order_key_1d)):
-            parts[1 + j].append(p.id)
-    return parts

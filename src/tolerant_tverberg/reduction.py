@@ -14,6 +14,7 @@ from fractions import Fraction
 from dataclasses import dataclass
 
 from .core import DimensionError, IndexedPartition, Point, PointSet
+from .verification import centerpoint_depth
 
 
 @dataclass(frozen=True)
@@ -42,7 +43,7 @@ def center_to_tolerant_instance(point_set: PointSet, c: Point) -> ReducedInstanc
     if n < 1:
         raise DimensionError("dimension: empty point set")
 
-    t = -(-n // (d + 1)) - 1
+    t = centerpoint_depth(n, d) - 1
 
     zero = Fraction(0)
     embedded = [Point(p.id, p.coords + (zero,)) for p in point_set.points]

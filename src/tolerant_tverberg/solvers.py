@@ -17,12 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .core import (
-    IndexedPartition,
-    PointSet,
-    TverbergError,
-    validate_partition,
-)
+from .core import IndexedPartition, PointSet, TverbergError
 from .lifting import tolerant_tverberg_lifted
 from .lp import common_intersection_point
 from .one_d import tolerant_tverberg_1d
@@ -133,14 +128,3 @@ def get_solver(name: str, dim: int) -> SolverContract:
             solve=_solve_lifted,
         )
     raise TverbergError(f"unknown solver {name!r} (choose from: brute, 1d, lift)")
-
-
-def check_solver_output(
-    point_set: PointSet, partition: IndexedPartition
-) -> bool:
-    """Sanity predicate shared by tests: valid cover and intersecting hulls."""
-    if not validate_partition(point_set, partition):
-        return False
-    by_id = point_set.by_id()
-    sets = [[by_id[pid] for pid in sorted(part)] for part in partition.parts]
-    return common_intersection_point(sets, point_set.dim) is not None

@@ -151,9 +151,12 @@ def tukey_depth(c: Point, point_set: PointSet, budget: int = DEFAULT_BUDGET) -> 
     return n
 
 
+def centerpoint_depth(n: int, d: int) -> int:
+    """Depth a centerpoint of n points in d dimensions has: ceil(n / (d+1))."""
+    return -(-n // (d + 1))
+
+
 def is_centerpoint(c: Point, point_set: PointSet, budget: int = DEFAULT_BUDGET) -> bool:
     """True iff c has depth at least ceil(n / (d+1))."""
-    n = len(point_set)
-    d = point_set.dim
-    required = -(-n // (d + 1))
+    required = centerpoint_depth(len(point_set), point_set.dim)
     return tukey_depth(c, point_set, budget=budget) >= required

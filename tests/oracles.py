@@ -3,11 +3,15 @@
 Everything here is deliberately written against different mathematics
 than the code under test: interval arithmetic instead of LPs, direct
 half-space counting instead of removal enumeration, closed-form
-recurrences instead of generators.
+recurrences instead of generators.  The one exception is
+``check_solver_output``, a sanity predicate on solver results that
+re-checks them with the library's own LP.
 """
 
 from fractions import Fraction
 from itertools import combinations
+
+from tolerant_tverberg import common_intersection_point, validate_partition
 
 
 def intervals_intersect(sets_of_values):
@@ -113,3 +117,12 @@ def stirling2(n, k):
 
 def frac(value) -> Fraction:
     return Fraction(value)
+
+
+def check_solver_output(point_set, partition) -> bool:
+    """Valid cover and intersecting hulls."""
+    if not validate_partition(point_set, partition):
+        return False
+    by_id = point_set.by_id()
+    sets = [[by_id[pid] for pid in sorted(part)] for part in partition.parts]
+    return common_intersection_point(sets, point_set.dim) is not None

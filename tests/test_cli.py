@@ -7,7 +7,7 @@ from itertools import combinations
 
 import pytest
 
-from tolerant_tverberg import random_point_set, render_svg
+from tolerant_tverberg import cli, is_centerpoint, random_point_set, render_svg, tukey_depth
 from tolerant_tverberg.cli import main
 from tolerant_tverberg.jsonio import dumps, point_set_to_obj
 
@@ -138,6 +138,42 @@ def test_compute_lift_requires_t(tmp_path, capsys):
     code = main(["compute", "--input", str(pts), "--algorithm", "lift", "--m", "2"])
     assert code == 2
     assert "requires --t" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--algorithm", "lift", "--m", "3", "--t", "-5"], "t must be nonnegative, got t=-5"),
+    (["--algorithm", "lift", "--m", "0", "--t", "1"], "m must be at least 1, got m=0"),
+    (["--algorithm", "chunk_merge", "--solver", "brute", "--m", "0"],
+     "m must be at least 1, got m=0"),
+    (["--algorithm", "chunk_merge", "--solver", "lift", "--m", "-2"],
+     "m must be at least 1, got m=-2"),
+])
+def test_bad_m_or_t_is_exit_2(tmp_path, capsys, flags, message):
+    pts = tmp_path / "p.json"
+    pts.write_text(dumps(point_set_to_obj(random_point_set(20, 2, seed=1))))
+    assert main(["compute", "--input", str(pts), *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_depth_runs_tukey_depth_once(tmp_path, capsys, monkeypatch):
+    P = random_point_set(9, 2, seed=3)
+    pts = tmp_path / "pts.json"
+    pts.write_text(dumps(point_set_to_obj(P)))
+    centroid = [sum(p.coords[k] for p in P.points) / len(P) for k in range(2)]
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return tukey_depth(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "tukey_depth", counting)
+    assert main(["depth", "--input", str(pts), "--point", ",".join(map(str, centroid))]) == 0
+    assert len(calls) == 1
+    c = calls[0][0]
+    center = "true" if is_centerpoint(c, P) else "false"
+    assert capsys.readouterr().out == f"depth={tukey_depth(c, P)} centerpoint={center}\n"
 
 
 def test_missing_file_is_exit_2(capsys):

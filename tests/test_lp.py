@@ -1,5 +1,10 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -90,6 +95,32 @@ class TestLpFeasible:
         )
         out = lp_feasible(LPProblem(2, rows, frozenset({0, 1})))
         assert out.feasible
+
+    def test_wrong_witness_rejected_under_optimize(self):
+        # A solver bug that returns a wrong witness must still be caught
+        # when asserts are stripped: run the check under ``python -O``.
+        script = textwrap.dedent("""
+            import sys
+            from fractions import Fraction
+            from tolerant_tverberg import Point, lp
+            lp._phase1 = lambda rows, rhs, ncols: ([Fraction(0)] * ncols, Fraction(0))
+            print("optimize", sys.flags.optimize)
+            try:
+                lp.point_in_hull(Point(0, (Fraction(1),)),
+                                 [Point(1, (Fraction(0),)), Point(2, (Fraction(2),))])
+            except AssertionError as exc:
+                print("raised", exc)
+            else:
+                print("accepted")
+        """)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-O", "-c", script],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "optimize 1", "raised witness failed exact re-substitution"]
 
 
 class TestCommonIntersection:

@@ -7,11 +7,12 @@ import oracles
 from tolerant_tverberg import (
     DimensionError,
     IndexedPartition,
+    Point,
     PointSet,
     TooFewPointsError,
     max_tolerance_1d,
-    order_key_1d,
     restricted_growth_strings,
+    to_scalar,
     tolerant_tverberg_1d,
     validate_partition,
     verify_tolerance,
@@ -83,25 +84,37 @@ class TestConstruction:
         assert not verify_tolerance(P, res.partition, 5).tolerant
 
     def test_part0_ranks_are_multiples_of_m(self):
+        """The partition is the rank rule: core rank r goes to part r mod m,
+        and the surplus ranks are dealt to parts 1..m-1 in order.  Ranks
+        come from sorting by coordinate with ties broken by id, and ids
+        are shuffled so that id order is not input order."""
         rng = random.Random(11)
-        for m, t in [(2, 1), (3, 2), (4, 1), (5, 0)]:
-            n = m * (t + 2) - 1
-            values = rng.sample(range(-500, 500), n)
-            P = line(*values)
-            res = tolerant_tverberg_1d(P, m)
-            ordered = sorted(P.points, key=order_key_1d)
-            rank_of = {p.id: i + 1 for i, p in enumerate(ordered)}
-            ranks = sorted(rank_of[pid] for pid in res.partition.parts[0])
-            assert ranks == [m * (i + 1) for i in range(t + 1)]
-            # and the remaining parts have t+2 points each
-            assert all(len(part) == t + 2 for part in res.partition.parts[1:])
-            # one point of every other part in each gap between part-0 points
-            boundaries = [0] + ranks + [n + 1]
-            for part in res.partition.parts[1:]:
-                part_ranks = {rank_of[pid] for pid in part}
-                for lo, hi in zip(boundaries, boundaries[1:]):
-                    gap = set(range(lo + 1, hi))
-                    assert len(part_ranks & gap) == 1
+        draws = [
+            lambda n: rng.sample(range(-500, 500), n),  # distinct
+            lambda n: [rng.randint(0, 3) for _ in range(n)],  # heavy ties
+            lambda n: [f"{rng.randint(-20, 20)}/{rng.randint(1, 6)}" for _ in range(n)],
+        ]
+        for m in range(1, 8):
+            for t in range(3):
+                core = m * (t + 2) - 1
+                for n in range(core, core + m):  # every surplus that keeps t
+                    for draw in draws:
+                        ids = rng.sample(range(1, 10 * n + 1), n)
+                        P = PointSet(1, tuple(
+                            Point(pid, (to_scalar(v),)) for pid, v in zip(ids, draw(n))
+                        ))
+                        res = tolerant_tverberg_1d(P, m)
+                        assert res.achieved_tolerance == t
+                        ordered = sorted(P.points, key=lambda p: (p.coords[0], p.id))
+                        rank_of = {p.id: r for r, p in enumerate(ordered, start=1)}
+                        ranks = [sorted(rank_of[pid] for pid in part)
+                                 for part in res.partition.parts]
+                        assert ranks[0] == [m * (i + 1) for i in range(t + 1)]
+                        for j in range(1, m):
+                            assert ranks[j] == (
+                                [k * m + j for k in range(t + 2)]
+                                + list(range(core + j, n + 1, m - 1))
+                            )
 
     def test_surplus_never_touches_part0(self):
         P = integer_line(13)  # core is 11 points, two surplus

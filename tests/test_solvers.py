@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from oracles import check_solver_output
 from tolerant_tverberg import (
     PointSet,
     TverbergError,
@@ -10,7 +11,6 @@ from tolerant_tverberg import (
     random_point_set,
     tolerant_tverberg_1d,
 )
-from tolerant_tverberg.solvers import check_solver_output
 
 
 def line(*values):
