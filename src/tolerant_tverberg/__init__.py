@@ -17,7 +17,6 @@ from .core import (
     PointSet,
     RemovalSet,
     Scalar,
-    ShapeError,
     TooFewPointsError,
     TverbergError,
     lex_key,
@@ -27,7 +26,7 @@ from .core import (
 )
 from .generate import random_point_set
 from .lifting import PairProjection, halve_and_pair, lift_partition, tolerant_tverberg_lifted
-from .lp import LPOutcome, LPProblem, common_intersection_point, lp_feasible, point_in_hull
+from .lp import common_intersection_point, point_in_hull
 from .merging import MergeBlock, MergeResult, chunk_and_merge, merge_partitions
 from .one_d import OneDResult, max_tolerance_1d, tolerant_tverberg_1d
 from .reduction import ReducedInstance, center_to_tolerant_instance
@@ -58,8 +57,6 @@ __all__ = [
     "IncompatibleBlocksError",
     "IndexedPartition",
     "InvalidPartitionError",
-    "LPOutcome",
-    "LPProblem",
     "MergeBlock",
     "MergeResult",
     "OneDResult",
@@ -69,7 +66,6 @@ __all__ = [
     "ReducedInstance",
     "RemovalSet",
     "Scalar",
-    "ShapeError",
     "SolverContract",
     "ToleranceVerdict",
     "TooFewPointsError",
@@ -84,7 +80,6 @@ __all__ = [
     "is_centerpoint",
     "lex_key",
     "lift_partition",
-    "lp_feasible",
     "max_tolerance_1d",
     "merge_partitions",
     "order_key_1d",

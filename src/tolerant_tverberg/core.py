@@ -8,6 +8,7 @@ safe to share across threads.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -19,6 +20,12 @@ Scalar = Fraction
 
 # A removal set is just a set of point ids drawn from one PointSet.
 RemovalSet = frozenset[int]
+
+# Largest |exponent| accepted in a decimal string such as "1e-3".
+# Fraction computes 10**exponent outright, so "1e999999999" would hang;
+# the bound matches the interpreter's default limit on int digits.
+MAX_DECIMAL_EXPONENT = 4300
+_EXPONENT = re.compile(r"[eE]([-+]?[0-9_]+)\s*\Z")
 
 
 class TverbergError(Exception):
@@ -45,16 +52,13 @@ class BudgetExceededError(TverbergError):
     """Subset enumeration would exceed the configured budget."""
 
 
-class ShapeError(TverbergError):
-    """Malformed LP constraint rows."""
-
-
 def to_scalar(value: int | str | Fraction) -> Fraction:
     """Convert an exact representation to a Scalar.
 
     Accepts ints, Fractions, "num/den" strings and decimal strings
-    ("0.25" becomes 1/4 exactly).  Floats are rejected: binary floats
-    are not a faithful carrier for exact rational input.
+    ("0.25" becomes 1/4 exactly) with exponents up to
+    ``MAX_DECIMAL_EXPONENT`` in magnitude.  Floats are rejected: binary
+    floats are not a faithful carrier for exact rational input.
     """
     if isinstance(value, Fraction):
         return value
@@ -64,6 +68,11 @@ def to_scalar(value: int | str | Fraction) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         try:
+            exponent = _EXPONENT.search(value)
+            if exponent and abs(int(exponent.group(1))) > MAX_DECIMAL_EXPONENT:
+                raise TverbergError(
+                    f"decimal exponent beyond +-{MAX_DECIMAL_EXPONENT}: {value!r}"
+                )
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise TverbergError(f"not an exact scalar: {value!r}") from exc
@@ -149,12 +158,6 @@ class IndexedPartition:
     @property
     def m(self) -> int:
         return len(self.parts)
-
-    def all_ids(self) -> frozenset[int]:
-        out: set[int] = set()
-        for part in self.parts:
-            out |= part
-        return frozenset(out)
 
     @classmethod
     def from_iterables(cls, parts: Iterable[Iterable[int]]) -> "IndexedPartition":

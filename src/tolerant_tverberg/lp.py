@@ -1,12 +1,13 @@
 """Exact LP feasibility over the rationals, and the hull queries built on it.
 
-The engine answers one question: does an equality system A x = b with
-nonnegativity on a chosen subset of variables have a solution?  It runs
-a phase-1 simplex on Fractions with Bland's anti-cycling rule, so
+Both hull questions the package asks (do the parts' hulls share a
+point? does c lie in a hull?) are feasibility questions of one form:
+is there a w with rows . w = rhs and w >= 0?  ``lp_feasible`` answers it
+with a phase-1 simplex on Fractions under Bland's anti-cycling rule, so
 
-  * a "feasible" answer always comes with a witness that re-checks by
+  * a feasible answer always comes with a witness that re-checks by
     exact substitution, and
-  * an "infeasible" answer means the phase-1 optimum is provably > 0.
+  * an infeasible answer means the phase-1 optimum is provably > 0.
 
 No floating point is involved anywhere, which is what makes the hull
 intersection and hull membership predicates below exact decisions.
@@ -15,105 +16,39 @@ Only feasibility is supported; there is no objective to optimize.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .core import DimensionError, Point, ShapeError
+from .core import DimensionError, Point
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
-class LPProblem:
-    """Equality constraints over rationals with optional x_i >= 0 signs.
+def lp_feasible(
+    rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
+) -> tuple[Fraction, ...] | None:
+    """An exact w >= 0 with rows . w = rhs, or None when there is none.
 
-    Variables not listed in ``nonneg_vars`` are free.
+    ``rows`` is a nonempty list of coefficient rows of equal length.
     """
-
-    num_vars: int
-    equalities: tuple[tuple[tuple[Fraction, ...], Fraction], ...]
-    nonneg_vars: frozenset[int]
-
-    def validate(self) -> None:
-        for row, _rhs in self.equalities:
-            if len(row) != self.num_vars:
-                raise ShapeError(
-                    f"shape: row has {len(row)} coefficients, expected {self.num_vars}"
-                )
-        for idx in self.nonneg_vars:
-            if not 0 <= idx < self.num_vars:
-                raise ShapeError(f"shape: nonneg index {idx} out of range")
-
-
-@dataclass(frozen=True)
-class LPOutcome:
-    status: str  # "feasible" | "infeasible"
-    witness: tuple[Fraction, ...] | None
-
-    @property
-    def feasible(self) -> bool:
-        return self.status == "feasible"
-
-
-def lp_feasible(problem: LPProblem) -> LPOutcome:
-    """Decide feasibility of ``problem``; witnesses are exact."""
-    problem.validate()
-
-    # Free variables are split x = u - v with u, v >= 0 so the tableau
-    # only ever holds nonnegative variables.
-    col_of: list[tuple[int, int]] = []  # var -> (plus column, minus column or -1)
-    ncols = 0
-    for j in range(problem.num_vars):
-        if j in problem.nonneg_vars:
-            col_of.append((ncols, -1))
-            ncols += 1
-        else:
-            col_of.append((ncols, ncols + 1))
-            ncols += 2
-
-    nrows = len(problem.equalities)
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    for row, b in problem.equalities:
-        expanded = [_ZERO] * ncols
-        for j, coeff in enumerate(row):
-            if coeff == 0:
-                continue
-            plus, minus = col_of[j]
-            expanded[plus] = coeff
-            if minus >= 0:
-                expanded[minus] = -coeff
-        if b < 0:
-            expanded = [-c for c in expanded]
-            b = -b
-        rows.append(expanded)
-        rhs.append(b)
-
-    values, art_total = _phase1(rows, rhs, ncols)
+    signed = [list(row) if b >= 0 else [-c for c in row] for row, b in zip(rows, rhs)]
+    values, art_total = _phase1(signed, [abs(b) for b in rhs], len(rows[0]))
     if art_total != 0:
-        return LPOutcome("infeasible", None)
-
-    witness = []
-    for j in range(problem.num_vars):
-        plus, minus = col_of[j]
-        witness.append(values[plus] - (values[minus] if minus >= 0 else _ZERO))
+        return None
 
     # Exact re-substitution of every constraint; a failure here would be
     # a solver bug, never an input problem.  Explicit raises, not
     # asserts, so the check also runs under ``python -O``.
-    for row, b in problem.equalities:
+    for row, b in zip(rows, rhs):
         acc = _ZERO
-        for coeff, x in zip(row, witness):
+        for coeff, x in zip(row, values):
             acc += coeff * x
         if acc != b:
             raise AssertionError("witness failed exact re-substitution")
-    for idx in problem.nonneg_vars:
-        if witness[idx] < 0:
-            raise AssertionError("witness violates nonnegativity")
-
-    return LPOutcome("feasible", tuple(witness))
+    if any(x < 0 for x in values):
+        raise AssertionError("witness violates nonnegativity")
+    return tuple(values)
 
 
 def _phase1(rows: list[list[Fraction]], rhs: list[Fraction], ncols: int):
@@ -165,8 +100,7 @@ def _phase1(rows: list[list[Fraction]], rhs: list[Fraction], ncols: int):
                     best = ratio
                     leave = i
         if leave < 0:
-            # cannot happen: the phase-1 objective is bounded below by 0
-            raise ShapeError("shape: phase-1 unbounded")
+            raise AssertionError("phase-1 unbounded, but its objective is bounded below by 0")
 
         _pivot(tab, cost, leave, enter)
         basis[leave] = enter
@@ -202,78 +136,70 @@ def _pivot(tab: list[list[Fraction]], cost: list[Fraction], leave: int, enter: i
                 cost[j] -= factor * pj
 
 
+def _check_dims(points: Sequence[Point], dim: int) -> None:
+    for p in points:
+        if p.dim != dim:
+            raise DimensionError(
+                f"dimension: point {p.id} has dim {p.dim}, expected {dim}"
+            )
+
+
 def common_intersection_point(
     sets: Sequence[Sequence[Point]], dim: int
 ) -> tuple[Fraction, ...] | None:
     """A point in the intersection of the sets' convex hulls, or None.
 
     For each set i with points p_{i,1..n_i} the LP carries barycentric
-    weights a_{i,j} >= 0 with sum_j a_{i,j} = 1 and
-    sum_j a_{i,j} p_{i,j} = x for one shared free point x.  An empty set
-    has an empty hull, so the intersection is immediately empty.
+    weights a_{i,j} >= 0 with sum_j a_{i,j} = 1, and every set's
+    combination sum_j a_{i,j} p_{i,j} equals set 0's, axis by axis.  The
+    point returned is set 0's combination.  An empty set has an empty
+    hull, so the intersection is immediately empty; an empty list of
+    sets constrains nothing and gets the origin.
     """
+    if not sets:
+        return (_ZERO,) * dim
     for s in sets:
         if not s:
             return None
-        for p in s:
-            if p.dim != dim:
-                raise DimensionError(
-                    f"dimension: point {p.id} has dim {p.dim}, expected {dim}"
-                )
+        _check_dims(s, dim)
 
-    weight_count = sum(len(s) for s in sets)
-    num_vars = weight_count + dim  # weights then the free point x
-    x0 = weight_count
-
-    equalities: list[tuple[tuple[Fraction, ...], Fraction]] = []
+    first = sets[0]
+    ncols = sum(len(s) for s in sets)
+    rows: list[list[Fraction]] = []
+    rhs: list[Fraction] = []
     offset = 0
-    for s in sets:
+    for i, s in enumerate(sets):
         n = len(s)
-        for k in range(dim):
-            row = [_ZERO] * num_vars
-            for j, p in enumerate(s):
-                row[offset + j] = p.coords[k]
-            row[x0 + k] = -_ONE
-            equalities.append((tuple(row), _ZERO))
-        row = [_ZERO] * num_vars
-        for j in range(n):
-            row[offset + j] = _ONE
-        equalities.append((tuple(row), _ONE))
+        if i > 0:
+            # sum_j a_{i,j} p_{i,j,k} - sum_j a_{0,j} p_{0,j,k} = 0
+            for k in range(dim):
+                row = [_ZERO] * ncols
+                for j, p in enumerate(first):
+                    row[j] = -p.coords[k]
+                for j, p in enumerate(s):
+                    row[offset + j] = p.coords[k]
+                rows.append(row)
+                rhs.append(_ZERO)
+        row = [_ZERO] * ncols
+        row[offset : offset + n] = [_ONE] * n
+        rows.append(row)
+        rhs.append(_ONE)
         offset += n
 
-    problem = LPProblem(
-        num_vars=num_vars,
-        equalities=tuple(equalities),
-        nonneg_vars=frozenset(range(weight_count)),
-    )
-    outcome = lp_feasible(problem)
-    if not outcome.feasible:
+    witness = lp_feasible(rows, rhs)
+    if witness is None:
         return None
-    assert outcome.witness is not None
-    return outcome.witness[x0 : x0 + dim]
+    return tuple(
+        sum((a * p.coords[k] for a, p in zip(witness, first)), _ZERO)
+        for k in range(dim)
+    )
 
 
 def point_in_hull(c: Point, hull_points: Sequence[Point]) -> bool:
     """True iff c is a convex combination of ``hull_points``."""
     if not hull_points:
         return False
-    dim = c.dim
-    for p in hull_points:
-        if p.dim != dim:
-            raise DimensionError(
-                f"dimension: point {p.id} has dim {p.dim}, expected {dim}"
-            )
-
-    n = len(hull_points)
-    equalities: list[tuple[tuple[Fraction, ...], Fraction]] = []
-    for k in range(dim):
-        row = tuple(p.coords[k] for p in hull_points)
-        equalities.append((row, c.coords[k]))
-    equalities.append((tuple([_ONE] * n), _ONE))
-
-    problem = LPProblem(
-        num_vars=n,
-        equalities=tuple(equalities),
-        nonneg_vars=frozenset(range(n)),
-    )
-    return lp_feasible(problem).feasible
+    _check_dims(hull_points, c.dim)
+    rows = [[p.coords[k] for p in hull_points] for k in range(c.dim)]
+    rows.append([_ONE] * len(hull_points))
+    return lp_feasible(rows, [*c.coords, _ONE]) is not None

@@ -34,8 +34,8 @@ class ToleranceVerdict:
     """Either "tolerant" or "refuted" with a separating removal set.
 
     A refutation witness is checkable independently: deleting it leaves
-    the parts' hulls with empty common intersection.  The certificate, a
-    common point for the last removal checked, is a diagnostic only.
+    the parts' hulls with empty common intersection.  The certificate is
+    the common point of the last LP solved; it is a diagnostic only.
     """
 
     status: str  # "tolerant" | "refuted"
@@ -60,7 +60,8 @@ def verify_tolerance(
     extends to a separating one of that size.  The witness reported is
     the lexicographically first refutation, except when some part has at
     most t points — then deleting that whole part is an immediate
-    refutation and is reported padded to full size.
+    refutation and is reported padded to full size.  ``budget`` bounds
+    the C(n, min(t, n)) removal sets.
     """
     if t < 0:
         raise InvalidPartitionError(f"invalid partition query: t={t}")
@@ -69,10 +70,7 @@ def verify_tolerance(
 
     n = len(point_set)
     size = min(t, n)
-    if math.comb(n, size) > budget:
-        raise BudgetExceededError(
-            f"instance too large: C({n},{size}) removal sets exceed budget {budget}"
-        )
+    _charge(n, size, budget)
 
     all_ids = sorted(point_set.ids())
     smallest_idx = min(range(partition.m), key=lambda i: len(partition.parts[i]))
@@ -113,13 +111,16 @@ def exact_tolerance(
 
     Tolerance at t implies tolerance at every smaller t, so the first
     refuted level ends the ascent.  Level n always refutes (removing
-    everything empties every hull), so this terminates.
+    everything empties every hull), so this terminates.  ``budget``
+    bounds the removal sets of all levels together.
     """
+    n = len(point_set)
     t = 0
     while True:
         verdict = verify_tolerance(point_set, partition, t, budget=budget)
         if not verdict.tolerant:
             return t - 1
+        budget -= math.comb(n, min(t, n))
         t += 1
 
 
@@ -128,7 +129,8 @@ def tukey_depth(c: Point, point_set: PointSet, budget: int = DEFAULT_BUDGET) -> 
     deletions that pulls c out of the convex hull of the rest.
 
     Searched by ascending removal size; each candidate removal is judged
-    by an exact hull-membership LP.
+    by an exact hull-membership LP.  ``budget`` bounds the removal sets
+    of all sizes together.
     """
     if c.dim != point_set.dim:
         raise DimensionError(
@@ -138,10 +140,7 @@ def tukey_depth(c: Point, point_set: PointSet, budget: int = DEFAULT_BUDGET) -> 
     ids = sorted(point_set.ids())
     by_id = point_set.by_id()
     for r in range(n + 1):
-        if math.comb(n, r) > budget:
-            raise BudgetExceededError(
-                f"instance too large: C({n},{r}) removal sets exceed budget {budget}"
-            )
+        budget -= _charge(n, r, budget)
         for combo in combinations(ids, r):
             removed = set(combo)
             rest = [by_id[pid] for pid in ids if pid not in removed]
@@ -149,6 +148,17 @@ def tukey_depth(c: Point, point_set: PointSet, budget: int = DEFAULT_BUDGET) -> 
                 return r
     # unreachable: removing all n points always evicts c
     return n
+
+
+def _charge(n: int, size: int, budget: int) -> int:
+    """The C(n, size) removal sets of one level; raises when they exceed
+    the ``budget`` left."""
+    sets = math.comb(n, size)
+    if sets > budget:
+        raise BudgetExceededError(
+            f"instance too large: C({n},{size}) removal sets exceed the budget left, {budget}"
+        )
+    return sets
 
 
 def centerpoint_depth(n: int, d: int) -> int:

@@ -192,6 +192,27 @@ def test_budget_exceeded_is_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("budget,code,out", [("231", 2, ""), ("232", 0, "2\n")])
+def test_tolerance_budget_is_a_total_over_levels(line11, tmp_path, capsys, budget, code, out):
+    # levels t = 0..3 enumerate 1 + 11 + 55 + 165 = 232 removal sets
+    part = tmp_path / "part.json"
+    assert main(["compute", "--input", line11, "--algorithm", "one_d",
+                 "--m", "3", "--output", str(part)]) == 0
+    assert main(["tolerance", "--input", line11, "--partition", str(part),
+                 "--budget", budget]) == code
+    captured = capsys.readouterr()
+    assert captured.out == out
+    assert "Traceback" not in captured.err
+
+
+def test_depth_huge_exponent_is_exit_2(tmp_path, capsys):
+    pts = tmp_path / "p.json"
+    pts.write_text(json.dumps(
+        {"dim": 2, "points": [{"id": 1, "coords": [0, 0]}, {"id": 2, "coords": [1, 1]}]}))
+    assert main(["depth", "--input", str(pts), "--point", "1e999999999,0"]) == 2
+    assert "exponent" in capsys.readouterr().err
+
+
 def test_plot_emits_wellformed_svg(tmp_path):
     pts = tmp_path / "p.json"
     pts.write_text(dumps(point_set_to_obj(random_point_set(10, 2, seed=2))))

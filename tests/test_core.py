@@ -43,6 +43,15 @@ class TestScalar:
         with pytest.raises(TverbergError):
             to_scalar("abc")
 
+    def test_huge_decimal_exponent_rejected_fast(self):
+        # Fraction would compute 10**999999999 for these; the bound
+        # rejects them before any arithmetic happens.
+        for raw in ("1e999999999", "-2.5E-999999999", "1e4301"):
+            with pytest.raises(TverbergError, match="exponent"):
+                to_scalar(raw)
+        assert to_scalar("1e4300") == 10**4300
+        assert to_scalar("25e-2") == Fraction(1, 4)
+
     @given(
         st.fractions(max_denominator=10**6),
         st.fractions(max_denominator=10**6),

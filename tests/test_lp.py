@@ -12,15 +12,13 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from tolerant_tverberg import (
     DimensionError,
-    LPProblem,
     Point,
     PointSet,
-    ShapeError,
     common_intersection_point,
-    lp_feasible,
     point_in_hull,
     to_scalar,
 )
+from tolerant_tverberg.lp import lp_feasible
 
 
 def F(*args):
@@ -36,65 +34,37 @@ def pts_1d(values, start_id=0):
 
 
 class TestLpFeasible:
-    def test_unconstrained_free_var(self):
-        out = lp_feasible(LPProblem(1, (), frozenset()))
-        assert out.feasible
-        assert out.witness == (F(0),)
-
     def test_sign_conflict_infeasible(self):
-        problem = LPProblem(1, (((F(1),), F(-1)),), frozenset({0}))
-        assert not lp_feasible(problem).feasible
+        assert lp_feasible([[F(1)]], [F(-1)]) is None
 
     def test_symmetric_split(self):
-        problem = LPProblem(
-            2,
-            (((F(1), F(1)), F(1)), ((F(1), F(-1)), F(0))),
-            frozenset({0, 1}),
-        )
-        out = lp_feasible(problem)
-        assert out.feasible
-        assert out.witness == (F(1, 2), F(1, 2))
+        rows = [[F(1), F(1)], [F(1), F(-1)]]
+        assert lp_feasible(rows, [F(1), F(0)]) == (F(1, 2), F(1, 2))
 
-    def test_row_shape_checked(self):
-        problem = LPProblem(2, (((F(1),), F(0)),), frozenset())
-        with pytest.raises(ShapeError):
-            lp_feasible(problem)
-
-    def test_free_variable_can_go_negative(self):
-        problem = LPProblem(1, (((F(2),), F(-3)),), frozenset())
-        out = lp_feasible(problem)
-        assert out.feasible and out.witness == (F(-3, 2),)
+    def test_negative_rhs_row_is_negated(self):
+        assert lp_feasible([[F(-2)]], [F(-3)]) == (F(3, 2),)
 
     def test_zero_row_consistent(self):
-        problem = LPProblem(1, (((F(0),), F(0)),), frozenset({0}))
-        assert lp_feasible(problem).feasible
+        assert lp_feasible([[F(0)]], [F(0)]) is not None
 
     def test_zero_row_inconsistent(self):
-        problem = LPProblem(1, (((F(0),), F(5)),), frozenset({0}))
-        assert not lp_feasible(problem).feasible
+        assert lp_feasible([[F(0)]], [F(5)]) is None
 
     def test_degenerate_suite_terminates(self):
         # redundant rows, duplicated columns, zero rhs everywhere:
         # classic food for cycling if the pivot rule were naive
-        rows = (
-            ((F(1), F(-1), F(1), F(-1)), F(0)),
-            ((F(2), F(-2), F(2), F(-2)), F(0)),
-            ((F(1), F(-1), F(-1), F(1)), F(0)),
-            ((F(3), F(1), F(0), F(0)), F(0)),
-        )
-        problem = LPProblem(4, rows, frozenset({0, 1, 2, 3}))
-        out = lp_feasible(problem)
-        assert out.feasible
-        assert out.witness == (F(0), F(0), F(0), F(0))
+        rows = [
+            [F(1), F(-1), F(1), F(-1)],
+            [F(2), F(-2), F(2), F(-2)],
+            [F(1), F(-1), F(-1), F(1)],
+            [F(3), F(1), F(0), F(0)],
+        ]
+        assert lp_feasible(rows, [F(0)] * 4) == (F(0), F(0), F(0), F(0))
 
     def test_redundant_equalities(self):
-        rows = (
-            ((F(1), F(1)), F(2)),
-            ((F(2), F(2)), F(4)),
-            ((F(3), F(3)), F(6)),
-        )
-        out = lp_feasible(LPProblem(2, rows, frozenset({0, 1})))
-        assert out.feasible
+        rows = [[F(1), F(1)], [F(2), F(2)], [F(3), F(3)]]
+        w = lp_feasible(rows, [F(2), F(4), F(6)])
+        assert w is not None and w[0] + w[1] == 2 and min(w) >= 0
 
     def test_wrong_witness_rejected_under_optimize(self):
         # A solver bug that returns a wrong witness must still be caught
@@ -145,6 +115,29 @@ class TestCommonIntersection:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             common_intersection_point([[pt(1, 0, 0)], [pt(2, 1)]], 2)
+
+    def test_no_sets_gives_origin(self):
+        assert common_intersection_point([], 1) == (F(0),)
+        assert common_intersection_point([], 3) == (F(0), F(0), F(0))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_point_lies_in_every_hull(self, dim, m):
+        # The point is derived from part 0's weights, not solved for, so
+        # check it against each part's hull on its own.
+        rng = random.Random(10 * dim + m)
+        found = 0
+        for _ in range(10):
+            sets = [
+                [Point(100 * i + j, tuple(F(rng.randint(-9, 9)) for _ in range(dim)))
+                 for j in range(2 * dim + 2)]
+                for i in range(m)
+            ]
+            x = common_intersection_point(sets, dim)
+            if x is not None:
+                found += 1
+                assert all(point_in_hull(Point(0, x), s) for s in sets)
+        assert found > 0
 
     def test_agrees_with_interval_oracle_randomized(self):
         rng = random.Random(123)

@@ -183,6 +183,12 @@ class TestTukeyDepth:
         tri = PointSet.from_coords([[0, 0], [3, 0], [0, 3]])
         assert tukey_depth(query(1, 1), tri) == 1
 
+    def test_budget_is_a_total_over_sizes(self):
+        # sizes 0..6 enumerate sum C(11, r) = 1486 removal sets
+        assert tukey_depth(query(6), integer_line(11), budget=1486) == 6
+        with pytest.raises(BudgetExceededError):
+            tukey_depth(query(6), integer_line(11), budget=1485)
+
     def test_matches_closed_form_on_random_lines(self):
         rng = random.Random(31415)
         for _ in range(150):
