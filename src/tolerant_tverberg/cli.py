@@ -14,7 +14,7 @@ import sys
 from typing import Any
 
 from . import jsonio
-from .core import Point, PointSet, TverbergError, to_scalar
+from .core import Point, PointSet, TverbergError, short_repr, to_scalar
 from .generate import DEFAULT_GRID, random_point_set
 from .lifting import tolerant_tverberg_lifted
 from .merging import chunk_and_merge
@@ -39,7 +39,7 @@ def _parse_point(raw: str, dim: int, pid: int = 0) -> Point:
     coords = tuple(to_scalar(part.strip()) for part in raw.split(","))
     if len(coords) != dim:
         raise TverbergError(
-            f"dimension: point {raw!r} has {len(coords)} coords, expected {dim}"
+            f"dimension: point {short_repr(raw)} has {len(coords)} coords, expected {dim}"
         )
     return Point(pid, coords)
 

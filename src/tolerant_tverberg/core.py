@@ -27,6 +27,9 @@ RemovalSet = frozenset[int]
 MAX_DECIMAL_EXPONENT = 4300
 _EXPONENT = re.compile(r"[eE]([-+]?[0-9_]+)\s*\Z")
 
+# Error messages quote at most this many characters of an offending value.
+ECHO_LIMIT = 60
+
 
 class TverbergError(Exception):
     """Base class for all errors raised by this package."""
@@ -71,12 +74,21 @@ def to_scalar(value: int | str | Fraction) -> Fraction:
             exponent = _EXPONENT.search(value)
             if exponent and abs(int(exponent.group(1))) > MAX_DECIMAL_EXPONENT:
                 raise TverbergError(
-                    f"decimal exponent beyond +-{MAX_DECIMAL_EXPONENT}: {value!r}"
+                    f"decimal exponent beyond +-{MAX_DECIMAL_EXPONENT}: {short_repr(value)}"
                 )
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
-            raise TverbergError(f"not an exact scalar: {value!r}") from exc
-    raise TverbergError(f"not an exact scalar: {value!r} (floats are not accepted)")
+            raise TverbergError(f"not an exact scalar: {short_repr(value)}") from exc
+    raise TverbergError(
+        f"not an exact scalar: {short_repr(value)} (floats are not accepted)"
+    )
+
+
+def short_repr(value: object) -> str:
+    """``repr(value)``, cut to ``ECHO_LIMIT`` characters and ended with
+    "..." when longer."""
+    text = repr(value)
+    return text if len(text) <= ECHO_LIMIT else text[:ECHO_LIMIT] + "..."
 
 
 @dataclass(frozen=True)

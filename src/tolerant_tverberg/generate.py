@@ -60,23 +60,26 @@ def _degenerate_index(coords: list[list[int]], dim: int) -> int | None:
     return None
 
 
-def _det(mat: list[list[int]]) -> Fraction:
-    """Fraction-free-enough determinant by Gaussian elimination."""
-    size = len(mat)
-    m = [[Fraction(v) for v in row] for row in mat]
-    det = Fraction(1)
-    for col in range(size):
+def _det(mat: list[list[int]]) -> int:
+    """Exact integer determinant by fraction-free (Bareiss) elimination.
+
+    After step k every entry below the pivot rows is a (k+1)-minor of the
+    input, so each division by the previous pivot is exact.
+    """
+    m = [list(row) for row in mat]
+    size = len(m)
+    sign, prev = 1, 1
+    for col in range(size - 1):
         pivot_row = next((r for r in range(col, size) if m[r][col] != 0), None)
         if pivot_row is None:
-            return Fraction(0)
+            return 0
         if pivot_row != col:
             m[col], m[pivot_row] = m[pivot_row], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, size):
-            factor = m[r][col] * inv
-            if factor != 0:
-                for k in range(col, size):
-                    m[r][k] -= factor * m[col][k]
-    return det
+            sign = -sign
+        pivot, prow = m[col][col], m[col]
+        for row in m[col + 1 :]:
+            factor = row[col]
+            for k in range(col + 1, size):
+                row[k] = (row[k] * pivot - factor * prow[k]) // prev
+        prev = pivot
+    return sign * m[-1][-1]

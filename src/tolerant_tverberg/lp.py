@@ -11,6 +11,9 @@ with a phase-1 simplex on Fractions under Bland's anti-cycling rule, so
 
 No floating point is involved anywhere, which is what makes the hull
 intersection and hull membership predicates below exact decisions.
+Each hull query also reports its witness's support, the ids of the
+points with nonzero weight: a basic witness has at most one per row,
+and deleting only points outside it leaves the witness valid.
 Only feasibility is supported; there is no objective to optimize.
 """
 
@@ -144,20 +147,23 @@ def _check_dims(points: Sequence[Point], dim: int) -> None:
             )
 
 
-def common_intersection_point(
+def common_intersection(
     sets: Sequence[Sequence[Point]], dim: int
-) -> tuple[Fraction, ...] | None:
-    """A point in the intersection of the sets' convex hulls, or None.
+) -> tuple[tuple[Fraction, ...], frozenset[int]] | None:
+    """A point in the intersection of the sets' convex hulls with the
+    support of its witness, or None.
 
     For each set i with points p_{i,1..n_i} the LP carries barycentric
     weights a_{i,j} >= 0 with sum_j a_{i,j} = 1, and every set's
     combination sum_j a_{i,j} p_{i,j} equals set 0's, axis by axis.  The
-    point returned is set 0's combination.  An empty set has an empty
-    hull, so the intersection is immediately empty; an empty list of
-    sets constrains nothing and gets the origin.
+    point returned is set 0's combination; the support is the ids of the
+    points with nonzero weight, so the same point stays common to the
+    hulls of any subsets that keep the support.  An empty set has an
+    empty hull, so the intersection is immediately empty; an empty list
+    of sets constrains nothing and gets the origin.
     """
     if not sets:
-        return (_ZERO,) * dim
+        return (_ZERO,) * dim, frozenset()
     for s in sets:
         if not s:
             return None
@@ -189,17 +195,37 @@ def common_intersection_point(
     witness = lp_feasible(rows, rhs)
     if witness is None:
         return None
-    return tuple(
+    point = tuple(
         sum((a * p.coords[k] for a, p in zip(witness, first)), _ZERO)
         for k in range(dim)
     )
+    return point, _support(witness, [p for s in sets for p in s])
+
+
+def common_intersection_point(
+    sets: Sequence[Sequence[Point]], dim: int
+) -> tuple[Fraction, ...] | None:
+    """A point in the intersection of the sets' convex hulls, or None."""
+    found = common_intersection(sets, dim)
+    return None if found is None else found[0]
+
+
+def hull_support(c: Point, hull_points: Sequence[Point]) -> frozenset[int] | None:
+    """Ids of hull points that carry c as a convex combination, or None
+    when c is outside the hull of ``hull_points``."""
+    if not hull_points:
+        return None
+    _check_dims(hull_points, c.dim)
+    rows = [[p.coords[k] for p in hull_points] for k in range(c.dim)]
+    rows.append([_ONE] * len(hull_points))
+    witness = lp_feasible(rows, [*c.coords, _ONE])
+    return None if witness is None else _support(witness, hull_points)
 
 
 def point_in_hull(c: Point, hull_points: Sequence[Point]) -> bool:
     """True iff c is a convex combination of ``hull_points``."""
-    if not hull_points:
-        return False
-    _check_dims(hull_points, c.dim)
-    rows = [[p.coords[k] for p in hull_points] for k in range(c.dim)]
-    rows.append([_ONE] * len(hull_points))
-    return lp_feasible(rows, [*c.coords, _ONE]) is not None
+    return hull_support(c, hull_points) is not None
+
+
+def _support(witness: Sequence[Fraction], points: Sequence[Point]) -> frozenset[int]:
+    return frozenset(p.id for a, p in zip(witness, points) if a != 0)

@@ -86,12 +86,17 @@ def brute_force_tverberg(
 
 
 def _solve_brute(point_set: PointSet, m: int) -> IndexedPartition:
-    partition = brute_force_tverberg(point_set, m)
+    """Brute-force the first (d+1)(m-1)+1 points, then put the rest in
+    part 0: extra points only grow a hull, so the partition stays Tverberg
+    and a block larger than its contract asks stays under the cap."""
+    head = point_set.points[: (point_set.dim + 1) * (m - 1) + 1]
+    partition = brute_force_tverberg(PointSet(point_set.dim, head), m)
     if partition is None:
         raise TverbergError(
             f"no Tverberg {m}-partition exists for this {len(point_set)}-point set"
         )
-    return partition
+    rest = frozenset(p.id for p in point_set.points[len(head) :])
+    return IndexedPartition((partition.parts[0] | rest, *partition.parts[1:]))
 
 
 def _solve_1d(point_set: PointSet, m: int) -> IndexedPartition:

@@ -2,9 +2,18 @@
 
 Tolerance testing is coNP-complete in general, so these routines run a
 budgeted exhaustive search: every removal set of the critical size is
-enumerated in lexicographic id order and judged by the exact LP engine.
-That makes them oracles for desk-scale instances rather than scalable
-algorithms, which is exactly their job here.
+enumerated in lexicographic id order, and each one that could refute is
+judged by the exact LP engine.  That makes them oracles for desk-scale
+instances rather than scalable algorithms, which is exactly their job
+here.
+
+Every feasible LP reports its witness's support, the points with
+nonzero weight; a basic witness has at most one per LP row (Carathéodory).
+A removal that misses some known support leaves that witness intact, so
+it cannot refute and is skipped; only removals that hit every support
+found so far are judged.  Skipped sets never refute, so the reported
+refutation is still the lexicographically first.  The budget is charged
+for every removal set of a level, judged or not.
 """
 
 from __future__ import annotations
@@ -13,6 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from typing import Callable
 
 from .core import (
     BudgetExceededError,
@@ -24,7 +34,7 @@ from .core import (
     RemovalSet,
     validate_partition,
 )
-from .lp import common_intersection_point, point_in_hull
+from .lp import common_intersection, hull_support
 
 DEFAULT_BUDGET = 10**6
 
@@ -65,40 +75,7 @@ def verify_tolerance(
     """
     if t < 0:
         raise InvalidPartitionError(f"invalid partition query: t={t}")
-    if not validate_partition(point_set, partition):
-        raise InvalidPartitionError("invalid partition: does not cover the point set")
-
-    n = len(point_set)
-    size = min(t, n)
-    _charge(n, size, budget)
-
-    all_ids = sorted(point_set.ids())
-    smallest_idx = min(range(partition.m), key=lambda i: len(partition.parts[i]))
-    smallest = partition.parts[smallest_idx]
-    if t >= len(smallest):
-        removal = sorted(smallest)
-        for pid in all_ids:
-            if len(removal) == size:
-                break
-            if pid not in smallest:
-                removal.append(pid)
-        return ToleranceVerdict("refuted", witness_removal=frozenset(removal))
-
-    by_id = point_set.by_id()
-    part_points = [
-        [by_id[pid] for pid in sorted(part)] for part in partition.parts
-    ]
-
-    certificate: tuple[Fraction, ...] | None = None
-    for combo in combinations(all_ids, size):
-        removed = frozenset(combo)
-        sets = [[p for p in part if p.id not in removed] for part in part_points]
-        # size < min part size here, so no part is ever emptied
-        point = common_intersection_point(sets, point_set.dim)
-        if point is None:
-            return ToleranceVerdict("refuted", witness_removal=removed)
-        certificate = point
-    return ToleranceVerdict("tolerant", certificate=certificate)
+    return _ToleranceCheck(point_set, partition).verdict(t, budget, [])
 
 
 def exact_tolerance(
@@ -112,16 +89,61 @@ def exact_tolerance(
     Tolerance at t implies tolerance at every smaller t, so the first
     refuted level ends the ascent.  Level n always refutes (removing
     everything empties every hull), so this terminates.  ``budget``
-    bounds the removal sets of all levels together.
+    bounds the removal sets of all levels together, and the witness
+    supports found at one level prune the next.
     """
     n = len(point_set)
+    check = _ToleranceCheck(point_set, partition)
+    supports: list[frozenset[int]] = []
     t = 0
-    while True:
-        verdict = verify_tolerance(point_set, partition, t, budget=budget)
-        if not verdict.tolerant:
-            return t - 1
+    while check.verdict(t, budget, supports).tolerant:
         budget -= math.comb(n, min(t, n))
         t += 1
+    return t - 1
+
+
+class _ToleranceCheck:
+    """The removal levels of one partition, judged by common-intersection LPs."""
+
+    def __init__(self, point_set: PointSet, partition: IndexedPartition) -> None:
+        if not validate_partition(point_set, partition):
+            raise InvalidPartitionError("invalid partition: does not cover the point set")
+        by_id = point_set.by_id()
+        self.dim = point_set.dim
+        self.ids = sorted(by_id)
+        self.parts = [[by_id[pid] for pid in sorted(part)] for part in partition.parts]
+        self.certificate: tuple[Fraction, ...] | None = None
+
+    def verdict(
+        self, t: int, budget: int, supports: list[frozenset[int]]
+    ) -> ToleranceVerdict:
+        n = len(self.ids)
+        size = min(t, n)
+        _charge(n, size, budget)
+
+        smallest = {p.id for p in min(self.parts, key=len)}
+        if t >= len(smallest):
+            removal = sorted(smallest)
+            for pid in self.ids:
+                if len(removal) == size:
+                    break
+                if pid not in smallest:
+                    removal.append(pid)
+            return ToleranceVerdict("refuted", witness_removal=frozenset(removal))
+
+        # size < min part size here, so no part is ever emptied
+        removed = _first_refutation(self.ids, size, supports, self._judge)
+        if removed is not None:
+            return ToleranceVerdict("refuted", witness_removal=removed)
+        return ToleranceVerdict("tolerant", certificate=self.certificate)
+
+    def _judge(self, removed: frozenset[int]) -> frozenset[int] | None:
+        sets = [[p for p in part if p.id not in removed] for part in self.parts]
+        found = common_intersection(sets, self.dim)
+        if found is None:
+            return None
+        self.certificate, support = found
+        return support
 
 
 def tukey_depth(c: Point, point_set: PointSet, budget: int = DEFAULT_BUDGET) -> int:
@@ -129,8 +151,9 @@ def tukey_depth(c: Point, point_set: PointSet, budget: int = DEFAULT_BUDGET) -> 
     deletions that pulls c out of the convex hull of the rest.
 
     Searched by ascending removal size; each candidate removal is judged
-    by an exact hull-membership LP.  ``budget`` bounds the removal sets
-    of all sizes together.
+    by an exact hull-membership LP, and the supports found at one size
+    prune every later size.  ``budget`` bounds the removal sets of all
+    sizes together.
     """
     if c.dim != point_set.dim:
         raise DimensionError(
@@ -139,15 +162,41 @@ def tukey_depth(c: Point, point_set: PointSet, budget: int = DEFAULT_BUDGET) -> 
     n = len(point_set)
     ids = sorted(point_set.ids())
     by_id = point_set.by_id()
+
+    def judge(removed: frozenset[int]) -> frozenset[int] | None:
+        return hull_support(c, [by_id[pid] for pid in ids if pid not in removed])
+
+    supports: list[frozenset[int]] = []
     for r in range(n + 1):
         budget -= _charge(n, r, budget)
-        for combo in combinations(ids, r):
-            removed = set(combo)
-            rest = [by_id[pid] for pid in ids if pid not in removed]
-            if not point_in_hull(c, rest):
-                return r
+        if _first_refutation(ids, r, supports, judge) is not None:
+            return r
     # unreachable: removing all n points always evicts c
     return n
+
+
+def _first_refutation(
+    ids: list[int],
+    size: int,
+    supports: list[frozenset[int]],
+    judge: Callable[[frozenset[int]], frozenset[int] | None],
+) -> frozenset[int] | None:
+    """The lexicographically first removal of ``size`` ids that ``judge``
+    refutes, or None.
+
+    A removal disjoint from a known support leaves that witness valid, so
+    it is skipped unjudged.  ``judge`` returns the support of the witness
+    that survives a removal, which joins ``supports``, or None to refute.
+    """
+    for combo in combinations(ids, size):
+        removed = frozenset(combo)
+        if any(removed.isdisjoint(s) for s in supports):
+            continue
+        support = judge(removed)
+        if support is None:
+            return removed
+        supports.append(support)
+    return None
 
 
 def _charge(n: int, size: int, budget: int) -> int:

@@ -3,15 +3,17 @@
 Everything here is deliberately written against different mathematics
 than the code under test: interval arithmetic instead of LPs, direct
 half-space counting instead of removal enumeration, closed-form
-recurrences instead of generators.  The one exception is
+recurrences instead of generators.  The exceptions are
 ``check_solver_output``, a sanity predicate on solver results that
-re-checks them with the library's own LP.
+re-checks them with the library's own LP, and the ``*_exhaustive``
+verifiers, which judge every removal set with that LP: they are the
+unpruned enumeration the library's verifiers must agree with.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
-from tolerant_tverberg import common_intersection_point, validate_partition
+from tolerant_tverberg import common_intersection_point, point_in_hull, validate_partition
 
 
 def intervals_intersect(sets_of_values):
@@ -126,3 +128,46 @@ def check_solver_output(point_set, partition) -> bool:
     by_id = point_set.by_id()
     sets = [[by_id[pid] for pid in sorted(part)] for part in partition.parts]
     return common_intersection_point(sets, point_set.dim) is not None
+
+
+def verify_tolerance_exhaustive(point_set, partition, t):
+    """Unpruned ``verify_tolerance``: (tolerant, witness removal or None).
+
+    Judges every removal of size min(t, n) in lexicographic order; a part
+    of at most t points is reported whole, padded with the smallest other
+    ids, as the library does.
+    """
+    ids = sorted(point_set.ids())
+    size = min(t, len(ids))
+    smallest = min(partition.parts, key=len)
+    if t >= len(smallest):
+        pad = [pid for pid in ids if pid not in smallest][: size - len(smallest)]
+        return False, frozenset(smallest) | frozenset(pad)
+    by_id = point_set.by_id()
+    for removal in combinations(ids, size):
+        sets = [
+            [by_id[pid] for pid in sorted(part) if pid not in removal]
+            for part in partition.parts
+        ]
+        if common_intersection_point(sets, point_set.dim) is None:
+            return False, frozenset(removal)
+    return True, None
+
+
+def exact_tolerance_exhaustive(point_set, partition):
+    """Unpruned ``exact_tolerance``: the last t before the first refuted level."""
+    t = 0
+    while verify_tolerance_exhaustive(point_set, partition, t)[0]:
+        t += 1
+    return t - 1
+
+
+def tukey_depth_exhaustive(c, point_set):
+    """Unpruned ``tukey_depth``: the smallest removal that evicts c."""
+    ids = sorted(point_set.ids())
+    by_id = point_set.by_id()
+    for r in range(len(ids) + 1):
+        for removal in combinations(ids, r):
+            if not point_in_hull(c, [by_id[pid] for pid in ids if pid not in removal]):
+                return r
+    return len(ids)

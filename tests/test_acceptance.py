@@ -3,8 +3,8 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one PASS/FAIL
 line per criterion.  Everything is checked exactly: integer arithmetic,
 exhaustive enumeration, and the rational LP engine; no tolerances are
-involved anywhere.  The full suite takes a couple of minutes, dominated
-by the 20-seed lifting matrix and the 10^4-case oracle batteries.
+involved anywhere.  The full suite takes about half a minute, dominated
+by the 10^4-case oracle batteries and the lifting matrix.
 """
 
 import random
@@ -116,14 +116,16 @@ def test_c03_size_constraints_of_tolerant_partitions():
 
 
 def test_c04_lifting_matrix():
-    """Twenty seeds per (m,t) case in the plane, each verified exhaustively."""
-    with criterion("criterion 4: lifted partitions verify on 20/20 seeds"):
-        for m, t in ((2, 1), (3, 2)):
-            n = 2 * (m * (t + 2) - 1)
-            for seed in range(20):
-                P = random_point_set(n, 2, grid=1000, seed=seed)
-                T = tolerant_tverberg_lifted(P, m, t)
-                assert verify_tolerance(P, T, t).tolerant, (m, t, seed)
+    """Twenty seeds per (m,t) case in the plane and ten in space, each
+    verified exhaustively."""
+    with criterion("criterion 4: lifted partitions verify on 20/20 planar and 10/10 spatial seeds"):
+        for dim, seeds, cases in ((2, 20, ((2, 1), (3, 2))), (3, 10, ((2, 1), (2, 2)))):
+            for m, t in cases:
+                n = 2 ** (dim - 1) * (m * (t + 2) - 1)
+                for seed in range(seeds):
+                    P = random_point_set(n, dim, grid=1000, seed=seed)
+                    T = tolerant_tverberg_lifted(P, m, t)
+                    assert verify_tolerance(P, T, t).tolerant, (dim, m, t, seed)
 
 
 def test_c05_two_dimensional_bound_comparison():

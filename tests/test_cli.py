@@ -213,6 +213,37 @@ def test_depth_huge_exponent_is_exit_2(tmp_path, capsys):
     assert "exponent" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["exponent", "digits", "letters"])
+def test_depth_huge_coordinate_is_cut_short(tmp_path, capsys, kind):
+    coord = {"exponent": "1e" + "9" * 100_000, "digits": "7" * 100_000,
+             "letters": "x" * 100_000}[kind]
+    pts = tmp_path / "p.json"
+    pts.write_text(json.dumps(
+        {"dim": 2, "points": [{"id": 1, "coords": [0, 0]}, {"id": 2, "coords": [1, 1]}]}))
+    for point in (f"{coord},0", f"0,0,{coord.replace('x', '1')}"):
+        assert main(["depth", "--input", str(pts), "--point", point]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("error: ")
+        assert all(len(line) < 200 for line in err.splitlines())
+
+
+def test_chunk_merge_brute_solves_an_oversized_last_block(tmp_path, capsys):
+    # 20 points make two blocks of n_A(3) = 7 in the plane; the last one has
+    # 13 points, beyond the brute-force cap of 12
+    pts = tmp_path / "p.json"
+    assert main(["gen", "--n", "20", "--dim", "2", "--seed", "1",
+                 "--output", str(pts)]) == 0
+    part = tmp_path / "part.json"
+    assert main(["compute", "--input", str(pts), "--algorithm", "chunk_merge",
+                 "--m", "3", "--solver", "brute", "--output", str(part)]) == 0
+    result = json.loads(part.read_text())
+    assert result["guaranteed_tolerance"] == 1
+    assert result["stats"]["blocks"] == 2
+    assert main(["verify", "--input", str(pts), "--partition", str(part),
+                 "--t", "1"]) == 0
+
+
 def test_plot_emits_wellformed_svg(tmp_path):
     pts = tmp_path / "p.json"
     pts.write_text(dumps(point_set_to_obj(random_point_set(10, 2, seed=2))))

@@ -18,7 +18,7 @@ from tolerant_tverberg import (
     point_in_hull,
     to_scalar,
 )
-from tolerant_tverberg.lp import lp_feasible
+from tolerant_tverberg.lp import common_intersection, hull_support, lp_feasible
 
 
 def F(*args):
@@ -139,6 +139,34 @@ class TestCommonIntersection:
                 assert all(point_in_hull(Point(0, x), s) for s in sets)
         assert found > 0
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_support_keeps_the_point(self, dim):
+        # A basic witness has at most one nonzero weight per row, and the
+        # same point stays common to the hulls of the support's points.
+        rng = random.Random(dim)
+        found = 0
+        for _ in range(30):
+            m = rng.randint(1, 3)
+            sets = [
+                [Point(100 * i + j, tuple(F(rng.randint(-4, 4)) for _ in range(dim)))
+                 for j in range(rng.randint(1, 2 * dim + 2))]
+                for i in range(m)
+            ]
+            result = common_intersection(sets, dim)
+            assert (result is None) == (common_intersection_point(sets, dim) is None)
+            if result is None:
+                continue
+            found += 1
+            x, support = result
+            assert x == common_intersection_point(sets, dim)
+            assert len(support) <= (m - 1) * dim + m
+            kept = [[p for p in s if p.id in support] for s in sets]
+            assert all(point_in_hull(Point(0, x), s) for s in kept)
+        assert found > 0
+
+    def test_no_sets_have_empty_support(self):
+        assert common_intersection([], 2) == ((F(0), F(0)), frozenset())
+
     def test_agrees_with_interval_oracle_randomized(self):
         rng = random.Random(123)
         for _ in range(2000):
@@ -194,6 +222,15 @@ class TestPointInHull:
 
     def test_empty_hull(self):
         assert not point_in_hull(pt(0, 1), [])
+        assert hull_support(pt(0, 1), []) is None
+
+    def test_support_carries_the_point(self):
+        square = [pt(1, 0, 0), pt(2, 2, 0), pt(3, 0, 2), pt(4, 2, 2), pt(5, 1, 1)]
+        assert hull_support(pt(0, 3, 3), square) is None
+        for c in (pt(0, 1, 1), pt(0, 0, 0), pt(0, 1, 0), pt(0, 1, "1/2")):
+            support = hull_support(c, square)
+            assert support is not None and 1 <= len(support) <= 3
+            assert point_in_hull(c, [p for p in square if p.id in support])
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):

@@ -77,6 +77,16 @@ class TestContracts:
         T = solver.solve(P, m)
         assert check_solver_output(P, T)
 
+    @pytest.mark.parametrize("dim,n,m", [(1, 9, 3), (2, 13, 3), (2, 11, 2), (3, 12, 2)])
+    def test_brute_solves_more_points_than_it_needs(self, dim, n, m):
+        # the first (d+1)(m-1)+1 points are brute-forced, the rest join part 0
+        solver = get_solver("brute", dim)
+        P = random_point_set(n, dim, grid=80, seed=n)
+        T = solver.solve(P, m)
+        assert check_solver_output(P, T)
+        head = PointSet(dim, P.points[: solver.points_needed(m)])
+        assert T.parts[1:] == brute_force_tverberg(head, m).parts[1:]
+
     def test_points_needed_formulas(self):
         assert get_solver("brute", 2).points_needed(3) == 7
         assert get_solver("1d", 1).points_needed(2) == 3

@@ -2,6 +2,7 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from tolerant_tverberg import (
@@ -13,8 +14,11 @@ from tolerant_tverberg import (
     common_intersection_point,
     exact_tolerance,
     is_centerpoint,
+    lp,
+    random_point_set,
     to_scalar,
     tolerant_tverberg_1d,
+    tolerant_tverberg_lifted,
     tukey_depth,
     verify_tolerance,
 )
@@ -242,3 +246,58 @@ class TestDepthRemovalEquivalence:
                         for R in combinations(range(1, n + 1), r)
                     )
                     assert (depth >= t + 1) == survives
+
+
+@st.composite
+def small_instances(draw):
+    """1-D or 2-D integer points on a 4-wide grid (ties and collinear
+    triples are common), a partition of them into 1..3 parts, and a
+    query point on a slightly wider grid."""
+    dim = draw(st.sampled_from([1, 2]))
+    n = draw(st.integers(1, 9))
+    coords = draw(st.lists(st.lists(st.integers(0, 3), min_size=dim, max_size=dim),
+                           min_size=n, max_size=n))
+    m = draw(st.integers(1, min(3, n)))
+    labels = list(range(m)) + draw(
+        st.lists(st.integers(0, m - 1), min_size=n - m, max_size=n - m))
+    labels = draw(st.permutations(labels))
+    P = PointSet.from_coords(coords)
+    T = IndexedPartition.from_iterables(
+        [[p.id for p, b in zip(P.points, labels) if b == j] for j in range(m)])
+    c = query(*draw(st.lists(st.integers(-1, 4), min_size=dim, max_size=dim)))
+    return P, T, c
+
+
+class TestPrunedAgreesWithExhaustive:
+    """Witness-support pruning changes how many LPs run, never an answer."""
+
+    @given(small_instances(), st.integers(0, 4))
+    @settings(max_examples=200, deadline=None)
+    def test_verify_tolerance(self, instance, t):
+        P, T, _ = instance
+        verdict = verify_tolerance(P, T, t)
+        assert (verdict.tolerant, verdict.witness_removal) == \
+            oracles.verify_tolerance_exhaustive(P, T, t)
+
+    @given(small_instances())
+    @settings(max_examples=100, deadline=None)
+    def test_exact_tolerance(self, instance):
+        P, T, _ = instance
+        assert exact_tolerance(P, T) == oracles.exact_tolerance_exhaustive(P, T)
+
+    @given(small_instances())
+    @settings(max_examples=100, deadline=None)
+    def test_tukey_depth(self, instance):
+        P, _, c = instance
+        assert tukey_depth(c, P) == oracles.tukey_depth_exhaustive(c, P)
+
+    def test_lifted_instance_lp_count(self, monkeypatch):
+        # (m=3, t=2), n=22: the unpruned verifier solves all C(22, 2) = 231
+        P = random_point_set(22, 2, grid=1000, seed=0)
+        T = tolerant_tverberg_lifted(P, 3, 2)
+        solved = []
+        feasible = lp.lp_feasible
+        monkeypatch.setattr(lp, "lp_feasible",
+                            lambda rows, rhs: solved.append(1) or feasible(rows, rhs))
+        assert verify_tolerance(P, T, 2).tolerant
+        assert len(solved) == 11
