@@ -3,10 +3,16 @@
 Both hull questions the package asks (do the parts' hulls share a
 point? does c lie in a hull?) are feasibility questions of one form:
 is there a w with rows . w = rhs and w >= 0?  ``lp_feasible`` answers it
-with a phase-1 simplex on Fractions under Bland's anti-cycling rule, so
+with a phase-1 simplex under Bland's anti-cycling rule on an integer
+tableau: each row is scaled by the lcm of its denominators, the phase-1
+objective weighs row i's artificial by L/den_i, and every pivot is
+fraction-free, (a*p - f*b) // d with d the previous pivot, as in
+Edmonds-Bareiss elimination.  Every reduced-cost sign and ratio
+comparison is the one a Fraction tableau would see, so the pivots are
+the same.  Then
 
-  * a feasible answer always comes with a witness that re-checks by
-    exact substitution, and
+  * a feasible answer always comes with a witness, converted to
+    Fractions, that re-checks by exact substitution, and
   * an infeasible answer means the phase-1 optimum is provably > 0.
 
 No floating point is involved anywhere, which is what makes the hull
@@ -19,6 +25,7 @@ Only feasibility is supported; there is no objective to optimize.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -58,29 +65,30 @@ def _phase1(rows: list[list[Fraction]], rhs: list[Fraction], ncols: int):
     """Minimize the sum of one artificial variable per row, Bland's rule.
 
     Returns (structural values, residual artificial sum).  rhs must be
-    nonnegative on entry.
+    nonnegative on entry.  Row i is scaled to integers by the lcm den_i
+    of its denominators and keeps an artificial with coefficient 1, so
+    the objective weighs that artificial by L/den_i, L = lcm(den_i).
+    Every tableau entry is d times its true value, d the last pivot.
     """
     m = len(rows)
-    width = ncols + m + 1  # structural | artificial | rhs
-    tab: list[list[Fraction]] = []
-    for i in range(m):
-        row = rows[i] + [_ZERO] * m + [rhs[i]]
-        row[ncols + i] = _ONE
-        tab.append(row)
+    dens = [math.lcm(b.denominator, *(c.denominator for c in row)) for row, b in zip(rows, rhs)]
+    tab: list[list[int]] = []
+    for i, (row, b, den) in enumerate(zip(rows, rhs, dens)):
+        line = [c.numerator * (den // c.denominator) for c in row] + [0] * m
+        line[ncols + i] = 1
+        line.append(b.numerator * (den // b.denominator))
+        tab.append(line)
     basis = [ncols + i for i in range(m)]
 
-    # reduced costs for min sum(artificials): cbar_j = -sum_i a_ij on
-    # structural columns, 0 on artificials; last entry tracks -objective
-    cost = [_ZERO] * width
-    for j in range(ncols):
-        s = _ZERO
-        for i in range(m):
-            s += tab[i][j]
-        cost[j] = -s
-    total = _ZERO
-    for b in rhs:
-        total += b
-    cost[-1] = -total
+    # reduced costs for min sum(weight_i * artificial_i): -sum_i weight_i
+    # a_ij on structural columns, 0 on artificials; last entry tracks
+    # -objective
+    lcm = math.lcm(*dens)
+    weights = [lcm // den for den in dens]
+    cost = [-sum(w * line[j] for w, line in zip(weights, tab)) for j in range(ncols)]
+    cost += [0] * m
+    cost.append(-sum(w * line[-1] for w, line in zip(weights, tab)))
+    d = 1
 
     while True:
         enter = -1
@@ -91,52 +99,44 @@ def _phase1(rows: list[list[Fraction]], rhs: list[Fraction], ncols: int):
         if enter < 0:
             break
 
+        # least ratio rhs_i / a_i over a_i > 0, compared cross-multiplied
         leave = -1
-        best: Fraction | None = None
         for i in range(m):
             a = tab[i][enter]
             if a > 0:
-                ratio = tab[i][-1] / a
-                if best is None or ratio < best or (
-                    ratio == best and basis[i] < basis[leave]
-                ):
-                    best = ratio
+                if leave < 0:
+                    leave = i
+                    continue
+                lhs, best = tab[i][-1] * tab[leave][enter], tab[leave][-1] * a
+                if lhs < best or (lhs == best and basis[i] < basis[leave]):
                     leave = i
         if leave < 0:
             raise AssertionError("phase-1 unbounded, but its objective is bounded below by 0")
 
-        _pivot(tab, cost, leave, enter)
+        d = _pivot(tab, cost, leave, enter, d)
         basis[leave] = enter
 
     values = [_ZERO] * ncols
     art_total = _ZERO
     for i in range(m):
         if basis[i] < ncols:
-            values[basis[i]] = tab[i][-1]
+            values[basis[i]] = Fraction(tab[i][-1], d)
         else:
-            art_total += tab[i][-1]
+            art_total += Fraction(tab[i][-1], d * dens[basis[i] - ncols])
     return values, art_total
 
 
-def _pivot(tab: list[list[Fraction]], cost: list[Fraction], leave: int, enter: int) -> None:
+def _pivot(tab: list[list[int]], cost: list[int], leave: int, enter: int, d: int) -> int:
+    """Fraction-free pivot on p = tab[leave][enter]: every other row, the
+    cost row included, becomes (row * p - row[enter] * tab[leave]) // d,
+    an exact division.  Returns p, the next d."""
     prow = tab[leave]
-    pval = prow[enter]
-    if pval != 1:
-        inv = _ONE / pval
-        tab[leave] = prow = [c * inv for c in prow]
-    for row in tab:
-        if row is prow:
-            continue
-        factor = row[enter]
-        if factor != 0:
-            for j, pj in enumerate(prow):
-                if pj != 0:
-                    row[j] -= factor * pj
-    factor = cost[enter]
-    if factor != 0:
-        for j, pj in enumerate(prow):
-            if pj != 0:
-                cost[j] -= factor * pj
+    p = prow[enter]
+    for row in [*tab, cost]:
+        f = row[enter]
+        if row is not prow and (f != 0 or p != d):
+            row[:] = [(a * p - f * b) // d for a, b in zip(row, prow)]
+    return p
 
 
 def _check_dims(points: Sequence[Point], dim: int) -> None:

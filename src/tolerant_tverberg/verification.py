@@ -3,9 +3,10 @@
 Tolerance testing is coNP-complete in general, so these routines run a
 budgeted exhaustive search: every removal set of the critical size is
 enumerated in lexicographic id order, and each one that could refute is
-judged by the exact LP engine.  That makes them oracles for desk-scale
-instances rather than scalable algorithms, which is exactly their job
-here.
+judged by one exact LP: a simplex on a fraction-free integer tableau,
+whose witnesses re-check by substitution in Fractions.  That makes them
+oracles for desk-scale instances rather than scalable algorithms, which
+is exactly their job here.
 
 Every feasible LP reports its witness's support, the points with
 nonzero weight; a basic witness has at most one per LP row (Carathéodory).
@@ -20,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from typing import Callable
 
@@ -44,13 +44,11 @@ class ToleranceVerdict:
     """Either "tolerant" or "refuted" with a separating removal set.
 
     A refutation witness is checkable independently: deleting it leaves
-    the parts' hulls with empty common intersection.  The certificate is
-    the common point of the last LP solved; it is a diagnostic only.
+    the parts' hulls with empty common intersection.
     """
 
     status: str  # "tolerant" | "refuted"
     witness_removal: RemovalSet | None = None
-    certificate: tuple[Fraction, ...] | None = None
 
     @property
     def tolerant(self) -> bool:
@@ -75,7 +73,7 @@ def verify_tolerance(
     """
     if t < 0:
         raise InvalidPartitionError(f"invalid partition query: t={t}")
-    return _ToleranceCheck(point_set, partition).verdict(t, budget, [])
+    return _tolerance_levels(point_set, partition)(t, budget, [])
 
 
 def exact_tolerance(
@@ -93,38 +91,40 @@ def exact_tolerance(
     supports found at one level prune the next.
     """
     n = len(point_set)
-    check = _ToleranceCheck(point_set, partition)
+    verdict = _tolerance_levels(point_set, partition)
     supports: list[frozenset[int]] = []
     t = 0
-    while check.verdict(t, budget, supports).tolerant:
+    while verdict(t, budget, supports).tolerant:
         budget -= math.comb(n, min(t, n))
         t += 1
     return t - 1
 
 
-class _ToleranceCheck:
-    """The removal levels of one partition, judged by common-intersection LPs."""
+def _tolerance_levels(
+    point_set: PointSet, partition: IndexedPartition
+) -> Callable[[int, int, list[frozenset[int]]], ToleranceVerdict]:
+    """The verdict at each removal level of one partition, judged by
+    common-intersection LPs."""
+    if not validate_partition(point_set, partition):
+        raise InvalidPartitionError("invalid partition: does not cover the point set")
+    by_id = point_set.by_id()
+    ids = sorted(by_id)
+    parts = [[by_id[pid] for pid in sorted(part)] for part in partition.parts]
 
-    def __init__(self, point_set: PointSet, partition: IndexedPartition) -> None:
-        if not validate_partition(point_set, partition):
-            raise InvalidPartitionError("invalid partition: does not cover the point set")
-        by_id = point_set.by_id()
-        self.dim = point_set.dim
-        self.ids = sorted(by_id)
-        self.parts = [[by_id[pid] for pid in sorted(part)] for part in partition.parts]
-        self.certificate: tuple[Fraction, ...] | None = None
+    def judge(removed: frozenset[int]) -> frozenset[int] | None:
+        sets = [[p for p in part if p.id not in removed] for part in parts]
+        found = common_intersection(sets, point_set.dim)
+        return None if found is None else found[1]
 
-    def verdict(
-        self, t: int, budget: int, supports: list[frozenset[int]]
-    ) -> ToleranceVerdict:
-        n = len(self.ids)
+    def verdict(t: int, budget: int, supports: list[frozenset[int]]) -> ToleranceVerdict:
+        n = len(ids)
         size = min(t, n)
         _charge(n, size, budget)
 
-        smallest = {p.id for p in min(self.parts, key=len)}
+        smallest = {p.id for p in min(parts, key=len)}
         if t >= len(smallest):
             removal = sorted(smallest)
-            for pid in self.ids:
+            for pid in ids:
                 if len(removal) == size:
                     break
                 if pid not in smallest:
@@ -132,18 +132,12 @@ class _ToleranceCheck:
             return ToleranceVerdict("refuted", witness_removal=frozenset(removal))
 
         # size < min part size here, so no part is ever emptied
-        removed = _first_refutation(self.ids, size, supports, self._judge)
+        removed = _first_refutation(ids, size, supports, judge)
         if removed is not None:
             return ToleranceVerdict("refuted", witness_removal=removed)
-        return ToleranceVerdict("tolerant", certificate=self.certificate)
+        return ToleranceVerdict("tolerant")
 
-    def _judge(self, removed: frozenset[int]) -> frozenset[int] | None:
-        sets = [[p for p in part if p.id not in removed] for part in self.parts]
-        found = common_intersection(sets, self.dim)
-        if found is None:
-            return None
-        self.certificate, support = found
-        return support
+    return verdict
 
 
 def tukey_depth(c: Point, point_set: PointSet, budget: int = DEFAULT_BUDGET) -> int:

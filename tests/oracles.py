@@ -8,12 +8,22 @@ recurrences instead of generators.  The exceptions are
 re-checks them with the library's own LP, and the ``*_exhaustive``
 verifiers, which judge every removal set with that LP: they are the
 unpruned enumeration the library's verifiers must agree with.
+
+``_phase1``/``_pivot`` are the reference LP engine: the phase-1 simplex
+on a Fraction tableau under Bland's rule that the library ran before it
+moved to fraction-free integer pivoting.  The integer engine must take
+the same pivots and return the same witnesses, and
+``hulls_intersect_fraction`` re-decides hull intersection on it with a
+differently chained formulation.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
 from tolerant_tverberg import common_intersection_point, point_in_hull, validate_partition
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def intervals_intersect(sets_of_values):
@@ -171,3 +181,126 @@ def tukey_depth_exhaustive(c, point_set):
             if not point_in_hull(c, [by_id[pid] for pid in ids if pid not in removal]):
                 return r
     return len(ids)
+
+
+def fraction_lp_feasible(rows, rhs):
+    """``lp.lp_feasible`` on the reference engine, without its re-check:
+    an exact w >= 0 with rows . w = rhs, or None."""
+    signed = [list(row) if b >= 0 else [-c for c in row] for row, b in zip(rows, rhs)]
+    values, art_total = _phase1(signed, [abs(b) for b in rhs], len(rows[0]))
+    return None if art_total != 0 else tuple(values)
+
+
+def hulls_intersect_fraction(sets, dim):
+    """True iff the convex hulls of the point lists share a point, decided
+    on the reference engine.  Each set's barycentric combination is tied
+    to the previous set's, where the library ties every set to set 0's."""
+    if any(not s for s in sets):
+        return False
+    if not sets:
+        return True
+    ncols = sum(len(s) for s in sets)
+    rows, rhs = [], []
+    offset = 0
+    for i, s in enumerate(sets):
+        row = [_ZERO] * ncols
+        row[offset : offset + len(s)] = [_ONE] * len(s)
+        rows.append(row)
+        rhs.append(_ONE)
+        if i > 0:
+            prev = offset - len(sets[i - 1])
+            for k in range(dim):
+                row = [_ZERO] * ncols
+                for j, p in enumerate(sets[i - 1]):
+                    row[prev + j] = p.coords[k]
+                for j, p in enumerate(s):
+                    row[offset + j] = -p.coords[k]
+                rows.append(row)
+                rhs.append(_ZERO)
+        offset += len(s)
+    return fraction_lp_feasible(rows, rhs) is not None
+
+
+def _phase1(rows: list[list[Fraction]], rhs: list[Fraction], ncols: int):
+    """Minimize the sum of one artificial variable per row, Bland's rule.
+
+    Returns (structural values, residual artificial sum).  rhs must be
+    nonnegative on entry.
+    """
+    m = len(rows)
+    width = ncols + m + 1  # structural | artificial | rhs
+    tab: list[list[Fraction]] = []
+    for i in range(m):
+        row = rows[i] + [_ZERO] * m + [rhs[i]]
+        row[ncols + i] = _ONE
+        tab.append(row)
+    basis = [ncols + i for i in range(m)]
+
+    # reduced costs for min sum(artificials): cbar_j = -sum_i a_ij on
+    # structural columns, 0 on artificials; last entry tracks -objective
+    cost = [_ZERO] * width
+    for j in range(ncols):
+        s = _ZERO
+        for i in range(m):
+            s += tab[i][j]
+        cost[j] = -s
+    total = _ZERO
+    for b in rhs:
+        total += b
+    cost[-1] = -total
+
+    while True:
+        enter = -1
+        for j in range(ncols + m):
+            if cost[j] < 0:
+                enter = j  # Bland: lowest eligible index
+                break
+        if enter < 0:
+            break
+
+        leave = -1
+        best: Fraction | None = None
+        for i in range(m):
+            a = tab[i][enter]
+            if a > 0:
+                ratio = tab[i][-1] / a
+                if best is None or ratio < best or (
+                    ratio == best and basis[i] < basis[leave]
+                ):
+                    best = ratio
+                    leave = i
+        if leave < 0:
+            raise AssertionError("phase-1 unbounded, but its objective is bounded below by 0")
+
+        _pivot(tab, cost, leave, enter)
+        basis[leave] = enter
+
+    values = [_ZERO] * ncols
+    art_total = _ZERO
+    for i in range(m):
+        if basis[i] < ncols:
+            values[basis[i]] = tab[i][-1]
+        else:
+            art_total += tab[i][-1]
+    return values, art_total
+
+
+def _pivot(tab: list[list[Fraction]], cost: list[Fraction], leave: int, enter: int) -> None:
+    prow = tab[leave]
+    pval = prow[enter]
+    if pval != 1:
+        inv = _ONE / pval
+        tab[leave] = prow = [c * inv for c in prow]
+    for row in tab:
+        if row is prow:
+            continue
+        factor = row[enter]
+        if factor != 0:
+            for j, pj in enumerate(prow):
+                if pj != 0:
+                    row[j] -= factor * pj
+    factor = cost[enter]
+    if factor != 0:
+        for j, pj in enumerate(prow):
+            if pj != 0:
+                cost[j] -= factor * pj

@@ -15,6 +15,7 @@ from tolerant_tverberg import (
     Point,
     PointSet,
     common_intersection_point,
+    lp,
     point_in_hull,
     to_scalar,
 )
@@ -91,6 +92,76 @@ class TestLpFeasible:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == [
             "optimize 1", "raised witness failed exact re-substitution"]
+
+
+# zero, small and negative integers, small fractions, and huge coprime
+# denominators 1/(10**30 + k)
+_ENTRIES = st.one_of(
+    st.just(F(0)),
+    st.integers(-4, 4).map(F),
+    st.fractions(min_value=-5, max_value=5, max_denominator=9),
+    st.builds(lambda k, sign: F(sign, 10**30 + k), st.integers(0, 40), st.sampled_from([-1, 1])),
+)
+
+
+@st.composite
+def _lp_systems(draw):
+    """(rows, rhs): feasible by construction or not, with redundant,
+    degenerate (zero rhs) and all-zero rows mixed in."""
+    ncols = draw(st.integers(1, 5))
+    rows = draw(st.lists(st.lists(_ENTRIES, min_size=ncols, max_size=ncols),
+                         min_size=1, max_size=4))
+    if draw(st.booleans()):
+        w = draw(st.lists(_ENTRIES.map(abs), min_size=ncols, max_size=ncols))
+        rhs = [sum((c * x for c, x in zip(row, w)), F(0)) for row in rows]
+    else:
+        rhs = draw(st.lists(_ENTRIES, min_size=len(rows), max_size=len(rows)))
+    for kind in draw(st.lists(st.sampled_from(["redundant", "zero", "zero-rhs"]), max_size=2)):
+        if kind == "redundant":
+            i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
+            k = draw(_ENTRIES)
+            rows.append([a + k * b for a, b in zip(rows[i], rows[j])])
+            rhs.append(rhs[i] + k * rhs[j])
+        elif kind == "zero":
+            rows.append([F(0)] * ncols)
+            rhs.append(draw(_ENTRIES))
+        else:
+            rows.append(draw(st.lists(_ENTRIES, min_size=ncols, max_size=ncols)))
+            rhs.append(F(0))
+    return rows, rhs
+
+
+def _pivots_of(module, solve):
+    """solve()'s result with the (leave, enter) pivots ``module._pivot`` took."""
+    taken = []
+    real = module._pivot
+
+    def spy(tab, cost, leave, enter, *rest):
+        taken.append((leave, enter))
+        return real(tab, cost, leave, enter, *rest)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(module, "_pivot", spy)
+        return solve(), taken
+
+
+class TestSamePivotsAsFractionEngine:
+    """The integer tableau takes the Fraction tableau's pivots, one by one,
+    and returns its witness."""
+
+    @given(_lp_systems())
+    @settings(max_examples=400, deadline=None)
+    def test_witness_and_pivot_sequence(self, system):
+        rows, rhs = system
+        got, pivots = _pivots_of(lp, lambda: lp_feasible(rows, rhs))
+        want, ref_pivots = _pivots_of(oracles, lambda: oracles.fraction_lp_feasible(rows, rhs))
+        assert got == want
+        assert pivots == ref_pivots
+        # the residual artificial sum too, feasible or not
+        signed = [row if b >= 0 else [-c for c in row] for row, b in zip(rows, rhs)]
+        nonneg = [abs(b) for b in rhs]
+        assert lp._phase1([list(r) for r in signed], nonneg, len(rows[0])) == oracles._phase1(
+            [list(r) for r in signed], nonneg, len(rows[0]))
 
 
 class TestCommonIntersection:

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -51,11 +52,11 @@ def removal_separates(point_set, partition, removed):
 
 class TestVerifyTolerance:
     def test_tolerant_at_zero(self):
-        verdict = verify_tolerance(FOUR, SPLIT, 0)
-        assert verdict.tolerant
-        assert verdict.certificate is not None
-        x = verdict.certificate[0]
-        assert 2 <= x <= 3
+        assert verify_tolerance(FOUR, SPLIT, 0).tolerant
+        by_id = FOUR.by_id()
+        sets = [[by_id[pid] for pid in sorted(part)] for part in SPLIT.parts]
+        x = common_intersection_point(sets, 1)
+        assert x is not None and 2 <= x[0] <= 3
 
     def test_refuted_at_one_with_lex_first_witness(self):
         verdict = verify_tolerance(FOUR, SPLIT, 1)
@@ -301,3 +302,46 @@ class TestPrunedAgreesWithExhaustive:
                             lambda rows, rhs: solved.append(1) or feasible(rows, rhs))
         assert verify_tolerance(P, T, 2).tolerant
         assert len(solved) == 11
+
+
+@st.composite
+def spatial_instances(draw):
+    """Planar or 3-D points with integer and half-integer coordinates,
+    partitioned into 2..3 parts; a narrow grid makes coincident points,
+    and with them tolerant partitions, common."""
+    dim = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(3, 9 if dim == 2 else 8))
+    spread = draw(st.integers(1, 6))
+    coord = st.integers(-spread, spread).map(lambda k: Fraction(k, 2))
+    coords = draw(st.lists(st.lists(coord, min_size=dim, max_size=dim),
+                           min_size=n, max_size=n))
+    m = draw(st.integers(2, 3))
+    labels = list(range(m)) + draw(
+        st.lists(st.integers(0, m - 1), min_size=n - m, max_size=n - m))
+    labels = draw(st.permutations(labels))
+    P = PointSet.from_coords(coords)
+    T = IndexedPartition.from_iterables(
+        [[p.id for p, b in zip(P.points, labels) if b == j] for j in range(m)])
+    return P, T
+
+
+class TestVerdictsRecheck:
+    """verify's verdicts re-checked outside the library's LP: every
+    refutation on the reference Fraction engine, every tolerant verdict
+    against the unpruned enumeration."""
+
+    @given(spatial_instances(), st.integers(0, 2))
+    @settings(max_examples=150, deadline=None)
+    def test_verify_tolerance_at_t_and_t_plus_1(self, instance, t):
+        P, T = instance
+        by_id = P.by_id()
+        for level in (t, t + 1):
+            verdict = verify_tolerance(P, T, level)
+            if verdict.tolerant:
+                assert oracles.verify_tolerance_exhaustive(P, T, level) == (True, None)
+                continue
+            removed = verdict.witness_removal
+            assert len(removed) == min(level, len(P))
+            sets = [[by_id[pid] for pid in sorted(part) if pid not in removed]
+                    for part in T.parts]
+            assert not oracles.hulls_intersect_fraction(sets, P.dim)
