@@ -10,9 +10,9 @@ verifiers, which judge every removal set with that LP: they are the
 unpruned enumeration the library's verifiers must agree with.
 
 ``_phase1``/``_pivot`` are the reference LP engine: the phase-1 simplex
-on a Fraction tableau under Bland's rule that the library ran before it
-moved to fraction-free integer pivoting.  The integer engine must take
-the same pivots and return the same witnesses, and
+under Bland's rule on a plain Fraction tableau.  The library's
+fraction-free integer tableau must take the same pivots and return the
+same witnesses, and
 ``hulls_intersect_fraction`` re-decides hull intersection on it with a
 differently chained formulation.
 """
