@@ -26,9 +26,9 @@ from .core import (
 )
 from .generate import random_point_set
 from .lifting import PairProjection, halve_and_pair, lift_partition, tolerant_tverberg_lifted
-from .lp import common_intersection_point, point_in_hull
+from .lp import common_intersection, hull_support
 from .merging import MergeBlock, MergeResult, chunk_and_merge, merge_partitions
-from .one_d import OneDResult, max_tolerance_1d, tolerant_tverberg_1d
+from .one_d import max_tolerance_1d, tolerant_tverberg_1d
 from .reduction import ReducedInstance, center_to_tolerant_instance
 from .solvers import (
     BRUTE_FORCE_CAP,
@@ -41,8 +41,8 @@ from .svgplot import render_svg
 from .verification import (
     DEFAULT_BUDGET,
     ToleranceVerdict,
+    centerpoint_depth,
     exact_tolerance,
-    is_centerpoint,
     tukey_depth,
     verify_tolerance,
 )
@@ -59,7 +59,6 @@ __all__ = [
     "InvalidPartitionError",
     "MergeBlock",
     "MergeResult",
-    "OneDResult",
     "PairProjection",
     "Point",
     "PointSet",
@@ -72,18 +71,18 @@ __all__ = [
     "TverbergError",
     "brute_force_tverberg",
     "center_to_tolerant_instance",
+    "centerpoint_depth",
     "chunk_and_merge",
-    "common_intersection_point",
+    "common_intersection",
     "exact_tolerance",
     "get_solver",
     "halve_and_pair",
-    "is_centerpoint",
+    "hull_support",
     "lex_key",
     "lift_partition",
     "max_tolerance_1d",
     "merge_partitions",
     "order_key_1d",
-    "point_in_hull",
     "random_point_set",
     "render_svg",
     "restricted_growth_strings",

@@ -49,8 +49,8 @@ def _cmd_compute(args: argparse.Namespace) -> int:
     stats: dict[str, Any] = {"n": len(points), "dim": points.dim, "m": args.m}
 
     if args.algorithm == "one_d":
-        result = tolerant_tverberg_1d(points, args.m)
-        partition, tolerance = result.partition, result.achieved_tolerance
+        partition = tolerant_tverberg_1d(points, args.m)
+        tolerance = max_tolerance_1d(len(points), args.m)
     elif args.algorithm == "lift":
         if args.t is None:
             raise TverbergError("algorithm 'lift' requires --t")
@@ -75,7 +75,7 @@ def _cmd_compute(args: argparse.Namespace) -> int:
         raise TverbergError(f"unknown algorithm {args.algorithm!r}")
 
     out = {
-        "parts": [sorted(part) for part in partition.parts],
+        **jsonio.partition_to_obj(partition),
         "guaranteed_tolerance": tolerance,
         "algorithm": args.algorithm,
         "stats": stats,
@@ -116,7 +116,7 @@ def _cmd_reduce_center(args: argparse.Namespace) -> int:
     c = _parse_point(args.point, points.dim)
     instance = center_to_tolerant_instance(points, c)
     obj = jsonio.point_set_to_obj(instance.lifted_points)
-    obj["parts"] = [sorted(part) for part in instance.partition.parts]
+    obj.update(jsonio.partition_to_obj(instance.partition))
     obj["t"] = instance.t
     obj["gadget_minus_ids"] = sorted(instance.gadget_minus_ids)
     obj["gadget_plus_ids"] = sorted(instance.gadget_plus_ids)

@@ -14,7 +14,7 @@ import json
 from fractions import Fraction
 from typing import Any
 
-from .core import IndexedPartition, Point, PointSet, TverbergError, to_scalar
+from .core import IndexedPartition, Point, PointSet, TverbergError, short_repr, to_scalar
 
 
 def scalar_to_json(value: Fraction) -> str:
@@ -39,13 +39,15 @@ def point_set_from_obj(obj: Any) -> PointSet:
         raise TverbergError("'dim' must be an integer")
     if not isinstance(obj["points"], list):
         raise TverbergError("'points' must be a list")
+    if not obj["points"]:
+        raise TverbergError("'points' must not be empty")
     points = []
     for entry in obj["points"]:
         if not isinstance(entry, dict) or "id" not in entry or "coords" not in entry:
             raise TverbergError("each point needs 'id' and 'coords'")
         pid = entry["id"]
         if not isinstance(pid, int) or isinstance(pid, bool):
-            raise TverbergError(f"point id must be an integer, got {pid!r}")
+            raise TverbergError(f"point id must be an integer, got {short_repr(pid)}")
         if not isinstance(entry["coords"], list):
             raise TverbergError(f"coords of point {pid} must be a list")
         coords = tuple(to_scalar(c) for c in entry["coords"])
@@ -78,10 +80,16 @@ def dumps(obj: Any) -> str:
 
 
 def load_point_set(path: str) -> PointSet:
-    with open(path, "r", encoding="utf-8") as fh:
-        return point_set_from_obj(json.load(fh))
+    return point_set_from_obj(_load(path))
 
 
 def load_partition(path: str) -> IndexedPartition:
+    return partition_from_obj(_load(path))
+
+
+def _load(path: str) -> Any:
     with open(path, "r", encoding="utf-8") as fh:
-        return partition_from_obj(json.load(fh))
+        try:
+            return json.load(fh)
+        except RecursionError as exc:
+            raise TverbergError("JSON nested too deeply") from exc

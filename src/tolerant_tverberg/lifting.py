@@ -139,7 +139,7 @@ def tolerant_tverberg_lifted(point_set: PointSet, m: int, t: int) -> IndexedPart
             f"too few points: need 2^(d-1)(m(t+2)-1) = {need}, got {len(point_set)}"
         )
     if d == 1:
-        return tolerant_tverberg_1d(point_set, m).partition
+        return tolerant_tverberg_1d(point_set, m)
     projection = halve_and_pair(point_set)
     projected_partition = tolerant_tverberg_lifted(projection.projected, m, t)
     return lift_partition(projection, projected_partition)

@@ -202,14 +202,6 @@ def common_intersection(
     return point, _support(witness, [p for s in sets for p in s])
 
 
-def common_intersection_point(
-    sets: Sequence[Sequence[Point]], dim: int
-) -> tuple[Fraction, ...] | None:
-    """A point in the intersection of the sets' convex hulls, or None."""
-    found = common_intersection(sets, dim)
-    return None if found is None else found[0]
-
-
 def hull_support(c: Point, hull_points: Sequence[Point]) -> frozenset[int] | None:
     """Ids of hull points that carry c as a convex combination, or None
     when c is outside the hull of ``hull_points``."""
@@ -220,11 +212,6 @@ def hull_support(c: Point, hull_points: Sequence[Point]) -> frozenset[int] | Non
     rows.append([_ONE] * len(hull_points))
     witness = lp_feasible(rows, [*c.coords, _ONE])
     return None if witness is None else _support(witness, hull_points)
-
-
-def point_in_hull(c: Point, hull_points: Sequence[Point]) -> bool:
-    """True iff c is a convex combination of ``hull_points``."""
-    return hull_support(c, hull_points) is not None
 
 
 def _support(witness: Sequence[Fraction], points: Sequence[Point]) -> frozenset[int]:

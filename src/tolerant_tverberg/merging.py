@@ -89,7 +89,7 @@ def chunk_and_merge(
     solver: SolverContract,
     seed: int | None = None,
 ) -> MergeResult:
-    """Split into floor(n / n_A(m)) blocks, solve each, merge.
+    """Split into k = floor(n / n_A(m)) tolerance-0 blocks; merge to tolerance k-1.
 
     Blocks are formed in input order (or shuffled under ``seed``); the
     first k-1 blocks have exactly n_A(m) points and the last absorbs the
@@ -119,7 +119,7 @@ def chunk_and_merge(
             MergeBlock(
                 points=sub,
                 partition=solver.solve(sub, m),
-                tolerance=solver.guaranteed_tolerance,
+                tolerance=0,
             )
         )
     return merge_partitions(blocks)

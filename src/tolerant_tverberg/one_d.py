@@ -12,8 +12,6 @@ id), so rank r simply goes to part r mod m.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import (
     DimensionError,
     IndexedPartition,
@@ -21,12 +19,6 @@ from .core import (
     TooFewPointsError,
     order_key_1d,
 )
-
-
-@dataclass(frozen=True)
-class OneDResult:
-    partition: IndexedPartition
-    achieved_tolerance: int
 
 
 def max_tolerance_1d(n: int, m: int) -> int | None:
@@ -38,7 +30,7 @@ def max_tolerance_1d(n: int, m: int) -> int | None:
     return t if t >= 0 else None
 
 
-def tolerant_tverberg_1d(point_set: PointSet, m: int) -> OneDResult:
+def tolerant_tverberg_1d(point_set: PointSet, m: int) -> IndexedPartition:
     """Partition a 1-D point set into m parts tolerant to
     max_tolerance_1d(|P|, m) removals.
 
@@ -66,5 +58,4 @@ def tolerant_tverberg_1d(point_set: PointSet, m: int) -> OneDResult:
     for i, p in enumerate(ordered[core_size:]):
         parts[1 + i % (m - 1)].append(p.id)
 
-    partition = IndexedPartition(tuple(frozenset(part) for part in parts))
-    return OneDResult(partition=partition, achieved_tolerance=t)
+    return IndexedPartition(tuple(frozenset(part) for part in parts))

@@ -1,9 +1,10 @@
 """Regular (tolerance-0) Tverberg solvers behind one contract.
 
-The merge driver only needs to know how many points a solver requires
-per m-partition and what tolerance each block is good for; anything
-honoring that contract plugs in.  Known deterministic approximation
-algorithms from the literature would slot in the same way:
+Every contract here solves the tolerance-0 problem: the merge driver
+raises tolerance by merging blocks, so it only needs to know how many
+points a solver requires per m-partition.  Anything honoring that
+contract plugs in.  Known deterministic approximation algorithms from
+the literature would slot in the same way:
 
     Miller & Sheehy (2010):  n_A(m) = 2m(d+1)^2,  time m^O(log d) d^O(log d) n
     Mulzer & Werner (2013):  n_A(m) = 4m(d+1)^3,  time d^O(log d) n
@@ -19,7 +20,7 @@ from typing import Callable
 
 from .core import IndexedPartition, PointSet, TverbergError
 from .lifting import tolerant_tverberg_lifted
-from .lp import common_intersection_point
+from .lp import common_intersection
 from .one_d import tolerant_tverberg_1d
 
 BRUTE_FORCE_CAP = 12
@@ -27,16 +28,14 @@ BRUTE_FORCE_CAP = 12
 
 @dataclass(frozen=True)
 class SolverContract:
-    """A named solver with its minimum input size per part count.
+    """A tolerance-0 solver with its minimum input size per part count.
 
     For any point set with at least points_needed(m) points in the
     dimension the contract was built for, solve(P, m) returns a valid
-    Tverberg m-partition with at least guaranteed_tolerance.
+    Tverberg m-partition.
     """
 
-    name: str
     points_needed: Callable[[int], int]
-    guaranteed_tolerance: int
     solve: Callable[[PointSet, int], IndexedPartition]
 
 
@@ -78,7 +77,7 @@ def brute_force_tverberg(
         sets: list[list] = [[] for _ in range(m)]
         for p, block in zip(points, rgs):
             sets[block].append(p)
-        if common_intersection_point(sets, point_set.dim) is not None:
+        if common_intersection(sets, point_set.dim) is not None:
             return IndexedPartition(
                 tuple(frozenset(p.id for p in s) for s in sets)
             )
@@ -99,37 +98,17 @@ def _solve_brute(point_set: PointSet, m: int) -> IndexedPartition:
     return IndexedPartition((partition.parts[0] | rest, *partition.parts[1:]))
 
 
-def _solve_1d(point_set: PointSet, m: int) -> IndexedPartition:
-    return tolerant_tverberg_1d(point_set, m).partition
-
-
-def _solve_lifted(point_set: PointSet, m: int) -> IndexedPartition:
-    return tolerant_tverberg_lifted(point_set, m, 0)
-
-
 def get_solver(name: str, dim: int) -> SolverContract:
     """Look up a solver by CLI name for a given ambient dimension."""
     if name == "brute":
-        return SolverContract(
-            name="brute",
-            points_needed=lambda m: (dim + 1) * (m - 1) + 1,
-            guaranteed_tolerance=0,
-            solve=_solve_brute,
-        )
+        return SolverContract(lambda m: (dim + 1) * (m - 1) + 1, _solve_brute)
     if name == "1d":
         if dim != 1:
             raise TverbergError("solver '1d' only applies to 1-D point sets")
-        return SolverContract(
-            name="1d",
-            points_needed=lambda m: 2 * m - 1,
-            guaranteed_tolerance=0,
-            solve=_solve_1d,
-        )
+        return SolverContract(lambda m: 2 * m - 1, tolerant_tverberg_1d)
     if name == "lift":
         return SolverContract(
-            name="lift",
-            points_needed=lambda m: (2 ** (dim - 1)) * (2 * m - 1),
-            guaranteed_tolerance=0,
-            solve=_solve_lifted,
+            lambda m: (2 ** (dim - 1)) * (2 * m - 1),
+            lambda point_set, m: tolerant_tverberg_lifted(point_set, m, 0),
         )
     raise TverbergError(f"unknown solver {name!r} (choose from: brute, 1d, lift)")

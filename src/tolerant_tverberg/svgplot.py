@@ -7,7 +7,9 @@ and only here: plots are presentation, not decisions.
 
 from __future__ import annotations
 
-from .core import DimensionError, IndexedPartition, PointSet
+import math
+
+from .core import DimensionError, IndexedPartition, InvalidPartitionError, PointSet, TverbergError
 
 PALETTE = [
     "#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
@@ -27,12 +29,17 @@ def render_svg(
         raise DimensionError(f"dimension: plotting needs 2-D, got {point_set.dim}-D")
     removed = removed_ids or frozenset()
 
-    xs = [float(p.coords[0]) for p in point_set.points]
-    ys = [float(p.coords[1]) for p in point_set.points]
+    try:
+        xs = [float(p.coords[0]) for p in point_set.points]
+        ys = [float(p.coords[1]) for p in point_set.points]
+    except OverflowError as exc:
+        raise TverbergError("coordinate too large to plot as a float") from exc
     x0, x1 = min(xs), max(xs)
     y0, y1 = min(ys), max(ys)
     span_x = (x1 - x0) or 1.0
     span_y = (y1 - y0) or 1.0
+    if math.isinf(span_x) or math.isinf(span_y):
+        raise TverbergError("coordinates span too wide to plot as floats")
 
     def place(p) -> tuple[float, float]:
         px = margin + (float(p.coords[0]) - x0) / span_x * (width - 2 * margin)
@@ -46,6 +53,8 @@ def render_svg(
         by_id = point_set.by_id()
         for j, part in enumerate(partition.parts):
             color = PALETTE[j % len(PALETTE)]
+            if not part <= by_id.keys():
+                raise InvalidPartitionError("invalid partition: ids outside the point set")
             groups.append((color, [by_id[pid] for pid in sorted(part)]))
 
     body: list[str] = []

@@ -38,21 +38,23 @@ from .lp import common_intersection, hull_support
 
 DEFAULT_BUDGET = 10**6
 
+# The support of the witness that survives a removal, or None to refute.
+Judge = Callable[[RemovalSet], RemovalSet | None]
+
 
 @dataclass(frozen=True)
 class ToleranceVerdict:
-    """Either "tolerant" or "refuted" with a separating removal set.
+    """Tolerant, or refuted by a separating removal set.
 
     A refutation witness is checkable independently: deleting it leaves
     the parts' hulls with empty common intersection.
     """
 
-    status: str  # "tolerant" | "refuted"
     witness_removal: RemovalSet | None = None
 
     @property
     def tolerant(self) -> bool:
-        return self.status == "tolerant"
+        return self.witness_removal is None
 
 
 def verify_tolerance(
@@ -73,7 +75,16 @@ def verify_tolerance(
     """
     if t < 0:
         raise InvalidPartitionError(f"invalid partition query: t={t}")
-    return _tolerance_levels(point_set, partition)(t, budget, [])
+    ids, smallest, judge = _partition_judge(point_set, partition)
+    n = len(ids)
+    size = min(t, n)
+    _charge(n, size, budget)
+    if t >= len(smallest):
+        rest = [pid for pid in ids if pid not in smallest]
+        return ToleranceVerdict(smallest | frozenset(rest[: size - len(smallest)]))
+    # size < min part size here, so no part is ever emptied
+    removed = _first_refutation(ids, size, [], judge)
+    return ToleranceVerdict(removed)
 
 
 def exact_tolerance(
@@ -85,30 +96,25 @@ def exact_tolerance(
     not a Tverberg partition at all.
 
     Tolerance at t implies tolerance at every smaller t, so the first
-    refuted level ends the ascent.  Level n always refutes (removing
-    everything empties every hull), so this terminates.  ``budget``
-    bounds the removal sets of all levels together, and the witness
-    supports found at one level prune the next.
+    refuted level ends the ascent.  The level of the smallest part
+    always refutes (removing that part empties its hull), so it is
+    charged but not judged.  ``budget`` bounds the removal sets of all
+    levels together, and the witness supports found at one level prune
+    the next.
     """
-    n = len(point_set)
-    verdict = _tolerance_levels(point_set, partition)
-    supports: list[frozenset[int]] = []
-    t = 0
-    while verdict(t, budget, supports).tolerant:
-        budget -= math.comb(n, min(t, n))
-        t += 1
-    return t - 1
+    ids, smallest, judge = _partition_judge(point_set, partition)
+    return _first_refuted_size(ids, len(smallest), judge, budget) - 1
 
 
-def _tolerance_levels(
+def _partition_judge(
     point_set: PointSet, partition: IndexedPartition
-) -> Callable[[int, int, list[frozenset[int]]], ToleranceVerdict]:
-    """The verdict at each removal level of one partition, judged by
-    common-intersection LPs."""
+) -> tuple[list[int], RemovalSet, Judge]:
+    """The sorted ids, the ids of the smallest part, and a judge that
+    returns the support of the parts' common point after a removal, or
+    None when their hulls no longer meet."""
     if not validate_partition(point_set, partition):
         raise InvalidPartitionError("invalid partition: does not cover the point set")
     by_id = point_set.by_id()
-    ids = sorted(by_id)
     parts = [[by_id[pid] for pid in sorted(part)] for part in partition.parts]
 
     def judge(removed: frozenset[int]) -> frozenset[int] | None:
@@ -116,28 +122,7 @@ def _tolerance_levels(
         found = common_intersection(sets, point_set.dim)
         return None if found is None else found[1]
 
-    def verdict(t: int, budget: int, supports: list[frozenset[int]]) -> ToleranceVerdict:
-        n = len(ids)
-        size = min(t, n)
-        _charge(n, size, budget)
-
-        smallest = {p.id for p in min(parts, key=len)}
-        if t >= len(smallest):
-            removal = sorted(smallest)
-            for pid in ids:
-                if len(removal) == size:
-                    break
-                if pid not in smallest:
-                    removal.append(pid)
-            return ToleranceVerdict("refuted", witness_removal=frozenset(removal))
-
-        # size < min part size here, so no part is ever emptied
-        removed = _first_refutation(ids, size, supports, judge)
-        if removed is not None:
-            return ToleranceVerdict("refuted", witness_removal=removed)
-        return ToleranceVerdict("tolerant")
-
-    return verdict
+    return sorted(by_id), min(partition.parts, key=len), judge
 
 
 def tukey_depth(c: Point, point_set: PointSet, budget: int = DEFAULT_BUDGET) -> int:
@@ -146,34 +131,42 @@ def tukey_depth(c: Point, point_set: PointSet, budget: int = DEFAULT_BUDGET) -> 
 
     Searched by ascending removal size; each candidate removal is judged
     by an exact hull-membership LP, and the supports found at one size
-    prune every later size.  ``budget`` bounds the removal sets of all
-    sizes together.
+    prune every later size.  Removing all n points always evicts c, so
+    size n is charged but not judged.  ``budget`` bounds the removal
+    sets of all sizes together.
     """
     if c.dim != point_set.dim:
         raise DimensionError(
             f"dimension: query has dim {c.dim}, point set has {point_set.dim}"
         )
-    n = len(point_set)
     ids = sorted(point_set.ids())
     by_id = point_set.by_id()
 
     def judge(removed: frozenset[int]) -> frozenset[int] | None:
         return hull_support(c, [by_id[pid] for pid in ids if pid not in removed])
 
+    return _first_refuted_size(ids, len(ids), judge, budget)
+
+
+def _first_refuted_size(ids: list[int], stop: int, judge: Judge, budget: int) -> int:
+    """The smallest removal size below ``stop`` that ``judge`` refutes,
+    else ``stop``, which the caller knows refutes and is not judged.
+
+    Every size up to the answer is charged against one ``budget``, and
+    the supports found at one size prune the next.
+    """
+    n = len(ids)
     supports: list[frozenset[int]] = []
-    for r in range(n + 1):
-        budget -= _charge(n, r, budget)
-        if _first_refutation(ids, r, supports, judge) is not None:
-            return r
-    # unreachable: removing all n points always evicts c
-    return n
+    for size in range(stop):
+        budget -= _charge(n, size, budget)
+        if _first_refutation(ids, size, supports, judge) is not None:
+            return size
+    _charge(n, stop, budget)
+    return stop
 
 
 def _first_refutation(
-    ids: list[int],
-    size: int,
-    supports: list[frozenset[int]],
-    judge: Callable[[frozenset[int]], frozenset[int] | None],
+    ids: list[int], size: int, supports: list[frozenset[int]], judge: Judge
 ) -> frozenset[int] | None:
     """The lexicographically first removal of ``size`` ids that ``judge``
     refutes, or None.
@@ -208,8 +201,3 @@ def centerpoint_depth(n: int, d: int) -> int:
     """Depth a centerpoint of n points in d dimensions has: ceil(n / (d+1))."""
     return -(-n // (d + 1))
 
-
-def is_centerpoint(c: Point, point_set: PointSet, budget: int = DEFAULT_BUDGET) -> bool:
-    """True iff c has depth at least ceil(n / (d+1))."""
-    required = centerpoint_depth(len(point_set), point_set.dim)
-    return tukey_depth(c, point_set, budget=budget) >= required

@@ -20,7 +20,7 @@ differently chained formulation.
 from fractions import Fraction
 from itertools import combinations
 
-from tolerant_tverberg import common_intersection_point, point_in_hull, validate_partition
+from tolerant_tverberg import common_intersection, hull_support, validate_partition
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -137,7 +137,7 @@ def check_solver_output(point_set, partition) -> bool:
         return False
     by_id = point_set.by_id()
     sets = [[by_id[pid] for pid in sorted(part)] for part in partition.parts]
-    return common_intersection_point(sets, point_set.dim) is not None
+    return common_intersection(sets, point_set.dim) is not None
 
 
 def verify_tolerance_exhaustive(point_set, partition, t):
@@ -159,7 +159,7 @@ def verify_tolerance_exhaustive(point_set, partition, t):
             [by_id[pid] for pid in sorted(part) if pid not in removal]
             for part in partition.parts
         ]
-        if common_intersection_point(sets, point_set.dim) is None:
+        if common_intersection(sets, point_set.dim) is None:
             return False, frozenset(removal)
     return True, None
 
@@ -178,7 +178,7 @@ def tukey_depth_exhaustive(c, point_set):
     by_id = point_set.by_id()
     for r in range(len(ids) + 1):
         for removal in combinations(ids, r):
-            if not point_in_hull(c, [by_id[pid] for pid in ids if pid not in removal]):
+            if hull_support(c, [by_id[pid] for pid in ids if pid not in removal]) is None:
                 return r
     return len(ids)
 

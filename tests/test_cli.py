@@ -1,13 +1,18 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from tolerant_tverberg import cli, is_centerpoint, random_point_set, render_svg, tukey_depth
+from tolerant_tverberg import cli, centerpoint_depth, random_point_set, render_svg, tukey_depth
 from tolerant_tverberg.cli import main
 from tolerant_tverberg.jsonio import dumps, point_set_to_obj
 
@@ -172,8 +177,9 @@ def test_depth_runs_tukey_depth_once(tmp_path, capsys, monkeypatch):
     assert main(["depth", "--input", str(pts), "--point", ",".join(map(str, centroid))]) == 0
     assert len(calls) == 1
     c = calls[0][0]
-    center = "true" if is_centerpoint(c, P) else "false"
-    assert capsys.readouterr().out == f"depth={tukey_depth(c, P)} centerpoint={center}\n"
+    depth = tukey_depth(c, P)
+    center = "true" if depth >= centerpoint_depth(len(P), P.dim) else "false"
+    assert capsys.readouterr().out == f"depth={depth} centerpoint={center}\n"
 
 
 def test_missing_file_is_exit_2(capsys):
@@ -278,3 +284,182 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "compute" in proc.stdout
+
+
+def assert_one_error_line(err):
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+
+
+def command_argv(command, pts, part, svg):
+    """One call per subcommand that reads a point set, and a partition
+    where the subcommand takes one."""
+    return {
+        "verify": ["verify", "--input", pts, "--partition", part, "--t", "0"],
+        "tolerance": ["tolerance", "--input", pts, "--partition", part],
+        "depth": ["depth", "--input", pts, "--point", "1,1"],
+        "compute": ["compute", "--input", pts, "--algorithm", "lift", "--m", "2", "--t", "0"],
+        "reduce-center": ["reduce-center", "--input", pts, "--point", "1,1"],
+        "plot": ["plot", "--input", pts, "--partition", part, "--output", svg],
+    }[command]
+
+
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("command,deep", [
+    *((command, "input") for command in
+      ("verify", "tolerance", "depth", "compute", "reduce-center", "plot")),
+    *((command, "partition") for command in ("verify", "tolerance", "plot")),
+])
+def test_deeply_nested_json_is_exit_2(tmp_path, capsys, command, deep):
+    pts, part = tmp_path / "p.json", tmp_path / "t.json"
+    pts.write_text(json.dumps({"dim": 2, "points": [
+        {"id": i, "coords": [i, i * i]} for i in range(1, 5)]}))
+    part.write_text(json.dumps({"parts": [[1, 3], [2, 4]]}))
+    (pts if deep == "input" else part).write_text(DEEP)
+    assert main(command_argv(command, str(pts), str(part), str(tmp_path / "o.svg"))) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert_one_error_line(captured.err)
+    assert not (tmp_path / "o.svg").exists()
+
+
+@pytest.mark.parametrize("low,high", [("0", "1e400"), ("-1e308", "1e308")])
+def test_plot_coordinate_beyond_float_is_exit_2(tmp_path, capsys, low, high):
+    pts = tmp_path / "p.json"
+    pts.write_text(json.dumps(
+        {"dim": 2, "points": [{"id": 1, "coords": [low, 0]}, {"id": 2, "coords": [high, 1]}]}))
+    assert main(["plot", "--input", str(pts), "--output", str(tmp_path / "o.svg")]) == 2
+    assert_one_error_line(capsys.readouterr().err)
+    assert not (tmp_path / "o.svg").exists()
+
+
+def test_plot_partition_with_unknown_ids_is_exit_2(tmp_path, capsys):
+    pts, part = tmp_path / "p.json", tmp_path / "t.json"
+    pts.write_text(dumps(point_set_to_obj(random_point_set(4, 2, seed=0))))
+    part.write_text(json.dumps({"parts": [[1, 2], [3, 99]]}))
+    assert main(["plot", "--input", str(pts), "--partition", str(part),
+                 "--output", str(tmp_path / "o.svg")]) == 2
+    assert_one_error_line(capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("flags", [
+    ["compute", "--algorithm", "lift", "--m", "2", "--t", "0"],
+    ["compute", "--algorithm", "chunk_merge", "--solver", "lift", "--m", "2"],
+    ["depth", "--point", "0"],
+])
+def test_empty_point_list_is_exit_2(tmp_path, capsys, flags):
+    # with no points, nothing bounds dim; lift would build 2 ** (dim - 1)
+    pts = tmp_path / "p.json"
+    pts.write_text('{"dim": 100000000, "points": []}')
+    assert main([*flags, "--input", str(pts)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: 'points' must not be empty\n"
+
+
+# -- malformed documents, drawn by Hypothesis ------------------------------
+# A valid point set and a partition of it, each given at most one flaw
+# (often none), so that the commands also run on documents they accept.
+
+_junk = st.recursive(
+    st.none() | st.booleans() | st.floats(allow_nan=False) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=4,
+)
+_scalars = st.integers(-4, 4) | st.sampled_from(["1/2", "-3/7", "0.25", "2e-3"])
+_huge_scalars = st.sampled_from(["1e400", "-1e-400", "1e4300", 10**40, "9" * 5000])
+_bad_scalars = st.sampled_from(["1/0", "nan", "x", "", 1.5]) | _junk
+_bad_ids = st.sampled_from([-1, 10**30, -(10**40), "1", 1.0, True, None]) | _junk
+_RAW = {"deep": DEEP, "empty": "", "open": "{", "huge exponent": "[1e999999]",
+        "huge int": "9" * 5000}
+_FLAWLESS = [None] * 3  # weight of the unflawed document among the flaws
+
+
+def _point_set_text(draw):
+    dim = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 6))
+    ids = draw(st.lists(st.integers(0, 9), min_size=n, max_size=n, unique=True))
+    points = [{"id": pid, "coords": draw(st.lists(_scalars, min_size=dim, max_size=dim))}
+              for pid in ids]
+    doc = {"dim": dim, "points": points}
+    point = draw(st.sampled_from(points))
+    flaw = draw(st.sampled_from([*_FLAWLESS, "raw", "dim", "no points", "missing key",
+                                 "point key", "id", "duplicate id", "coord", "huge coord",
+                                 "coord count", "junk"]))
+    if flaw == "raw":
+        return ids, _RAW[draw(st.sampled_from(sorted(_RAW)))]
+    if flaw == "dim":
+        doc["dim"] = draw(st.sampled_from([0, -1, 10**8, "2", 2.0, True, None]))
+    elif flaw == "no points":
+        doc["points"] = []
+    elif flaw == "missing key":
+        doc = draw(st.sampled_from([{"dim": dim}, {"points": points}, points]))
+    elif flaw == "point key":
+        del point[draw(st.sampled_from(["id", "coords"]))]
+    elif flaw == "id":
+        point["id"] = draw(_bad_ids)
+    elif flaw == "duplicate id":
+        points.append(dict(points[0]))
+    elif flaw == "coord":
+        point["coords"][0] = draw(_bad_scalars)
+    elif flaw == "huge coord":
+        point["coords"][0] = draw(_huge_scalars)
+    elif flaw == "coord count":
+        point["coords"].append(0)
+    elif flaw == "junk":
+        doc = draw(_junk)
+    return ids, json.dumps(doc)
+
+
+def _partition_text(draw, ids):
+    m = draw(st.integers(1, 3))
+    parts = [[] for _ in range(m)]
+    for pid in ids:
+        parts[draw(st.integers(0, m - 1))].append(pid)
+    doc = {"parts": parts}
+    part = draw(st.sampled_from(parts))
+    flaw = draw(st.sampled_from([*_FLAWLESS, "raw", "unknown id", "repeated id", "empty part",
+                                 "id", "missing key", "junk"]))
+    if flaw == "raw":
+        return _RAW[draw(st.sampled_from(sorted(_RAW)))]
+    if flaw == "unknown id":
+        part.append(99)
+    elif flaw == "repeated id":
+        part.append(ids[0])
+    elif flaw == "empty part":
+        parts.append([])
+    elif flaw == "id":
+        part.append(draw(_bad_ids))
+    elif flaw == "missing key":
+        doc = parts
+    elif flaw == "junk":
+        doc["parts"] = draw(_junk)
+    return json.dumps(doc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_malformed_documents_never_escape_main(data):
+    ids, pts_text = _point_set_text(data.draw)
+    part_text = _partition_text(data.draw, ids)
+    with tempfile.TemporaryDirectory() as tmp:
+        pts, part, svg = (str(Path(tmp, name)) for name in ("p.json", "t.json", "o.svg"))
+        Path(pts).write_text(pts_text)
+        Path(part).write_text(part_text)
+        calls = [command_argv(name, pts, part, svg) for name in ("verify", "tolerance", "plot")]
+        calls += [["verify", "--input", pts, "--partition", part, "--t", "2"]]
+        calls += [[command, "--input", pts, "--point", point]
+                  for command in ("depth", "reduce-center") for point in ("1/2", "1,1", "0,1,2")]
+        calls += [["compute", "--input", pts, "--algorithm", algorithm, "--m", "2", "--t", "0"]
+                  for algorithm in ("one_d", "lift", "brute")]
+        for argv in calls:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            if code == 2:
+                assert_one_error_line(err.getvalue())
+            else:
+                assert code in (0, 1) and err.getvalue() == "", (argv, err.getvalue())

@@ -121,7 +121,7 @@ class TestLiftPartition:
 class TestLiftedSolver:
     def test_one_dimensional_input_delegates(self):
         P = PointSet.from_coords([[v] for v in (3, 1, 4, 5, 9, 2, 6)])
-        assert tolerant_tverberg_lifted(P, 2, 2) == tolerant_tverberg_1d(P, 2).partition
+        assert tolerant_tverberg_lifted(P, 2, 2) == tolerant_tverberg_1d(P, 2)
 
     def test_too_few_points(self):
         P = random_point_set(9, 2, seed=1)
@@ -159,7 +159,7 @@ class TestLiftedSolver:
             P = random_point_set(rng.choice([8, 9, 10]), 2, grid=150, seed=seed + 50)
             pp = halve_and_pair(P)
             sub = tolerant_tverberg_1d(pp.projected, 2)
-            lifted = lift_partition(pp, sub.partition)
-            t_env = exact_tolerance(pp.projected, sub.partition)
+            lifted = lift_partition(pp, sub)
+            t_env = exact_tolerance(pp.projected, sub)
             t_lift = exact_tolerance(P, lifted)
             assert t_lift >= t_env

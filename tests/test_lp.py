@@ -14,12 +14,12 @@ from tolerant_tverberg import (
     DimensionError,
     Point,
     PointSet,
-    common_intersection_point,
+    common_intersection,
+    hull_support,
     lp,
-    point_in_hull,
     to_scalar,
 )
-from tolerant_tverberg.lp import common_intersection, hull_support, lp_feasible
+from tolerant_tverberg.lp import lp_feasible
 
 
 def F(*args):
@@ -77,8 +77,8 @@ class TestLpFeasible:
             lp._phase1 = lambda rows, rhs, ncols: ([Fraction(0)] * ncols, Fraction(0))
             print("optimize", sys.flags.optimize)
             try:
-                lp.point_in_hull(Point(0, (Fraction(1),)),
-                                 [Point(1, (Fraction(0),)), Point(2, (Fraction(2),))])
+                lp.hull_support(Point(0, (Fraction(1),)),
+                                [Point(1, (Fraction(0),)), Point(2, (Fraction(2),))])
             except AssertionError as exc:
                 print("raised", exc)
             else:
@@ -167,29 +167,29 @@ class TestSamePivotsAsFractionEngine:
 class TestCommonIntersection:
     def test_identical_singletons(self):
         sets = [[pt(1, 0)], [pt(2, 0)]]
-        assert common_intersection_point(sets, 1) == (F(0),)
+        assert common_intersection(sets, 1)[0] == (F(0),)
 
     def test_overlapping_intervals(self):
         sets = [pts_1d([1, 3]), pts_1d([2, 4], start_id=10)]
-        x = common_intersection_point(sets, 1)
-        assert x is not None
-        assert F(2) <= x[0] <= F(3)
+        found = common_intersection(sets, 1)
+        assert found is not None
+        assert F(2) <= found[0][0] <= F(3)
 
     def test_disjoint_triangles_empty(self):
         a = [pt(1, 0, 0), pt(2, 1, 0), pt(3, 0, 1)]
         b = [pt(4, 5, 5), pt(5, 6, 5), pt(6, 5, 6)]
-        assert common_intersection_point([a, b], 2) is None
+        assert common_intersection([a, b], 2) is None
 
     def test_empty_set_forces_empty(self):
-        assert common_intersection_point([pts_1d([1, 2]), []], 1) is None
+        assert common_intersection([pts_1d([1, 2]), []], 1) is None
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
-            common_intersection_point([[pt(1, 0, 0)], [pt(2, 1)]], 2)
+            common_intersection([[pt(1, 0, 0)], [pt(2, 1)]], 2)
 
     def test_no_sets_gives_origin(self):
-        assert common_intersection_point([], 1) == (F(0),)
-        assert common_intersection_point([], 3) == (F(0), F(0), F(0))
+        assert common_intersection([], 1) == ((F(0),), frozenset())
+        assert common_intersection([], 3) == ((F(0), F(0), F(0)), frozenset())
 
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
@@ -204,10 +204,10 @@ class TestCommonIntersection:
                  for j in range(2 * dim + 2)]
                 for i in range(m)
             ]
-            x = common_intersection_point(sets, dim)
-            if x is not None:
+            result = common_intersection(sets, dim)
+            if result is not None:
                 found += 1
-                assert all(point_in_hull(Point(0, x), s) for s in sets)
+                assert all(hull_support(Point(0, result[0]), s) is not None for s in sets)
         assert found > 0
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -224,15 +224,13 @@ class TestCommonIntersection:
                 for i in range(m)
             ]
             result = common_intersection(sets, dim)
-            assert (result is None) == (common_intersection_point(sets, dim) is None)
             if result is None:
                 continue
             found += 1
             x, support = result
-            assert x == common_intersection_point(sets, dim)
             assert len(support) <= (m - 1) * dim + m
             kept = [[p for p in s if p.id in support] for s in sets]
-            assert all(point_in_hull(Point(0, x), s) for s in kept)
+            assert all(hull_support(Point(0, x), s) is not None for s in kept)
         assert found > 0
 
     def test_no_sets_have_empty_support(self):
@@ -251,13 +249,13 @@ class TestCommonIntersection:
             for vs in value_sets:
                 sets.append(pts_1d(vs, start_id=nid))
                 nid += len(vs)
-            got = common_intersection_point(sets, 1)
+            got = common_intersection(sets, 1)
             expect = oracles.intervals_intersect(value_sets)
             assert (got is not None) == expect
             if got is not None:
                 lo = max(min(vs) for vs in value_sets)
                 hi = min(max(vs) for vs in value_sets)
-                assert F(lo) <= got[0] <= F(hi)
+                assert F(lo) <= got[0][0] <= F(hi)
 
     @given(st.integers(1, 10**6), st.integers(1, 10**6))
     @settings(max_examples=30)
@@ -267,32 +265,31 @@ class TestCommonIntersection:
         b = [pt(4, 1, 1), pt(5, 3, 1), pt(6, 1, 3)]
         c = [pt(7, 6, 6), pt(8, 7, 6), pt(9, 6, 7)]
         for sets in ([a, b], [a, c], [a, b, c]):
-            plain = common_intersection_point(sets, 2) is not None
+            plain = common_intersection(sets, 2) is not None
             scaled_sets = [
                 [Point(p.id, tuple(scale * x for x in p.coords)) for p in s]
                 for s in sets
             ]
-            scaled = common_intersection_point(scaled_sets, 2) is not None
+            scaled = common_intersection(scaled_sets, 2) is not None
             assert plain == scaled
 
 
 class TestPointInHull:
     def test_interval_membership(self):
-        assert point_in_hull(pt(0, 1), pts_1d([0, 2]))
-        assert not point_in_hull(pt(0, 3), pts_1d([0, 2]))
+        assert hull_support(pt(0, 1), pts_1d([0, 2])) is not None
+        assert hull_support(pt(0, 3), pts_1d([0, 2])) is None
 
     def test_triangle_interior(self):
         tri = [pt(1, 0, 0), pt(2, 3, 0), pt(3, 0, 3)]
-        assert point_in_hull(pt(0, 1, 1), tri)
-        assert not point_in_hull(pt(0, 3, 3), tri)
+        assert hull_support(pt(0, 1, 1), tri) is not None
+        assert hull_support(pt(0, 3, 3), tri) is None
 
     def test_vertex_and_edge_membership(self):
         tri = [pt(1, 0, 0), pt(2, 2, 0), pt(3, 0, 2)]
-        assert point_in_hull(pt(0, 0, 0), tri)
-        assert point_in_hull(pt(0, 1, 0), tri)
+        assert hull_support(pt(0, 0, 0), tri) is not None
+        assert hull_support(pt(0, 1, 0), tri) is not None
 
     def test_empty_hull(self):
-        assert not point_in_hull(pt(0, 1), [])
         assert hull_support(pt(0, 1), []) is None
 
     def test_support_carries_the_point(self):
@@ -301,8 +298,8 @@ class TestPointInHull:
         for c in (pt(0, 1, 1), pt(0, 0, 0), pt(0, 1, 0), pt(0, 1, "1/2")):
             support = hull_support(c, square)
             assert support is not None and 1 <= len(support) <= 3
-            assert point_in_hull(c, [p for p in square if p.id in support])
+            assert hull_support(c, [p for p in square if p.id in support]) is not None
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
-            point_in_hull(pt(0, 1, 2), pts_1d([0, 1]))
+            hull_support(pt(0, 1, 2), pts_1d([0, 1]))

@@ -59,29 +59,29 @@ class TestConstruction:
     def test_eleven_point_instance(self):
         P = integer_line(11)
         res = tolerant_tverberg_1d(P, 3)
-        assert res.achieved_tolerance == 2
-        assert sorted(res.partition.parts[0]) == [3, 6, 9]
+        assert max_tolerance_1d(11, 3) == 2
+        assert sorted(res.parts[0]) == [3, 6, 9]
         # every other part takes one point from each gap
-        for part in res.partition.parts[1:]:
+        for part in res.parts[1:]:
             for gap in ({1, 2}, {4, 5}, {7, 8}, {10, 11}):
                 assert len(part & gap) == 1
-        assert verify_tolerance(P, res.partition, 2).tolerant
+        assert verify_tolerance(P, res, 2).tolerant
 
     def test_radon_partition(self):
         P = integer_line(3)
         res = tolerant_tverberg_1d(P, 2)
-        assert sorted(res.partition.parts[0]) == [2]
-        assert sorted(res.partition.parts[1]) == [1, 3]
-        assert res.achieved_tolerance == 0
+        assert sorted(res.parts[0]) == [2]
+        assert sorted(res.parts[1]) == [1, 3]
+        assert max_tolerance_1d(3, 2) == 0
 
     def test_single_part_takes_everything(self):
         P = integer_line(5)
         res = tolerant_tverberg_1d(P, 1)
-        assert res.partition.parts == (frozenset({1, 2, 3, 4, 5}),)
+        assert res.parts == (frozenset({1, 2, 3, 4, 5}),)
         # a lone part survives until all its points are gone
-        assert res.achieved_tolerance == 4
-        assert verify_tolerance(P, res.partition, 4).tolerant
-        assert not verify_tolerance(P, res.partition, 5).tolerant
+        assert max_tolerance_1d(5, 1) == 4
+        assert verify_tolerance(P, res, 4).tolerant
+        assert not verify_tolerance(P, res, 5).tolerant
 
     def test_part0_ranks_are_multiples_of_m(self):
         """The partition is the rank rule: core rank r goes to part r mod m,
@@ -104,11 +104,11 @@ class TestConstruction:
                             Point(pid, (to_scalar(v),)) for pid, v in zip(ids, draw(n))
                         ))
                         res = tolerant_tverberg_1d(P, m)
-                        assert res.achieved_tolerance == t
+                        assert max_tolerance_1d(n, m) == t
                         ordered = sorted(P.points, key=lambda p: (p.coords[0], p.id))
                         rank_of = {p.id: r for r, p in enumerate(ordered, start=1)}
                         ranks = [sorted(rank_of[pid] for pid in part)
-                                 for part in res.partition.parts]
+                                 for part in res.parts]
                         assert ranks[0] == [m * (i + 1) for i in range(t + 1)]
                         for j in range(1, m):
                             assert ranks[j] == (
@@ -119,11 +119,11 @@ class TestConstruction:
     def test_surplus_never_touches_part0(self):
         P = integer_line(13)  # core is 11 points, two surplus
         res = tolerant_tverberg_1d(P, 3)
-        assert res.achieved_tolerance == 2
-        assert sorted(res.partition.parts[0]) == [3, 6, 9]
-        assert 12 in res.partition.parts[1]
-        assert 13 in res.partition.parts[2]
-        assert verify_tolerance(P, res.partition, 2).tolerant
+        assert max_tolerance_1d(13, 3) == 2
+        assert sorted(res.parts[0]) == [3, 6, 9]
+        assert 12 in res.parts[1]
+        assert 13 in res.parts[2]
+        assert verify_tolerance(P, res, 2).tolerant
 
     def test_errors(self):
         with pytest.raises(TooFewPointsError):
@@ -134,8 +134,8 @@ class TestConstruction:
     def test_duplicate_coordinates_are_fine(self):
         P = line(5, 5, 5, 5, 5, 1, 2)  # ids break the ties
         res = tolerant_tverberg_1d(P, 2)
-        assert validate_partition(P, res.partition)
-        assert verify_tolerance(P, res.partition, res.achieved_tolerance).tolerant
+        assert validate_partition(P, res)
+        assert verify_tolerance(P, res, max_tolerance_1d(7, 2)).tolerant
 
 
 class TestToleranceSoundness:
@@ -149,9 +149,9 @@ class TestToleranceSoundness:
             dens = [rng.randint(1, 7) for _ in range(n)]
             P = line(*(f"{c}/{d}" for c, d in zip(coords, dens)))
             res = tolerant_tverberg_1d(P, m)
-            assert res.achieved_tolerance == t
-            assert validate_partition(P, res.partition)
-            assert verify_tolerance(P, res.partition, t).tolerant
+            assert max_tolerance_1d(n, m) == t
+            assert validate_partition(P, res)
+            assert verify_tolerance(P, res, t).tolerant
 
     @pytest.mark.parametrize("m,n", [(2, 6), (2, 9), (3, 12), (3, 13)])
     def test_surplus_sizes_still_verify(self, m, n):
@@ -159,16 +159,15 @@ class TestToleranceSoundness:
         values = rng.sample(range(-99, 99), n)
         P = line(*values)
         res = tolerant_tverberg_1d(P, m)
-        assert res.achieved_tolerance == max_tolerance_1d(n, m)
-        assert validate_partition(P, res.partition)
-        assert verify_tolerance(P, res.partition, res.achieved_tolerance).tolerant
+        assert validate_partition(P, res)
+        assert verify_tolerance(P, res, max_tolerance_1d(n, m)).tolerant
 
     def test_monotone_under_augmentation(self):
         P = integer_line(7)
         res = tolerant_tverberg_1d(P, 2)  # t = 2
         bigger = line(*range(1, 8), 100)
         for j in range(2):
-            parts = [set(part) for part in res.partition.parts]
+            parts = [set(part) for part in res.parts]
             parts[j].add(8)  # id of the appended coordinate 100
             grown = IndexedPartition.from_iterables(parts)
             assert verify_tolerance(bigger, grown, 2).tolerant

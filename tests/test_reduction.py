@@ -8,10 +8,11 @@ from tolerant_tverberg import (
     Point,
     PointSet,
     center_to_tolerant_instance,
-    common_intersection_point,
-    is_centerpoint,
-    point_in_hull,
+    centerpoint_depth,
+    common_intersection,
+    hull_support,
     to_scalar,
+    tukey_depth,
     verify_tolerance,
 )
 
@@ -59,14 +60,14 @@ class TestEquivalence:
         P = line(1, 2, 3, 4, 5)
         c = query(3)
         inst = center_to_tolerant_instance(P, c)
-        assert is_centerpoint(c, P)
+        assert tukey_depth(c, P) >= centerpoint_depth(len(P), P.dim)
         assert verify_tolerance(inst.lifted_points, inst.partition, inst.t).tolerant
 
     def test_extreme_of_five_reduces_refuted(self):
         P = line(1, 2, 3, 4, 5)
         c = query(1)
         inst = center_to_tolerant_instance(P, c)
-        assert not is_centerpoint(c, P)
+        assert tukey_depth(c, P) < centerpoint_depth(len(P), P.dim)
         verdict = verify_tolerance(inst.lifted_points, inst.partition, inst.t)
         assert not verdict.tolerant
 
@@ -76,7 +77,7 @@ class TestEquivalence:
         by_id = inst.lifted_points.by_id()
         embedded = [by_id[pid] for pid in sorted(P.ids())]
         gadget = [by_id[pid] for pid in sorted(inst.partition.parts[1])]
-        x = common_intersection_point([embedded, gadget], 2)
+        x, _ = common_intersection([embedded, gadget], 2)
         assert x == (Fraction(3), Fraction(0))
 
     def test_gadget_survives_any_t_removals(self):
@@ -87,4 +88,4 @@ class TestEquivalence:
         c_lifted = query(3, 0)
         for removal in combinations(gadget_ids, inst.t):
             rest = [by_id[pid] for pid in gadget_ids if pid not in set(removal)]
-            assert point_in_hull(c_lifted, rest)
+            assert hull_support(c_lifted, rest) is not None

@@ -12,9 +12,10 @@ from tolerant_tverberg import (
     InvalidPartitionError,
     Point,
     PointSet,
-    common_intersection_point,
+    centerpoint_depth,
+    common_intersection,
     exact_tolerance,
-    is_centerpoint,
+    hull_support,
     lp,
     random_point_set,
     to_scalar,
@@ -47,7 +48,7 @@ def removal_separates(point_set, partition, removed):
         [by_id[pid] for pid in part if pid not in removed]
         for part in partition.parts
     ]
-    return common_intersection_point(sets, point_set.dim) is None
+    return common_intersection(sets, point_set.dim) is None
 
 
 class TestVerifyTolerance:
@@ -55,8 +56,8 @@ class TestVerifyTolerance:
         assert verify_tolerance(FOUR, SPLIT, 0).tolerant
         by_id = FOUR.by_id()
         sets = [[by_id[pid] for pid in sorted(part)] for part in SPLIT.parts]
-        x = common_intersection_point(sets, 1)
-        assert x is not None and 2 <= x[0] <= 3
+        found = common_intersection(sets, 1)
+        assert found is not None and 2 <= found[0][0] <= 3
 
     def test_refuted_at_one_with_lex_first_witness(self):
         verdict = verify_tolerance(FOUR, SPLIT, 1)
@@ -67,7 +68,7 @@ class TestVerifyTolerance:
 
     def test_interleaved_eleven_points(self):
         P = integer_line(11)
-        T = tolerant_tverberg_1d(P, 3).partition
+        T = tolerant_tverberg_1d(P, 3)
         assert verify_tolerance(P, T, 2).tolerant
         assert not verify_tolerance(P, T, 3).tolerant
 
@@ -93,7 +94,7 @@ class TestVerifyTolerance:
 
     def test_monotone_in_t(self):
         P = integer_line(8)
-        T = tolerant_tverberg_1d(P, 2).partition  # guaranteed t = 2
+        T = tolerant_tverberg_1d(P, 2)  # guaranteed t = 2
         statuses = [verify_tolerance(P, T, t).tolerant for t in range(0, 6)]
         # once refuted, refuted forever after
         assert statuses == sorted(statuses, reverse=True)
@@ -193,6 +194,11 @@ class TestTukeyDepth:
         assert tukey_depth(query(6), integer_line(11), budget=1486) == 6
         with pytest.raises(BudgetExceededError):
             tukey_depth(query(6), integer_line(11), budget=1485)
+        # n copies of c: depth n, and size n itself is charged, 2^n in all
+        P = line(*[7] * 5)
+        assert tukey_depth(query(7), P, budget=2**5) == 5
+        with pytest.raises(BudgetExceededError):
+            tukey_depth(query(7), P, budget=2**5 - 1)
 
     def test_matches_closed_form_on_random_lines(self):
         rng = random.Random(31415)
@@ -217,24 +223,27 @@ class TestTukeyDepth:
                 assert got == oracles.halfspace_depth_2d(c, coords)
 
 
+def reaches_centerpoint_depth(c, point_set):
+    """The CLI's centerpoint test: depth against ceil(n / (d+1))."""
+    return tukey_depth(c, point_set) >= centerpoint_depth(len(point_set), point_set.dim)
+
+
 class TestCenterpoint:
     def test_median_is_centerpoint(self):
-        assert is_centerpoint(query(3), integer_line(5))
+        assert reaches_centerpoint_depth(query(3), integer_line(5))
 
     def test_extreme_point_is_not(self):
-        assert not is_centerpoint(query(1), integer_line(5))
+        assert not reaches_centerpoint_depth(query(1), integer_line(5))
 
     def test_single_point(self):
         P = line(42)
-        assert is_centerpoint(query(42), P)
+        assert reaches_centerpoint_depth(query(42), P)
 
 
 class TestDepthRemovalEquivalence:
     """Depth t+1 is the same as surviving every removal of size <= t."""
 
     def test_exhaustive_small_lines(self):
-        from tolerant_tverberg import point_in_hull
-
         for n in range(1, 7):
             P = integer_line(n)
             pts = list(P.points)
@@ -242,7 +251,7 @@ class TestDepthRemovalEquivalence:
                 depth = tukey_depth(c, P)
                 for t in range(0, n + 1):
                     survives = all(
-                        point_in_hull(c, [p for p in pts if p.id not in set(R)])
+                        hull_support(c, [p for p in pts if p.id not in set(R)]) is not None
                         for r in range(0, t + 1)
                         for R in combinations(range(1, n + 1), r)
                     )
