@@ -20,7 +20,6 @@ from .core import (
     TooFewPointsError,
     TverbergError,
     lex_key,
-    order_key_1d,
     to_scalar,
     validate_partition,
 )
@@ -82,7 +81,6 @@ __all__ = [
     "lift_partition",
     "max_tolerance_1d",
     "merge_partitions",
-    "order_key_1d",
     "random_point_set",
     "render_svg",
     "restricted_growth_strings",

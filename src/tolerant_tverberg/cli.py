@@ -64,7 +64,7 @@ def _cmd_compute(args: argparse.Namespace) -> int:
             points, args.m, solver, seed=args.seed if args.shuffle else None
         )
         partition, tolerance = merged.partition, merged.tolerance
-        stats["blocks"] = len(points) // solver.points_needed(args.m)
+        stats["blocks"] = merged.tolerance + 1  # k tolerance-0 blocks merge to k - 1
         stats["solver"] = args.solver
     elif args.algorithm == "brute":
         maybe = brute_force_tverberg(points, args.m, cap=args.cap)

@@ -25,6 +25,9 @@ RemovalSet = frozenset[int]
 # Fraction computes 10**exponent outright, so "1e999999999" would hang;
 # the bound matches the interpreter's default limit on int digits.
 MAX_DECIMAL_EXPONENT = 4300
+# A parsed string's numerator and denominator stay below this, at most
+# 4300 digits, so that the "num/den" output form can print them.
+_DIGIT_BOUND = 10**MAX_DECIMAL_EXPONENT
 _EXPONENT = re.compile(r"[eE]([-+]?[0-9_]+)\s*\Z")
 
 # Error messages quote at most this many characters of an offending value.
@@ -60,8 +63,9 @@ def to_scalar(value: int | str | Fraction) -> Fraction:
 
     Accepts ints, Fractions, "num/den" strings and decimal strings
     ("0.25" becomes 1/4 exactly) with exponents up to
-    ``MAX_DECIMAL_EXPONENT`` in magnitude.  Floats are rejected: binary
-    floats are not a faithful carrier for exact rational input.
+    ``MAX_DECIMAL_EXPONENT`` in magnitude and values whose numerator and
+    denominator have at most that many digits.  Floats are rejected:
+    binary floats are not a faithful carrier for exact rational input.
     """
     if isinstance(value, Fraction):
         return value
@@ -76,9 +80,14 @@ def to_scalar(value: int | str | Fraction) -> Fraction:
                 raise TverbergError(
                     f"decimal exponent beyond +-{MAX_DECIMAL_EXPONENT}: {short_repr(value)}"
                 )
-            return Fraction(value)
+            scalar = Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise TverbergError(f"not an exact scalar: {short_repr(value)}") from exc
+        if abs(scalar.numerator) >= _DIGIT_BOUND or scalar.denominator >= _DIGIT_BOUND:
+            raise TverbergError(
+                f"scalar beyond {MAX_DECIMAL_EXPONENT} digits: {short_repr(value)}"
+            )
+        return scalar
     raise TverbergError(
         f"not an exact scalar: {short_repr(value)} (floats are not accepted)"
     )
@@ -189,11 +198,6 @@ def validate_partition(point_set: PointSet, partition: IndexedPartition) -> bool
     if total != len(union):  # overlap
         return False
     return union == set(p.id for p in point_set.points)
-
-
-def order_key_1d(p: Point) -> tuple[Fraction, int]:
-    """Sort key realizing the strict total order on 1-D points."""
-    return (p.coords[0], p.id)
 
 
 def lex_key(p: Point) -> tuple:

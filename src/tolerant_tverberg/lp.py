@@ -4,23 +4,24 @@ Both hull questions the package asks (do the parts' hulls share a
 point? does c lie in a hull?) are feasibility questions of one form:
 is there a w with rows . w = rhs and w >= 0?  ``lp_feasible`` answers it
 with a phase-1 simplex under Bland's anti-cycling rule on an integer
-tableau: each row is scaled by the lcm of its denominators, the phase-1
-objective weighs row i's artificial by L/den_i, and every pivot is
-fraction-free, (a*p - f*b) // d with d the previous pivot, as in
-Edmonds-Bareiss elimination.  Every reduced-cost sign and ratio
-comparison is the one a Fraction tableau would see, so the pivots are
-the same.  Then
+tableau: row i is scaled by +-den_i, the lcm of its denominators signed
+so that its rhs is nonnegative, the phase-1 objective weighs row i's
+artificial by L/den_i, and every pivot is fraction-free,
+(a*p - f*b) // d with d the previous pivot, as in Edmonds-Bareiss
+elimination.  Every reduced-cost sign and ratio comparison is the one a
+Fraction tableau would see, so the pivots are the same.  Then
 
-  * a feasible answer always comes with a witness, converted to
-    Fractions, that re-checks by exact substitution, and
+  * a feasible answer comes with an integer witness w = numerators / d
+    that re-checks by exact substitution into the caller's rows, and
   * an infeasible answer means the phase-1 optimum is provably > 0.
 
 No floating point is involved anywhere, which is what makes the hull
 intersection and hull membership predicates below exact decisions.
-Each hull query also reports its witness's support, the ids of the
-points with nonzero weight: a basic witness has at most one per row,
-and deleting only points outside it leaves the witness valid.
-Only feasibility is supported; there is no objective to optimize.
+What the callers read is the witness's support: the columns, and for
+the hull queries the ids of the points, with nonzero weight.  A basic
+witness has at most one per row, and deleting only points outside it
+leaves the witness valid.  Only feasibility is supported; there is no
+objective to optimize.
 """
 
 from __future__ import annotations
@@ -37,46 +38,48 @@ _ONE = Fraction(1)
 
 def lp_feasible(
     rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
-) -> tuple[Fraction, ...] | None:
-    """An exact w >= 0 with rows . w = rhs, or None when there is none.
+) -> list[int] | None:
+    """The columns j with w_j > 0 in an exact w >= 0 with rows . w = rhs,
+    or None when there is no such w.
 
     ``rows`` is a nonempty list of coefficient rows of equal length.
     """
-    signed = [list(row) if b >= 0 else [-c for c in row] for row, b in zip(rows, rhs)]
-    values, art_total = _phase1(signed, [abs(b) for b in rhs], len(rows[0]))
-    if art_total != 0:
+    witness = _phase1(rows, rhs, len(rows[0]))
+    if witness is None:
         return None
+    numerators, d = witness
+    support = [j for j, x in enumerate(numerators) if x != 0]
 
-    # Exact re-substitution of every constraint; a failure here would be
-    # a solver bug, never an input problem.  Explicit raises, not
-    # asserts, so the check also runs under ``python -O``.
+    # Exact re-substitution of every constraint, scaled by d; columns
+    # outside the support add exactly 0.  A failure here would be a
+    # solver bug, never an input problem.  Explicit raises, not asserts,
+    # so the check also runs under ``python -O``.
     for row, b in zip(rows, rhs):
-        acc = _ZERO
-        for coeff, x in zip(row, values):
-            acc += coeff * x
-        if acc != b:
+        if sum(row[j] * numerators[j] for j in support) != b * d:
             raise AssertionError("witness failed exact re-substitution")
-    if any(x < 0 for x in values):
+    if d <= 0 or any(numerators[j] < 0 for j in support):
         raise AssertionError("witness violates nonnegativity")
-    return tuple(values)
+    return support
 
 
-def _phase1(rows: list[list[Fraction]], rhs: list[Fraction], ncols: int):
+def _phase1(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction], ncols: int):
     """Minimize the sum of one artificial variable per row, Bland's rule.
 
-    Returns (structural values, residual artificial sum).  rhs must be
-    nonnegative on entry.  Row i is scaled to integers by the lcm den_i
-    of its denominators and keeps an artificial with coefficient 1, so
-    the objective weighs that artificial by L/den_i, L = lcm(den_i).
-    Every tableau entry is d times its true value, d the last pivot.
+    Returns the witness as integers (numerators, d), w_j = numerators[j] / d
+    with d > 0, or None when the optimum is positive.  Row i is scaled to
+    integers by den_i, the lcm of its denominators, negated when rhs_i < 0,
+    and keeps an artificial with coefficient 1, so the objective weighs
+    that artificial by L/den_i, L = lcm(den_i).  Every tableau entry is d
+    times its true value, d the last pivot.
     """
     m = len(rows)
     dens = [math.lcm(b.denominator, *(c.denominator for c in row)) for row, b in zip(rows, rhs)]
     tab: list[list[int]] = []
     for i, (row, b, den) in enumerate(zip(rows, rhs, dens)):
-        line = [c.numerator * (den // c.denominator) for c in row] + [0] * m
+        scale = den if b >= 0 else -den
+        line = [c.numerator * (scale // c.denominator) for c in row] + [0] * m
         line[ncols + i] = 1
-        line.append(b.numerator * (den // b.denominator))
+        line.append(b.numerator * (scale // b.denominator))
         tab.append(line)
     basis = [ncols + i for i in range(m)]
 
@@ -116,14 +119,13 @@ def _phase1(rows: list[list[Fraction]], rhs: list[Fraction], ncols: int):
         d = _pivot(tab, cost, leave, enter, d)
         basis[leave] = enter
 
-    values = [_ZERO] * ncols
-    art_total = _ZERO
-    for i in range(m):
-        if basis[i] < ncols:
-            values[basis[i]] = Fraction(tab[i][-1], d)
-        else:
-            art_total += Fraction(tab[i][-1], d * dens[basis[i] - ncols])
-    return values, art_total
+    if cost[-1] != 0:  # d * L times the negated optimum
+        return None
+    numerators = [0] * ncols
+    for i, col in enumerate(basis):
+        if col < ncols:
+            numerators[col] = tab[i][-1]
+    return numerators, d
 
 
 def _pivot(tab: list[list[int]], cost: list[int], leave: int, enter: int, d: int) -> int:
@@ -147,23 +149,21 @@ def _check_dims(points: Sequence[Point], dim: int) -> None:
             )
 
 
-def common_intersection(
-    sets: Sequence[Sequence[Point]], dim: int
-) -> tuple[tuple[Fraction, ...], frozenset[int]] | None:
-    """A point in the intersection of the sets' convex hulls with the
-    support of its witness, or None.
+def common_intersection(sets: Sequence[Sequence[Point]], dim: int) -> frozenset[int] | None:
+    """The ids of points that carry a common point of the sets' convex
+    hulls, or None when the hulls do not meet.
 
     For each set i with points p_{i,1..n_i} the LP carries barycentric
     weights a_{i,j} >= 0 with sum_j a_{i,j} = 1, and every set's
     combination sum_j a_{i,j} p_{i,j} equals set 0's, axis by axis.  The
-    point returned is set 0's combination; the support is the ids of the
-    points with nonzero weight, so the same point stays common to the
-    hulls of any subsets that keep the support.  An empty set has an
-    empty hull, so the intersection is immediately empty; an empty list
-    of sets constrains nothing and gets the origin.
+    ids returned are the witness's support, the points with nonzero
+    weight, so the same point stays common to the hulls of any subsets
+    that keep the support.  An empty set has an empty hull, so the
+    intersection is immediately empty; an empty list of sets constrains
+    nothing and needs no points.
     """
     if not sets:
-        return (_ZERO,) * dim, frozenset()
+        return frozenset()
     for s in sets:
         if not s:
             return None
@@ -192,14 +192,9 @@ def common_intersection(
         rhs.append(_ONE)
         offset += n
 
-    witness = lp_feasible(rows, rhs)
-    if witness is None:
-        return None
-    point = tuple(
-        sum((a * p.coords[k] for a, p in zip(witness, first)), _ZERO)
-        for k in range(dim)
-    )
-    return point, _support(witness, [p for s in sets for p in s])
+    support = lp_feasible(rows, rhs)
+    points = [p for s in sets for p in s]
+    return None if support is None else frozenset(points[j].id for j in support)
 
 
 def hull_support(c: Point, hull_points: Sequence[Point]) -> frozenset[int] | None:
@@ -210,9 +205,5 @@ def hull_support(c: Point, hull_points: Sequence[Point]) -> frozenset[int] | Non
     _check_dims(hull_points, c.dim)
     rows = [[p.coords[k] for p in hull_points] for k in range(c.dim)]
     rows.append([_ONE] * len(hull_points))
-    witness = lp_feasible(rows, [*c.coords, _ONE])
-    return None if witness is None else _support(witness, hull_points)
-
-
-def _support(witness: Sequence[Fraction], points: Sequence[Point]) -> frozenset[int]:
-    return frozenset(p.id for a, p in zip(witness, points) if a != 0)
+    support = lp_feasible(rows, [*c.coords, _ONE])
+    return None if support is None else frozenset(hull_points[j].id for j in support)

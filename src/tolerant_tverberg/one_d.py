@@ -6,8 +6,8 @@ parts 1..m-1 in ascending order.  Part 0 then has t+1 points, every
 other part t+2, and the heavy interleaving makes the partition
 t-tolerant — which is tight: no smaller point set admits one.
 
-The ranks come from one sort by ``order_key_1d`` (coordinate, then
-id), so rank r simply goes to part r mod m.
+The ranks come from one sort by ``lex_key`` (coordinate, then id),
+so rank r simply goes to part r mod m.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from .core import (
     IndexedPartition,
     PointSet,
     TooFewPointsError,
-    order_key_1d,
+    lex_key,
 )
 
 
@@ -50,7 +50,7 @@ def tolerant_tverberg_1d(point_set: PointSet, m: int) -> IndexedPartition:
     assert t is not None
     core_size = m * (t + 2) - 1
 
-    ordered = sorted(point_set.points, key=order_key_1d)
+    ordered = sorted(point_set.points, key=lex_key)
     parts: list[list[int]] = [[] for _ in range(m)]
     for rank, p in enumerate(ordered[:core_size], start=1):
         parts[rank % m].append(p.id)

@@ -15,15 +15,13 @@ PALETTE = [
     "#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
     "#8c564b", "#e377c2", "#17becf", "#bcbd22", "#7f7f7f",
 ]
+WIDTH, HEIGHT, MARGIN = 640, 640, 40.0
 
 
 def render_svg(
     point_set: PointSet,
     partition: IndexedPartition | None = None,
     removed_ids: frozenset[int] | None = None,
-    width: int = 640,
-    height: int = 640,
-    margin: float = 40.0,
 ) -> str:
     if point_set.dim != 2:
         raise DimensionError(f"dimension: plotting needs 2-D, got {point_set.dim}-D")
@@ -42,8 +40,8 @@ def render_svg(
         raise TverbergError("coordinates span too wide to plot as floats")
 
     def place(p) -> tuple[float, float]:
-        px = margin + (float(p.coords[0]) - x0) / span_x * (width - 2 * margin)
-        py = height - margin - (float(p.coords[1]) - y0) / span_y * (height - 2 * margin)
+        px = MARGIN + (float(p.coords[0]) - x0) / span_x * (WIDTH - 2 * MARGIN)
+        py = HEIGHT - MARGIN - (float(p.coords[1]) - y0) / span_y * (HEIGHT - 2 * MARGIN)
         return px, py
 
     groups: list[tuple[str, list]] = []
@@ -82,8 +80,8 @@ def render_svg(
     return (
         '<?xml version="1.0" encoding="UTF-8"?>\n'
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">\n'
-        f'<rect width="{width}" height="{height}" fill="#ffffff"/>\n'
+        f'width="{WIDTH}" height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">\n'
+        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="#ffffff"/>\n'
         + "\n".join(body)
         + "\n</svg>\n"
     )

@@ -4,7 +4,7 @@ Tolerance testing is coNP-complete in general, so these routines run a
 budgeted exhaustive search: every removal set of the critical size is
 enumerated in lexicographic id order, and each one that could refute is
 judged by one exact LP: a simplex on a fraction-free integer tableau,
-whose witnesses re-check by substitution in Fractions.  That makes them
+whose witnesses re-check by exact substitution.  That makes them
 oracles for desk-scale instances rather than scalable algorithms, which
 is exactly their job here.
 
@@ -119,8 +119,7 @@ def _partition_judge(
 
     def judge(removed: frozenset[int]) -> frozenset[int] | None:
         sets = [[p for p in part if p.id not in removed] for part in parts]
-        found = common_intersection(sets, point_set.dim)
-        return None if found is None else found[1]
+        return common_intersection(sets, point_set.dim)
 
     return sorted(by_id), min(partition.parts, key=len), judge
 

@@ -10,11 +10,13 @@ verifiers, which judge every removal set with that LP: they are the
 unpruned enumeration the library's verifiers must agree with.
 
 ``_phase1``/``_pivot`` are the reference LP engine: the phase-1 simplex
-under Bland's rule on a plain Fraction tableau.  The library's
-fraction-free integer tableau must take the same pivots and return the
-same witnesses, and
-``hulls_intersect_fraction`` re-decides hull intersection on it with a
-differently chained formulation.
+under Bland's rule on a plain Fraction tableau, on a sign-flipped copy
+of the rows.  The library's fraction-free integer tableau must take the
+same pivots, and its integer witness, numerators over d, must equal
+this engine's Fraction witness.  ``hulls_intersect_fraction`` re-decides
+hull intersection on it with a differently chained formulation; the
+tests use it to check that a support returned by the library still
+carries a common point.
 """
 
 from fractions import Fraction

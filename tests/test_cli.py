@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from tolerant_tverberg import cli, centerpoint_depth, random_point_set, render_svg, tukey_depth
 from tolerant_tverberg.cli import main
-from tolerant_tverberg.jsonio import dumps, point_set_to_obj
+from tolerant_tverberg.jsonio import dumps, load_point_set, point_set_to_obj
 
 
 @pytest.fixture
@@ -360,6 +360,45 @@ def test_empty_point_list_is_exit_2(tmp_path, capsys, flags):
     assert captured.err == "error: 'points' must not be empty\n"
 
 
+def _two_point_line(tmp_path, coord):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(
+        {"dim": 1, "points": [{"id": 1, "coords": [coord]}, {"id": 2, "coords": ["0"]}]}))
+    return str(path)
+
+
+@pytest.mark.parametrize("coord", ["1e4300", "0." + "0" * 4299 + "1", "1e-4300"],
+                         ids=["1e4300", "1e-4300 as decimal", "1e-4300"])
+@pytest.mark.parametrize("command", ["depth", "reduce-center"])
+def test_scalar_beyond_printable_digits_is_exit_2(tmp_path, capsys, command, coord):
+    # "num/den" output cannot print an int of more than 4300 digits, so
+    # such a coordinate is refused on input, by every command alike
+    assert main([command, "--input", _two_point_line(tmp_path, coord), "--point", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert_one_error_line(captured.err)
+    assert "beyond 4300 digits" in captured.err
+
+
+def test_largest_printable_scalar_round_trips(tmp_path):
+    out = tmp_path / "r.json"
+    assert main(["reduce-center", "--input", _two_point_line(tmp_path, "1e4299"),
+                 "--point", "0", "--output", str(out)]) == 0
+    assert load_point_set(str(out)).by_id()[1].coords == (10**4299, 0)
+
+
+def _assert_exit_contract(argv):
+    """main(argv) returns: 2 with exactly one ``error:`` line, or 0/1 with
+    nothing on stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    if code == 2:
+        assert_one_error_line(err.getvalue())
+    else:
+        assert code in (0, 1) and err.getvalue() == "", (argv, err.getvalue())
+
+
 # -- malformed documents, drawn by Hypothesis ------------------------------
 # A valid point set and a partition of it, each given at most one flaw
 # (often none), so that the commands also run on documents they accept.
@@ -456,10 +495,31 @@ def test_malformed_documents_never_escape_main(data):
         calls += [["compute", "--input", pts, "--algorithm", algorithm, "--m", "2", "--t", "0"]
                   for algorithm in ("one_d", "lift", "brute")]
         for argv in calls:
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main(argv)
-            if code == 2:
-                assert_one_error_line(err.getvalue())
-            else:
-                assert code in (0, 1) and err.getvalue() == "", (argv, err.getvalue())
+            _assert_exit_contract(argv)
+
+
+# -- malformed flags, drawn by Hypothesis ----------------------------------
+# Comma-separated --point coordinates and --removal ids, each field valid
+# or flawed, at any arity; passed as --flag=value so that a leading "-"
+# reaches the program rather than argparse.
+
+_point_fields = st.sampled_from([
+    "0", "1", "-1/2", "0.25", "2e-3", "", " ", "nan", "inf", "1/0", "x", "1.5.2",
+    "1e999999", "1e4300", "-1e-4300", "0." + "0" * 4299 + "1", "9" * 5000])
+_removal_fields = st.sampled_from([
+    "1", "2", " 3", "-4", "99", "", " ", "1.5", "x", "1e3", "0x1", "9" * 5000])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.lists(_point_fields, min_size=1, max_size=4),
+       st.lists(_removal_fields, min_size=1, max_size=4))
+def test_malformed_flags_never_escape_main(dim, coords, removal_ids):
+    with tempfile.TemporaryDirectory() as tmp:
+        pts, planar, svg = (str(Path(tmp, name)) for name in ("p.json", "q.json", "o.svg"))
+        Path(pts).write_text(dumps(point_set_to_obj(random_point_set(4, dim, seed=0))))
+        Path(planar).write_text(dumps(point_set_to_obj(random_point_set(4, 2, seed=0))))
+        point = f"--point={','.join(coords)}"
+        _assert_exit_contract(["depth", "--input", pts, point])
+        _assert_exit_contract(["reduce-center", "--input", pts, point])
+        _assert_exit_contract(["plot", "--input", planar, "--output", svg,
+                               f"--removal={','.join(removal_ids)}"])

@@ -34,19 +34,27 @@ def pts_1d(values, start_id=0):
     return [pt(start_id + i, v) for i, v in enumerate(values)]
 
 
+def witness(rows, rhs):
+    """The phase-1 witness as Fractions, or None when infeasible."""
+    found = lp._phase1(rows, rhs, len(rows[0]))
+    return None if found is None else [F(x, found[1]) for x in found[0]]
+
+
 class TestLpFeasible:
     def test_sign_conflict_infeasible(self):
         assert lp_feasible([[F(1)]], [F(-1)]) is None
 
     def test_symmetric_split(self):
         rows = [[F(1), F(1)], [F(1), F(-1)]]
-        assert lp_feasible(rows, [F(1), F(0)]) == (F(1, 2), F(1, 2))
+        assert witness(rows, [F(1), F(0)]) == [F(1, 2), F(1, 2)]
+        assert lp_feasible(rows, [F(1), F(0)]) == [0, 1]
 
     def test_negative_rhs_row_is_negated(self):
-        assert lp_feasible([[F(-2)]], [F(-3)]) == (F(3, 2),)
+        assert witness([[F(-2)]], [F(-3)]) == [F(3, 2)]
+        assert lp_feasible([[F(-2)]], [F(-3)]) == [0]
 
     def test_zero_row_consistent(self):
-        assert lp_feasible([[F(0)]], [F(0)]) is not None
+        assert lp_feasible([[F(0)]], [F(0)]) == []
 
     def test_zero_row_inconsistent(self):
         assert lp_feasible([[F(0)]], [F(5)]) is None
@@ -60,29 +68,35 @@ class TestLpFeasible:
             [F(1), F(-1), F(-1), F(1)],
             [F(3), F(1), F(0), F(0)],
         ]
-        assert lp_feasible(rows, [F(0)] * 4) == (F(0), F(0), F(0), F(0))
+        assert witness(rows, [F(0)] * 4) == [F(0)] * 4
+        assert lp_feasible(rows, [F(0)] * 4) == []
 
     def test_redundant_equalities(self):
         rows = [[F(1), F(1)], [F(2), F(2)], [F(3), F(3)]]
-        w = lp_feasible(rows, [F(2), F(4), F(6)])
+        w = witness(rows, [F(2), F(4), F(6)])
         assert w is not None and w[0] + w[1] == 2 and min(w) >= 0
+        assert lp_feasible(rows, [F(2), F(4), F(6)]) == [j for j in (0, 1) if w[j]]
 
     def test_wrong_witness_rejected_under_optimize(self):
         # A solver bug that returns a wrong witness must still be caught
         # when asserts are stripped: run the check under ``python -O``.
+        # c = 1 gets w = 0, which breaks every equality; c = 3 gets
+        # w = (-1/2, 3/2), which meets them but is negative.
         script = textwrap.dedent("""
             import sys
             from fractions import Fraction
             from tolerant_tverberg import Point, lp
-            lp._phase1 = lambda rows, rhs, ncols: ([Fraction(0)] * ncols, Fraction(0))
+            hull = [Point(1, (Fraction(0),)), Point(2, (Fraction(2),))]
             print("optimize", sys.flags.optimize)
-            try:
-                lp.hull_support(Point(0, (Fraction(1),)),
-                                [Point(1, (Fraction(0),)), Point(2, (Fraction(2),))])
-            except AssertionError as exc:
-                print("raised", exc)
-            else:
-                print("accepted")
+            for c, stub in ((1, lambda rows, rhs, ncols: ([0] * ncols, 1)),
+                            (3, lambda rows, rhs, ncols: ([-1, 3], 2))):
+                lp._phase1 = stub
+                try:
+                    lp.hull_support(Point(0, (Fraction(c),)), hull)
+                except AssertionError as exc:
+                    print("raised", exc)
+                else:
+                    print("accepted")
         """)
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -91,7 +105,8 @@ class TestLpFeasible:
                               capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == [
-            "optimize 1", "raised witness failed exact re-substitution"]
+            "optimize 1", "raised witness failed exact re-substitution",
+            "raised witness violates nonnegativity"]
 
 
 # zero, small and negative integers, small fractions, and huge coprime
@@ -147,33 +162,36 @@ def _pivots_of(module, solve):
 
 class TestSamePivotsAsFractionEngine:
     """The integer tableau takes the Fraction tableau's pivots, one by one,
-    and returns its witness."""
+    and returns its witness, numerators over d; ``lp_feasible`` reports
+    that witness's support."""
 
     @given(_lp_systems())
     @settings(max_examples=400, deadline=None)
     def test_witness_and_pivot_sequence(self, system):
         rows, rhs = system
-        got, pivots = _pivots_of(lp, lambda: lp_feasible(rows, rhs))
+        got, pivots = _pivots_of(lp, lambda: witness(rows, rhs))
         want, ref_pivots = _pivots_of(oracles, lambda: oracles.fraction_lp_feasible(rows, rhs))
-        assert got == want
         assert pivots == ref_pivots
-        # the residual artificial sum too, feasible or not
-        signed = [row if b >= 0 else [-c for c in row] for row, b in zip(rows, rhs)]
-        nonneg = [abs(b) for b in rhs]
-        assert lp._phase1([list(r) for r in signed], nonneg, len(rows[0])) == oracles._phase1(
-            [list(r) for r in signed], nonneg, len(rows[0]))
+        assert got == (None if want is None else list(want))
+        support = None if want is None else [j for j, x in enumerate(want) if x != 0]
+        assert lp_feasible(rows, rhs) == support
+
+
+def _values_in(sets, support):
+    """The 1-D coordinates of each set's points that lie in ``support``."""
+    return [[p.coords[0] for p in s if p.id in support] for s in sets]
 
 
 class TestCommonIntersection:
     def test_identical_singletons(self):
         sets = [[pt(1, 0)], [pt(2, 0)]]
-        assert common_intersection(sets, 1)[0] == (F(0),)
+        assert common_intersection(sets, 1) == frozenset({1, 2})
 
     def test_overlapping_intervals(self):
         sets = [pts_1d([1, 3]), pts_1d([2, 4], start_id=10)]
         found = common_intersection(sets, 1)
         assert found is not None
-        assert F(2) <= found[0][0] <= F(3)
+        assert oracles.intervals_intersect(_values_in(sets, found))
 
     def test_disjoint_triangles_empty(self):
         a = [pt(1, 0, 0), pt(2, 1, 0), pt(3, 0, 1)]
@@ -187,15 +205,12 @@ class TestCommonIntersection:
         with pytest.raises(DimensionError):
             common_intersection([[pt(1, 0, 0)], [pt(2, 1)]], 2)
 
-    def test_no_sets_gives_origin(self):
-        assert common_intersection([], 1) == ((F(0),), frozenset())
-        assert common_intersection([], 3) == ((F(0), F(0), F(0)), frozenset())
-
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_point_lies_in_every_hull(self, dim, m):
-        # The point is derived from part 0's weights, not solved for, so
-        # check it against each part's hull on its own.
+        # Re-decided on the Fraction engine, which chains each set to the
+        # previous one rather than to set 0: the hulls meet, and the
+        # support's points alone still carry a common point.
         rng = random.Random(10 * dim + m)
         found = 0
         for _ in range(10):
@@ -204,16 +219,18 @@ class TestCommonIntersection:
                  for j in range(2 * dim + 2)]
                 for i in range(m)
             ]
-            result = common_intersection(sets, dim)
-            if result is not None:
+            support = common_intersection(sets, dim)
+            assert (support is not None) == oracles.hulls_intersect_fraction(sets, dim)
+            if support is not None:
                 found += 1
-                assert all(hull_support(Point(0, result[0]), s) is not None for s in sets)
+                kept = [[p for p in s if p.id in support] for s in sets]
+                assert oracles.hulls_intersect_fraction(kept, dim)
         assert found > 0
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_support_keeps_the_point(self, dim):
         # A basic witness has at most one nonzero weight per row, and the
-        # same point stays common to the hulls of the support's points.
+        # support's points alone still carry a common point.
         rng = random.Random(dim)
         found = 0
         for _ in range(30):
@@ -223,18 +240,21 @@ class TestCommonIntersection:
                  for j in range(rng.randint(1, 2 * dim + 2))]
                 for i in range(m)
             ]
-            result = common_intersection(sets, dim)
-            if result is None:
+            support = common_intersection(sets, dim)
+            if support is None:
                 continue
             found += 1
-            x, support = result
             assert len(support) <= (m - 1) * dim + m
-            kept = [[p for p in s if p.id in support] for s in sets]
-            assert all(hull_support(Point(0, x), s) is not None for s in kept)
+            if dim == 1:
+                assert oracles.intervals_intersect(_values_in(sets, support))
+            else:
+                kept = [[p for p in s if p.id in support] for s in sets]
+                assert oracles.hulls_intersect_fraction(kept, dim)
         assert found > 0
 
     def test_no_sets_have_empty_support(self):
-        assert common_intersection([], 2) == ((F(0), F(0)), frozenset())
+        for dim in (1, 2, 3):
+            assert common_intersection([], dim) == frozenset()
 
     def test_agrees_with_interval_oracle_randomized(self):
         rng = random.Random(123)
@@ -253,9 +273,7 @@ class TestCommonIntersection:
             expect = oracles.intervals_intersect(value_sets)
             assert (got is not None) == expect
             if got is not None:
-                lo = max(min(vs) for vs in value_sets)
-                hi = min(max(vs) for vs in value_sets)
-                assert F(lo) <= got[0][0] <= F(hi)
+                assert oracles.intervals_intersect(_values_in(sets, got))
 
     @given(st.integers(1, 10**6), st.integers(1, 10**6))
     @settings(max_examples=30)

@@ -9,7 +9,6 @@ from tolerant_tverberg import (
     PointSet,
     center_to_tolerant_instance,
     centerpoint_depth,
-    common_intersection,
     hull_support,
     to_scalar,
     tukey_depth,
@@ -77,8 +76,11 @@ class TestEquivalence:
         by_id = inst.lifted_points.by_id()
         embedded = [by_id[pid] for pid in sorted(P.ids())]
         gadget = [by_id[pid] for pid in sorted(inst.partition.parts[1])]
-        x, _ = common_intersection([embedded, gadget], 2)
-        assert x == (Fraction(3), Fraction(0))
+        # a horizontal and a vertical segment, crossing at (3, 0) only
+        assert hull_support(query(3, 0), embedded) is not None
+        assert hull_support(query(3, 0), gadget) is not None
+        assert hull_support(query(3, "1/2"), embedded) is None
+        assert hull_support(query("5/2", 0), gadget) is None
 
     def test_gadget_survives_any_t_removals(self):
         P = line(1, 2, 3, 4, 5)
