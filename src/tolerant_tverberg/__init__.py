@@ -26,7 +26,7 @@ from .core import (
 from .generate import random_point_set
 from .lifting import PairProjection, halve_and_pair, lift_partition, tolerant_tverberg_lifted
 from .lp import common_intersection, hull_support
-from .merging import MergeBlock, MergeResult, chunk_and_merge, merge_partitions
+from .merging import MergeBlock, chunk_and_merge, merge_partitions
 from .one_d import max_tolerance_1d, tolerant_tverberg_1d
 from .reduction import ReducedInstance, center_to_tolerant_instance
 from .solvers import (
@@ -39,7 +39,6 @@ from .solvers import (
 from .svgplot import render_svg
 from .verification import (
     DEFAULT_BUDGET,
-    ToleranceVerdict,
     centerpoint_depth,
     exact_tolerance,
     tukey_depth,
@@ -57,7 +56,6 @@ __all__ = [
     "IndexedPartition",
     "InvalidPartitionError",
     "MergeBlock",
-    "MergeResult",
     "PairProjection",
     "Point",
     "PointSet",
@@ -65,7 +63,6 @@ __all__ = [
     "RemovalSet",
     "Scalar",
     "SolverContract",
-    "ToleranceVerdict",
     "TooFewPointsError",
     "TverbergError",
     "brute_force_tverberg",

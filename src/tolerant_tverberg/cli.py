@@ -3,13 +3,13 @@
 Exit codes: 0 success (and "tolerant" for verify), 1 refuted (verify
 only), 2 any error.  All numeric JSON output uses exact "num/den"
 strings, and identical inputs, seeds and flags produce byte-identical
-files.
+files.  A value flag whose value starts with "-", such as
+``--point -1,2``, is read as that value, the same as ``--point=-1,2``.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import Any
 
@@ -20,7 +20,7 @@ from .lifting import tolerant_tverberg_lifted
 from .merging import chunk_and_merge
 from .one_d import max_tolerance_1d, tolerant_tverberg_1d
 from .reduction import center_to_tolerant_instance
-from .solvers import BRUTE_FORCE_CAP, brute_force_tverberg, get_solver
+from .solvers import brute_force_tverberg, get_solver
 from .svgplot import render_svg
 from .verification import DEFAULT_BUDGET, centerpoint_depth, exact_tolerance, tukey_depth, verify_tolerance
 
@@ -60,14 +60,12 @@ def _cmd_compute(args: argparse.Namespace) -> int:
         if args.solver is None:
             raise TverbergError("algorithm 'chunk_merge' requires --solver")
         solver = get_solver(args.solver, points.dim)
-        merged = chunk_and_merge(
-            points, args.m, solver, seed=args.seed if args.shuffle else None
-        )
+        merged = chunk_and_merge(points, args.m, solver)
         partition, tolerance = merged.partition, merged.tolerance
         stats["blocks"] = merged.tolerance + 1  # k tolerance-0 blocks merge to k - 1
         stats["solver"] = args.solver
     elif args.algorithm == "brute":
-        maybe = brute_force_tverberg(points, args.m, cap=args.cap)
+        maybe = brute_force_tverberg(points, args.m)
         if maybe is None:
             raise TverbergError(f"no Tverberg {args.m}-partition exists")
         partition, tolerance = maybe, 0
@@ -87,11 +85,10 @@ def _cmd_compute(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     points = jsonio.load_point_set(args.input)
     partition = jsonio.load_partition(args.partition)
-    verdict = verify_tolerance(points, partition, args.t, budget=args.budget)
-    if verdict.tolerant:
+    removal = verify_tolerance(points, partition, args.t, budget=args.budget)
+    if removal is None:
         return 0
-    witness = sorted(verdict.witness_removal or frozenset())
-    _write(args.output, jsonio.dumps({"removal_ids": witness}))
+    _write(args.output, jsonio.dumps({"removal_ids": sorted(removal)}))
     return 1
 
 
@@ -157,9 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True, help="number of parts")
     p.add_argument("--t", type=int, default=None, help="tolerance target (lift)")
     p.add_argument("--solver", default=None, help="block solver: brute, 1d, lift")
-    p.add_argument("--shuffle", action="store_true", help="shuffle before chunking")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--cap", type=int, default=BRUTE_FORCE_CAP, help="brute-force size cap")
     p.add_argument("--output", default=None, help="partition JSON (default stdout)")
     p.set_defaults(func=_cmd_compute)
 
@@ -207,15 +201,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# joined to the next token, unless it is a "--" flag, so "-1,2" reads as a value
+VALUE_FLAGS = ("--point", "--removal")
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[i - 1] in VALUE_FLAGS and not argv[i].startswith("--"):
+            argv[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except TverbergError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except (TverbergError, OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -4,14 +4,14 @@ If k disjoint sets each carry an m-partition with tolerances t_1..t_k,
 taking part-wise unions yields an m-partition of the union with
 tolerance sum(t_i) + k - 1: any removal of that many points must leave
 some block with at most t_i of its points gone, and that block's hulls
-keep a common point on their own.  Chunking one set into blocks and
-solving each with a regular solver turns this into a simple
-tolerance-approximation driver.
+keep a common point on their own.  Chunking one set into blocks, in
+input order, and solving each with a regular solver turns this into a
+simple tolerance-approximation driver.  A merge returns a block itself,
+so a merged result can be merged again.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 from .core import (
@@ -32,14 +32,7 @@ class MergeBlock:
     tolerance: int
 
 
-@dataclass(frozen=True)
-class MergeResult:
-    points: PointSet
-    partition: IndexedPartition
-    tolerance: int
-
-
-def merge_partitions(blocks: list[MergeBlock]) -> MergeResult:
+def merge_partitions(blocks: list[MergeBlock]) -> MergeBlock:
     """Part-wise union of the blocks' partitions.
 
     Blocks must agree on part count and dimension and have disjoint ids.
@@ -76,7 +69,7 @@ def merge_partitions(blocks: list[MergeBlock]) -> MergeResult:
 
     all_points = tuple(p for block in blocks for p in block.points.points)
     tolerance = sum(block.tolerance for block in blocks) + len(blocks) - 1
-    return MergeResult(
+    return MergeBlock(
         points=PointSet(dim, all_points),
         partition=IndexedPartition(tuple(parts)),
         tolerance=tolerance,
@@ -87,14 +80,12 @@ def chunk_and_merge(
     point_set: PointSet,
     m: int,
     solver: SolverContract,
-    seed: int | None = None,
-) -> MergeResult:
+) -> MergeBlock:
     """Split into k = floor(n / n_A(m)) tolerance-0 blocks; merge to tolerance k-1.
 
-    Blocks are formed in input order (or shuffled under ``seed``); the
-    first k-1 blocks have exactly n_A(m) points and the last absorbs the
-    remainder, which any solver tolerates since extra points only grow
-    hulls.
+    Blocks follow input order: the first k-1 have exactly n_A(m) points
+    and the last absorbs the remainder, which any solver tolerates since
+    extra points only grow hulls.
     """
     if m < 1:
         raise TverbergError(f"m must be at least 1, got m={m}")
@@ -105,21 +96,11 @@ def chunk_and_merge(
             f"too few points for one block: need {per_block}, got {n}"
         )
 
-    order = list(point_set.points)
-    if seed is not None:
-        random.Random(seed).shuffle(order)
-
     k = n // per_block
     blocks: list[MergeBlock] = []
     for i in range(k):
         lo = i * per_block
         hi = lo + per_block if i < k - 1 else n
-        sub = PointSet(point_set.dim, tuple(order[lo:hi]))
-        blocks.append(
-            MergeBlock(
-                points=sub,
-                partition=solver.solve(sub, m),
-                tolerance=0,
-            )
-        )
+        sub = PointSet(point_set.dim, point_set.points[lo:hi])
+        blocks.append(MergeBlock(sub, solver.solve(sub, m), tolerance=0))
     return merge_partitions(blocks)

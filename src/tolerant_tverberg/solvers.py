@@ -11,6 +11,9 @@ the literature would slot in the same way:
 
 Neither is implemented here; the rows above document what the driver
 would guarantee on top of them (tolerance floor(n / n_A(m)) - 1).
+
+The exact brute-force solver enumerates every partition, so it refuses
+inputs of more than the constant ``BRUTE_FORCE_CAP`` = 12 points.
 """
 
 from __future__ import annotations
@@ -61,17 +64,16 @@ def restricted_growth_strings(n: int, blocks: int):
     yield from rec(0, -1)
 
 
-def brute_force_tverberg(
-    point_set: PointSet, m: int, cap: int = BRUTE_FORCE_CAP
-) -> IndexedPartition | None:
+def brute_force_tverberg(point_set: PointSet, m: int) -> IndexedPartition | None:
     """First partition (in canonical restricted-growth order) whose part
     hulls share a point, or None after exhausting all of them.
 
-    The enumeration is Bell-number sized, hence the hard cap.
+    The enumeration is Bell-number sized, hence the fixed cap of
+    ``BRUTE_FORCE_CAP`` points.
     """
     n = len(point_set)
-    if n > cap:
-        raise TverbergError(f"instance too large for brute force: {n} > cap {cap}")
+    if n > BRUTE_FORCE_CAP:
+        raise TverbergError(f"instance too large for brute force: {n} > cap {BRUTE_FORCE_CAP}")
     points = list(point_set.points)
     for rgs in restricted_growth_strings(n, m):
         sets: list[list] = [[] for _ in range(m)]

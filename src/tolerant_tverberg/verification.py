@@ -13,14 +13,14 @@ nonzero weight; a basic witness has at most one per LP row (Carathéodory).
 A removal that misses some known support leaves that witness intact, so
 it cannot refute and is skipped; only removals that hit every support
 found so far are judged.  Skipped sets never refute, so the reported
-refutation is still the lexicographically first.  The budget is charged
-for every removal set of a level, judged or not.
+refutation is still the lexicographically first: ``verify_tolerance``
+returns that removal itself, or None when the partition is tolerant.
+The budget is charged for every removal set of a level, judged or not.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable
 
@@ -42,36 +42,23 @@ DEFAULT_BUDGET = 10**6
 Judge = Callable[[RemovalSet], RemovalSet | None]
 
 
-@dataclass(frozen=True)
-class ToleranceVerdict:
-    """Tolerant, or refuted by a separating removal set.
-
-    A refutation witness is checkable independently: deleting it leaves
-    the parts' hulls with empty common intersection.
-    """
-
-    witness_removal: RemovalSet | None = None
-
-    @property
-    def tolerant(self) -> bool:
-        return self.witness_removal is None
-
-
 def verify_tolerance(
     point_set: PointSet,
     partition: IndexedPartition,
     t: int,
     budget: int = DEFAULT_BUDGET,
-) -> ToleranceVerdict:
-    """Decide whether ``partition`` survives every removal of up to t points.
+) -> RemovalSet | None:
+    """A removal of min(t, n) ids that separates the parts' hulls, or
+    None when ``partition`` survives every removal of up to t points.
 
     Hulls only shrink when the removal grows, so it suffices to try the
     removals of size exactly min(t, n): any separating smaller set
-    extends to a separating one of that size.  The witness reported is
+    extends to a separating one of that size.  The removal returned is
     the lexicographically first refutation, except when some part has at
     most t points — then deleting that whole part is an immediate
-    refutation and is reported padded to full size.  ``budget`` bounds
-    the C(n, min(t, n)) removal sets.
+    refutation and is returned padded to full size.  It is checkable
+    independently: deleting it leaves the parts' hulls with empty common
+    intersection.  ``budget`` bounds the C(n, min(t, n)) removal sets.
     """
     if t < 0:
         raise InvalidPartitionError(f"invalid partition query: t={t}")
@@ -81,10 +68,9 @@ def verify_tolerance(
     _charge(n, size, budget)
     if t >= len(smallest):
         rest = [pid for pid in ids if pid not in smallest]
-        return ToleranceVerdict(smallest | frozenset(rest[: size - len(smallest)]))
+        return smallest | frozenset(rest[: size - len(smallest)])
     # size < min part size here, so no part is ever emptied
-    removed = _first_refutation(ids, size, [], judge)
-    return ToleranceVerdict(removed)
+    return _first_refutation(ids, size, [], judge)
 
 
 def exact_tolerance(

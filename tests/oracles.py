@@ -143,7 +143,7 @@ def check_solver_output(point_set, partition) -> bool:
 
 
 def verify_tolerance_exhaustive(point_set, partition, t):
-    """Unpruned ``verify_tolerance``: (tolerant, witness removal or None).
+    """Unpruned ``verify_tolerance``: the witness removal, or None when tolerant.
 
     Judges every removal of size min(t, n) in lexicographic order; a part
     of at most t points is reported whole, padded with the smallest other
@@ -154,7 +154,7 @@ def verify_tolerance_exhaustive(point_set, partition, t):
     smallest = min(partition.parts, key=len)
     if t >= len(smallest):
         pad = [pid for pid in ids if pid not in smallest][: size - len(smallest)]
-        return False, frozenset(smallest) | frozenset(pad)
+        return frozenset(smallest) | frozenset(pad)
     by_id = point_set.by_id()
     for removal in combinations(ids, size):
         sets = [
@@ -162,14 +162,14 @@ def verify_tolerance_exhaustive(point_set, partition, t):
             for part in partition.parts
         ]
         if common_intersection(sets, point_set.dim) is None:
-            return False, frozenset(removal)
-    return True, None
+            return frozenset(removal)
+    return None
 
 
 def exact_tolerance_exhaustive(point_set, partition):
     """Unpruned ``exact_tolerance``: the last t before the first refuted level."""
     t = 0
-    while verify_tolerance_exhaustive(point_set, partition, t)[0]:
+    while verify_tolerance_exhaustive(point_set, partition, t) is None:
         t += 1
     return t - 1
 

@@ -250,6 +250,62 @@ def test_chunk_merge_brute_solves_an_oversized_last_block(tmp_path, capsys):
                  "--t", "1"]) == 0
 
 
+def test_brute_beyond_the_cap_is_exit_2(tmp_path, capsys):
+    pts = tmp_path / "p.json"
+    pts.write_text(json.dumps(
+        {"dim": 1, "points": [{"id": i, "coords": [i]} for i in range(1, 14)]}))
+    assert main(["compute", "--input", str(pts), "--algorithm", "brute", "--m", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: instance too large for brute force: 13 > cap 12\n"
+
+
+def _run_main(argv, tmp_path):
+    """Exit code, stdout, stderr and the bytes of o.svg/o.json after main(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    written = {}
+    for name in ("o.svg", "o.json"):
+        path = tmp_path / name
+        if path.exists():
+            written[name] = path.read_bytes()
+            path.unlink()
+    return code, out.getvalue(), err.getvalue(), written
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    ("depth", "--point", "-1,2"),
+    ("depth", "--point", "-1/2,-3"),
+    ("reduce-center", "--point", "-1,2"),
+    ("plot", "--removal", "-3,4"),
+    ("plot", "--removal", "-x"),
+])
+def test_value_flag_accepts_a_leading_minus_when_spaced(tmp_path, command, flag, value):
+    pts = tmp_path / "p.json"
+    pts.write_text(dumps(point_set_to_obj(random_point_set(6, 2, seed=0))))
+    argv = [command, "--input", str(pts)]
+    if command != "depth":
+        argv += ["--output", str(tmp_path / ("o.svg" if command == "plot" else "o.json"))]
+    spaced = _run_main([*argv, flag, value], tmp_path)
+    assert spaced == _run_main([*argv, f"{flag}={value}"], tmp_path)
+    assert spaced[0] in (0, 2) and "Traceback" not in spaced[2]
+
+
+@pytest.mark.parametrize("argv", [
+    ["depth", "--point"],
+    ["depth", "--point", "--budget", "5"],
+    ["plot", "--removal"],
+])
+def test_value_flag_without_a_value_is_exit_2(tmp_path, capsys, argv):
+    pts = tmp_path / "p.json"
+    pts.write_text(dumps(point_set_to_obj(random_point_set(4, 2, seed=0))))
+    with pytest.raises(SystemExit) as excinfo:
+        main([argv[0], "--input", str(pts), *argv[1:]])
+    assert excinfo.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
+
+
 def test_plot_emits_wellformed_svg(tmp_path):
     pts = tmp_path / "p.json"
     pts.write_text(dumps(point_set_to_obj(random_point_set(10, 2, seed=2))))
@@ -500,8 +556,8 @@ def test_malformed_documents_never_escape_main(data):
 
 # -- malformed flags, drawn by Hypothesis ----------------------------------
 # Comma-separated --point coordinates and --removal ids, each field valid
-# or flawed, at any arity; passed as --flag=value so that a leading "-"
-# reaches the program rather than argparse.
+# or flawed, at any arity; passed both as --flag=value and as --flag value,
+# where a leading "-" must reach the program rather than argparse.
 
 _point_fields = st.sampled_from([
     "0", "1", "-1/2", "0.25", "2e-3", "", " ", "nan", "inf", "1/0", "x", "1.5.2",
@@ -518,8 +574,9 @@ def test_malformed_flags_never_escape_main(dim, coords, removal_ids):
         pts, planar, svg = (str(Path(tmp, name)) for name in ("p.json", "q.json", "o.svg"))
         Path(pts).write_text(dumps(point_set_to_obj(random_point_set(4, dim, seed=0))))
         Path(planar).write_text(dumps(point_set_to_obj(random_point_set(4, 2, seed=0))))
-        point = f"--point={','.join(coords)}"
-        _assert_exit_contract(["depth", "--input", pts, point])
-        _assert_exit_contract(["reduce-center", "--input", pts, point])
-        _assert_exit_contract(["plot", "--input", planar, "--output", svg,
-                               f"--removal={','.join(removal_ids)}"])
+        point, removal = ",".join(coords), ",".join(removal_ids)
+        for form in (lambda flag, value: [f"{flag}={value}"], lambda flag, value: [flag, value]):
+            _assert_exit_contract(["depth", "--input", pts, *form("--point", point)])
+            _assert_exit_contract(["reduce-center", "--input", pts, *form("--point", point)])
+            _assert_exit_contract(["plot", "--input", planar, "--output", svg,
+                                   *form("--removal", removal)])

@@ -18,6 +18,15 @@ from tolerant_tverberg import (
 )
 
 
+def test_export_list_resolves_without_duplicates():
+    names = tolerant_tverberg.__all__
+    assert len(names) == len(set(names))
+    assert [name for name in names if not hasattr(tolerant_tverberg, name)] == []
+    namespace = {}
+    exec("from tolerant_tverberg import *", namespace)
+    assert set(names) <= set(namespace)
+
+
 def pt(pid, *coords):
     return Point(pid, tuple(to_scalar(c) for c in coords))
 

@@ -31,9 +31,15 @@ def block(values, parts, tolerance, start_id=1):
 class TestMergePartitions:
     def test_single_block_is_identity(self):
         b = block([1, 2, 3], [{2}, {1, 3}], 0)
-        merged = merge_partitions([b])
-        assert merged.partition == b.partition
-        assert merged.tolerance == 0
+        assert merge_partitions([b]) == b
+
+    def test_merged_result_merges_again(self):
+        b1 = block([1, 2, 3], [{2}, {1, 3}], 0)
+        b2 = block([4, 5, 6], [{5}, {4, 6}], 0, start_id=4)
+        b3 = block([7, 8, 9], [{8}, {7, 9}], 0, start_id=7)
+        nested = merge_partitions([merge_partitions([b1, b2]), b3])
+        assert nested == merge_partitions([b1, b2, b3])
+        assert nested.tolerance == 2
 
     def test_two_radon_blocks_gain_one(self):
         b1 = block([1, 2, 3], [{2}, {1, 3}], 0)
@@ -44,7 +50,7 @@ class TestMergePartitions:
         )
         assert merged.tolerance == 1
         assert validate_partition(merged.points, merged.partition)
-        assert verify_tolerance(merged.points, merged.partition, 1).tolerant
+        assert verify_tolerance(merged.points, merged.partition, 1) is None
 
     def test_three_blocks_claim_two(self):
         blocks = [
@@ -54,7 +60,7 @@ class TestMergePartitions:
         ]
         merged = merge_partitions(blocks)
         assert merged.tolerance == 2
-        assert verify_tolerance(merged.points, merged.partition, 2).tolerant
+        assert verify_tolerance(merged.points, merged.partition, 2) is None
 
     def test_part_sizes_add_up(self):
         b1 = block([1, 2, 3, 4, 5], [{2, 4}, {1, 3, 5}], 0)
@@ -92,7 +98,7 @@ class TestChunkAndMerge:
         merged = chunk_and_merge(P, 2, solver)
         assert merged.tolerance == 3
         assert validate_partition(P, merged.partition)
-        assert verify_tolerance(P, merged.partition, 3).tolerant
+        assert verify_tolerance(P, merged.partition, 3) is None
 
     def test_exact_single_block(self):
         P = line(5, 1, 9)
@@ -105,7 +111,7 @@ class TestChunkAndMerge:
         merged = chunk_and_merge(P, 2, get_solver("1d", 1))
         assert merged.tolerance == 2
         assert validate_partition(P, merged.partition)
-        assert verify_tolerance(P, merged.partition, 2).tolerant
+        assert verify_tolerance(P, merged.partition, 2) is None
 
     def test_two_blocks_of_six_with_brute_solver(self):
         # twelve points, three parts via two brute-solved halves
@@ -115,17 +121,14 @@ class TestChunkAndMerge:
         merged = chunk_and_merge(P, 3, solver)
         # floor(12/5) = 2 blocks
         assert merged.tolerance == 1
-        assert verify_tolerance(P, merged.partition, 1).tolerant
+        assert verify_tolerance(P, merged.partition, 1) is None
 
-    def test_shuffle_is_seed_deterministic(self):
-        P = line(*range(1, 13))
+    def test_blocks_follow_input_order(self):
+        P = line(7, 2, 9, 4, 1, 8, 3)  # blocks of 3, 4 in input order
         solver = get_solver("1d", 1)
-        a = chunk_and_merge(P, 2, solver, seed=9)
-        b = chunk_and_merge(P, 2, solver, seed=9)
-        c = chunk_and_merge(P, 2, solver, seed=10)
-        assert a.partition == b.partition
-        assert a.tolerance == c.tolerance == 3
-        assert verify_tolerance(P, c.partition, 3).tolerant
+        halves = [PointSet(1, P.points[:3]), PointSet(1, P.points[3:])]
+        blocks = [MergeBlock(h, solver.solve(h, 2), 0) for h in halves]
+        assert chunk_and_merge(P, 2, solver) == merge_partitions(blocks)
 
     def test_too_few_points(self):
         with pytest.raises(TooFewPointsError):
@@ -145,7 +148,7 @@ class TestManualBlockSplit:
         merged = merge_partitions(blocks)
         assert merged.partition.m == 3
         assert merged.tolerance == 1
-        assert verify_tolerance(merged.points, merged.partition, 1).tolerant
+        assert verify_tolerance(merged.points, merged.partition, 1) is None
 
 
 class TestMergeToleranceLowerBound:

@@ -47,7 +47,7 @@ class TestConstruction:
         inst = center_to_tolerant_instance(P, query(7))
         assert inst.t == 0
         assert len(inst.gadget_minus_ids) == len(inst.gadget_plus_ids) == 1
-        assert verify_tolerance(inst.lifted_points, inst.partition, 0).tolerant
+        assert verify_tolerance(inst.lifted_points, inst.partition, 0) is None
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
@@ -60,15 +60,14 @@ class TestEquivalence:
         c = query(3)
         inst = center_to_tolerant_instance(P, c)
         assert tukey_depth(c, P) >= centerpoint_depth(len(P), P.dim)
-        assert verify_tolerance(inst.lifted_points, inst.partition, inst.t).tolerant
+        assert verify_tolerance(inst.lifted_points, inst.partition, inst.t) is None
 
     def test_extreme_of_five_reduces_refuted(self):
         P = line(1, 2, 3, 4, 5)
         c = query(1)
         inst = center_to_tolerant_instance(P, c)
         assert tukey_depth(c, P) < centerpoint_depth(len(P), P.dim)
-        verdict = verify_tolerance(inst.lifted_points, inst.partition, inst.t)
-        assert not verdict.tolerant
+        assert verify_tolerance(inst.lifted_points, inst.partition, inst.t) is not None
 
     def test_hulls_meet_exactly_at_the_candidate_when_inside(self):
         P = line(1, 2, 3, 4, 5)

@@ -4,6 +4,7 @@ import pytest
 
 from oracles import check_solver_output
 from tolerant_tverberg import (
+    BRUTE_FORCE_CAP,
     PointSet,
     TverbergError,
     brute_force_tverberg,
@@ -34,10 +35,11 @@ class TestBruteForce:
         assert brute_force_tverberg(line(1, 2), 3) is None
 
     def test_cap_enforced(self):
-        P = line(*range(13))
-        with pytest.raises(TverbergError):
-            brute_force_tverberg(P, 2)
-        assert brute_force_tverberg(P, 2, cap=13) is not None
+        assert BRUTE_FORCE_CAP == 12
+        assert brute_force_tverberg(line(*range(12)), 2) is not None
+        with pytest.raises(TverbergError) as excinfo:
+            brute_force_tverberg(line(*range(13)), 2)
+        assert str(excinfo.value) == "instance too large for brute force: 13 > cap 12"
 
     def test_is_deterministic_canonical_first(self):
         P = line(4, 8, 15, 16, 23)

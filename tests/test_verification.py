@@ -53,7 +53,7 @@ def removal_separates(point_set, partition, removed):
 
 class TestVerifyTolerance:
     def test_tolerant_at_zero(self):
-        assert verify_tolerance(FOUR, SPLIT, 0).tolerant
+        assert verify_tolerance(FOUR, SPLIT, 0) is None
         by_id = FOUR.by_id()
         sets = [[by_id[pid] for pid in sorted(part)] for part in SPLIT.parts]
         support = common_intersection(sets, 1)
@@ -62,27 +62,25 @@ class TestVerifyTolerance:
             [[p.coords[0] for p in s if p.id in support] for s in sets])
 
     def test_refuted_at_one_with_lex_first_witness(self):
-        verdict = verify_tolerance(FOUR, SPLIT, 1)
-        assert not verdict.tolerant
+        removal = verify_tolerance(FOUR, SPLIT, 1)
         # {2} and {3} both separate; the enumeration reports the first
-        assert verdict.witness_removal == frozenset({2})
-        assert removal_separates(FOUR, SPLIT, verdict.witness_removal)
+        assert removal == frozenset({2})
+        assert removal_separates(FOUR, SPLIT, removal)
 
     def test_interleaved_eleven_points(self):
         P = integer_line(11)
         T = tolerant_tverberg_1d(P, 3)
-        assert verify_tolerance(P, T, 2).tolerant
-        assert not verify_tolerance(P, T, 3).tolerant
+        assert verify_tolerance(P, T, 2) is None
+        assert verify_tolerance(P, T, 3) is not None
 
     def test_small_part_shortcut(self):
         P = integer_line(6)
         T = IndexedPartition.from_iterables([{3}, {1, 2, 4, 5, 6}])
-        verdict = verify_tolerance(P, T, 2)
-        assert not verdict.tolerant
-        assert verdict.witness_removal is not None
-        assert len(verdict.witness_removal) == 2
-        assert 3 in verdict.witness_removal
-        assert removal_separates(P, T, verdict.witness_removal)
+        removal = verify_tolerance(P, T, 2)
+        assert removal is not None
+        assert len(removal) == 2
+        assert 3 in removal
+        assert removal_separates(P, T, removal)
 
     def test_invalid_partition_rejected(self):
         with pytest.raises(InvalidPartitionError):
@@ -97,7 +95,7 @@ class TestVerifyTolerance:
     def test_monotone_in_t(self):
         P = integer_line(8)
         T = tolerant_tverberg_1d(P, 2)  # guaranteed t = 2
-        statuses = [verify_tolerance(P, T, t).tolerant for t in range(0, 6)]
+        statuses = [verify_tolerance(P, T, t) is None for t in range(0, 6)]
         # once refuted, refuted forever after
         assert statuses == sorted(statuses, reverse=True)
         assert statuses[2] is True
@@ -128,10 +126,10 @@ class TestVerifyTolerance:
                 parts[b].append(p.id)
             T = IndexedPartition.from_iterables(parts)
             t = rng.randint(0, 3)
-            verdict = verify_tolerance(P, T, t)
-            if not verdict.tolerant:
-                assert len(verdict.witness_removal) <= t
-                assert removal_separates(P, T, verdict.witness_removal)
+            removal = verify_tolerance(P, T, t)
+            if removal is not None:
+                assert len(removal) <= t
+                assert removal_separates(P, T, removal)
 
 
 class TestExactTolerance:
@@ -287,9 +285,7 @@ class TestPrunedAgreesWithExhaustive:
     @settings(max_examples=200, deadline=None)
     def test_verify_tolerance(self, instance, t):
         P, T, _ = instance
-        verdict = verify_tolerance(P, T, t)
-        assert (verdict.tolerant, verdict.witness_removal) == \
-            oracles.verify_tolerance_exhaustive(P, T, t)
+        assert verify_tolerance(P, T, t) == oracles.verify_tolerance_exhaustive(P, T, t)
 
     @given(small_instances())
     @settings(max_examples=100, deadline=None)
@@ -311,7 +307,7 @@ class TestPrunedAgreesWithExhaustive:
         feasible = lp.lp_feasible
         monkeypatch.setattr(lp, "lp_feasible",
                             lambda rows, rhs: solved.append(1) or feasible(rows, rhs))
-        assert verify_tolerance(P, T, 2).tolerant
+        assert verify_tolerance(P, T, 2) is None
         assert len(solved) == 11
 
 
@@ -347,11 +343,10 @@ class TestVerdictsRecheck:
         P, T = instance
         by_id = P.by_id()
         for level in (t, t + 1):
-            verdict = verify_tolerance(P, T, level)
-            if verdict.tolerant:
-                assert oracles.verify_tolerance_exhaustive(P, T, level) == (True, None)
+            removed = verify_tolerance(P, T, level)
+            if removed is None:
+                assert oracles.verify_tolerance_exhaustive(P, T, level) is None
                 continue
-            removed = verdict.witness_removal
             assert len(removed) == min(level, len(P))
             sets = [[by_id[pid] for pid in sorted(part) if pid not in removed]
                     for part in T.parts]
