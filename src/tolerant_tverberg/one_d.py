@@ -17,6 +17,7 @@ from .core import (
     IndexedPartition,
     PointSet,
     TooFewPointsError,
+    TverbergError,
     lex_key,
 )
 
@@ -24,7 +25,9 @@ from .core import (
 def max_tolerance_1d(n: int, m: int) -> int | None:
     """Largest t >= 0 with m(t+2)-1 <= n, or None when no tolerance is
     achievable (n < 2m-1)."""
-    if n < 1 or m < 1:
+    if m < 1:
+        raise TverbergError(f"m must be at least 1, got m={m}")
+    if n < 1:
         raise TooFewPointsError(f"too few points: n={n}, m={m}")
     t = (n + 1) // m - 2
     return t if t >= 0 else None
@@ -42,7 +45,7 @@ def tolerant_tverberg_1d(point_set: PointSet, m: int) -> IndexedPartition:
         raise DimensionError(f"dimension: expected 1-D input, got {point_set.dim}-D")
     n = len(point_set)
     if m < 1:
-        raise TooFewPointsError(f"too few points: m={m}")
+        raise TverbergError(f"m must be at least 1, got m={m}")
     if n < 2 * m - 1:
         raise TooFewPointsError(f"too few points: need {2 * m - 1}, got {n}")
 

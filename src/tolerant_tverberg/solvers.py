@@ -13,7 +13,9 @@ Neither is implemented here; the rows above document what the driver
 would guarantee on top of them (tolerance floor(n / n_A(m)) - 1).
 
 The exact brute-force solver enumerates every partition, so it refuses
-inputs of more than the constant ``BRUTE_FORCE_CAP`` = 12 points.
+inputs of more than the constant ``BRUTE_FORCE_CAP`` = 12 points.  A
+partition whose part bounding boxes miss on some axis cannot be
+Tverberg; it is refuted by comparing coordinate ranks and skips the LP.
 """
 
 from __future__ import annotations
@@ -64,18 +66,52 @@ def restricted_growth_strings(n: int, blocks: int):
     yield from rec(0, -1)
 
 
+def _dense_ranks(values: list) -> list[int]:
+    """Each value's index among the distinct values, in ascending order:
+    the order and the ties of ``values`` as small ints."""
+    index = {v: i for i, v in enumerate(sorted(set(values)))}
+    return [index[v] for v in values]
+
+
+def _boxes_miss(axis_ranks: list[list[int]], rgs: tuple[int, ...], m: int) -> bool:
+    """True when on some axis one part lies wholly above another.
+
+    A common point of the part hulls lies in every part's box, so on
+    every axis the largest lower end is at most the smallest upper end;
+    hulls meeting only where the two ends are equal are not refuted.
+    """
+    for ranks in axis_ranks:
+        lo = [len(ranks)] * m
+        hi = [-1] * m
+        for r, block in zip(ranks, rgs):
+            if r < lo[block]:
+                lo[block] = r
+            if r > hi[block]:
+                hi[block] = r
+        if max(lo) > min(hi):
+            return True
+    return False
+
+
 def brute_force_tverberg(point_set: PointSet, m: int) -> IndexedPartition | None:
     """First partition (in canonical restricted-growth order) whose part
     hulls share a point, or None after exhausting all of them.
 
-    The enumeration is Bell-number sized, hence the fixed cap of
-    ``BRUTE_FORCE_CAP`` points.
+    A partition whose part boxes miss on some axis is skipped without an
+    LP; it is never Tverberg, so the answer is the same.  Every other
+    partition is judged by ``common_intersection``.  The enumeration is
+    Bell-number sized, hence the fixed cap of ``BRUTE_FORCE_CAP`` points.
     """
+    if m < 1:
+        raise TverbergError(f"m must be at least 1, got m={m}")
     n = len(point_set)
     if n > BRUTE_FORCE_CAP:
         raise TverbergError(f"instance too large for brute force: {n} > cap {BRUTE_FORCE_CAP}")
     points = list(point_set.points)
+    axis_ranks = [_dense_ranks([p.coords[k] for p in points]) for k in range(point_set.dim)]
     for rgs in restricted_growth_strings(n, m):
+        if _boxes_miss(axis_ranks, rgs, m):
+            continue
         sets: list[list] = [[] for _ in range(m)]
         for p, block in zip(points, rgs):
             sets[block].append(p)

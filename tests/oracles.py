@@ -6,8 +6,8 @@ half-space counting instead of removal enumeration, closed-form
 recurrences instead of generators.  The exceptions are
 ``check_solver_output``, a sanity predicate on solver results that
 re-checks them with the library's own LP, and the ``*_exhaustive``
-verifiers, which judge every removal set with that LP: they are the
-unpruned enumeration the library's verifiers must agree with.
+functions, which judge every removal set or partition with that LP:
+they are the unpruned enumerations the library must agree with.
 
 ``_phase1``/``_pivot`` are the reference LP engine: the phase-1 simplex
 under Bland's rule on a plain Fraction tableau, on a sign-flipped copy
@@ -22,7 +22,13 @@ carries a common point.
 from fractions import Fraction
 from itertools import combinations
 
-from tolerant_tverberg import common_intersection, hull_support, validate_partition
+from tolerant_tverberg import (
+    IndexedPartition,
+    common_intersection,
+    hull_support,
+    restricted_growth_strings,
+    validate_partition,
+)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -140,6 +146,17 @@ def check_solver_output(point_set, partition) -> bool:
     by_id = point_set.by_id()
     sets = [[by_id[pid] for pid in sorted(part)] for part in partition.parts]
     return common_intersection(sets, point_set.dim) is not None
+
+
+def brute_force_tverberg_exhaustive(point_set, m):
+    """Unfiltered ``brute_force_tverberg``: one LP for every partition in
+    restricted-growth order, the first whose hulls share a point, or None."""
+    points = list(point_set.points)
+    for rgs in restricted_growth_strings(len(points), m):
+        sets = [[p for p, block in zip(points, rgs) if block == i] for i in range(m)]
+        if common_intersection(sets, point_set.dim) is not None:
+            return IndexedPartition(tuple(frozenset(p.id for p in s) for s in sets))
+    return None
 
 
 def verify_tolerance_exhaustive(point_set, partition, t):

@@ -152,10 +152,14 @@ def test_compute_lift_requires_t(tmp_path, capsys):
      "m must be at least 1, got m=0"),
     (["--algorithm", "chunk_merge", "--solver", "lift", "--m", "-2"],
      "m must be at least 1, got m=-2"),
+    (["--algorithm", "brute", "--m", "0"], "m must be at least 1, got m=0"),
+    (["--algorithm", "brute", "--m", "-1"], "m must be at least 1, got m=-1"),
+    (["--algorithm", "one_d", "--m", "0"], "m must be at least 1, got m=0"),
 ])
 def test_bad_m_or_t_is_exit_2(tmp_path, capsys, flags, message):
+    dim = 1 if flags[1] == "one_d" else 2
     pts = tmp_path / "p.json"
-    pts.write_text(dumps(point_set_to_obj(random_point_set(20, 2, seed=1))))
+    pts.write_text(dumps(point_set_to_obj(random_point_set(20, dim, seed=1))))
     assert main(["compute", "--input", str(pts), *flags]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -10,6 +10,7 @@ from tolerant_tverberg import (
     Point,
     PointSet,
     TooFewPointsError,
+    TverbergError,
     max_tolerance_1d,
     restricted_growth_strings,
     to_scalar,
@@ -130,6 +131,16 @@ class TestConstruction:
             tolerant_tverberg_1d(integer_line(4), 3)
         with pytest.raises(DimensionError):
             tolerant_tverberg_1d(PointSet.from_coords([[0, 0], [1, 1], [2, 0]]), 2)
+
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_m_below_one_is_refused(self, m):
+        message = f"m must be at least 1, got m={m}"
+        with pytest.raises(TverbergError) as excinfo:
+            tolerant_tverberg_1d(integer_line(4), m)
+        assert str(excinfo.value) == message
+        with pytest.raises(TverbergError) as excinfo:
+            max_tolerance_1d(4, m)
+        assert str(excinfo.value) == message
 
     def test_duplicate_coordinates_are_fine(self):
         P = line(5, 5, 5, 5, 5, 1, 2)  # ids break the ties

@@ -1,8 +1,11 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from oracles import check_solver_output
+import oracles
+from oracles import brute_force_tverberg_exhaustive, check_solver_output
 from tolerant_tverberg import (
     BRUTE_FORCE_CAP,
     PointSet,
@@ -10,6 +13,7 @@ from tolerant_tverberg import (
     brute_force_tverberg,
     get_solver,
     random_point_set,
+    solvers,
     tolerant_tverberg_1d,
 )
 
@@ -41,6 +45,12 @@ class TestBruteForce:
             brute_force_tverberg(line(*range(13)), 2)
         assert str(excinfo.value) == "instance too large for brute force: 13 > cap 12"
 
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_m_below_one_is_refused(self, m):
+        with pytest.raises(TverbergError) as excinfo:
+            brute_force_tverberg(line(1, 2, 3), m)
+        assert str(excinfo.value) == f"m must be at least 1, got m={m}"
+
     def test_is_deterministic_canonical_first(self):
         P = line(4, 8, 15, 16, 23)
         assert brute_force_tverberg(P, 2) == brute_force_tverberg(P, 2)
@@ -53,6 +63,59 @@ class TestBruteForce:
             T = brute_force_tverberg(P, m)
             assert T is not None
             assert check_solver_output(P, T)
+
+
+def count_lps(monkeypatch, module):
+    """Record every ``common_intersection`` call made through ``module``."""
+    calls = []
+    solve = module.common_intersection
+    monkeypatch.setattr(module, "common_intersection",
+                        lambda sets, dim: calls.append(1) or solve(sets, dim))
+    return calls
+
+
+@st.composite
+def brute_instances(draw):
+    """Up to 8 points in d = 1..3 on a narrow half-integer grid, so ties,
+    coincident points and more parts than points all occur."""
+    dim = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 8))
+    spread = draw(st.integers(1, 3))
+    coord = st.integers(-spread, spread).map(lambda k: Fraction(k, 2))
+    coords = draw(st.lists(st.lists(coord, min_size=dim, max_size=dim),
+                           min_size=n, max_size=n))
+    return PointSet.from_coords(coords), draw(st.integers(1, 4))
+
+
+# Segment 1-2 on the x axis; point 3 lies on it, point 4 above it.  The
+# first Tverberg partition {1, 2, 4} | {3} meets only at y = 0, where the
+# triangle's lowest y equals the point's: equal box ends are not skipped.
+TOUCHING = PointSet.from_coords([[0, 0], [2, 0], [1, 0], [1, 1]])
+
+
+class TestBoxFilter:
+    @settings(max_examples=100, deadline=None)
+    @given(brute_instances())
+    @example((TOUCHING, 2))
+    def test_agrees_with_the_unfiltered_enumeration(self, instance):
+        P, m = instance
+        assert brute_force_tverberg(P, m) == brute_force_tverberg_exhaustive(P, m)
+
+    def test_touching_boxes_go_to_the_lp(self, monkeypatch):
+        lps = count_lps(monkeypatch, solvers)
+        T = brute_force_tverberg(TOUCHING, 2)
+        assert T.parts == (frozenset({1, 2, 4}), frozenset({3}))
+        assert len(lps) == 1  # (0, 0, 0, 1) is refuted by the boxes
+
+    def test_lp_count(self, monkeypatch):
+        # the unfiltered enumeration solves 171 LPs before the same answer
+        P = random_point_set(7, 2, seed=0)
+        lps = count_lps(monkeypatch, solvers)
+        oracle_lps = count_lps(monkeypatch, oracles)
+        T = brute_force_tverberg(P, 3)
+        assert T == brute_force_tverberg_exhaustive(P, 3)
+        assert len(lps) == 21
+        assert len(oracle_lps) == 171
 
 
 class TestContracts:
