@@ -45,12 +45,6 @@ class TestBruteForce:
             brute_force_tverberg(line(*range(13)), 2)
         assert str(excinfo.value) == "instance too large for brute force: 13 > cap 12"
 
-    @pytest.mark.parametrize("m", [0, -1])
-    def test_m_below_one_is_refused(self, m):
-        with pytest.raises(TverbergError) as excinfo:
-            brute_force_tverberg(line(1, 2, 3), m)
-        assert str(excinfo.value) == f"m must be at least 1, got m={m}"
-
     def test_is_deterministic_canonical_first(self):
         P = line(4, 8, 15, 16, 23)
         assert brute_force_tverberg(P, 2) == brute_force_tverberg(P, 2)
