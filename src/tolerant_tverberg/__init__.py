@@ -24,7 +24,7 @@ from .core import (
     validate_partition,
 )
 from .generate import random_point_set
-from .lifting import PairProjection, halve_and_pair, lift_partition, tolerant_tverberg_lifted
+from .lifting import halve_and_pair, tolerant_tverberg_lifted
 from .lp import common_intersection, hull_support
 from .merging import MergeBlock, chunk_and_merge, merge_partitions
 from .one_d import max_tolerance_1d, tolerant_tverberg_1d
@@ -34,7 +34,6 @@ from .solvers import (
     SolverContract,
     brute_force_tverberg,
     get_solver,
-    restricted_growth_strings,
 )
 from .svgplot import render_svg
 from .verification import (
@@ -56,7 +55,6 @@ __all__ = [
     "IndexedPartition",
     "InvalidPartitionError",
     "MergeBlock",
-    "PairProjection",
     "Point",
     "PointSet",
     "ReducedInstance",
@@ -75,12 +73,10 @@ __all__ = [
     "halve_and_pair",
     "hull_support",
     "lex_key",
-    "lift_partition",
     "max_tolerance_1d",
     "merge_partitions",
     "random_point_set",
     "render_svg",
-    "restricted_growth_strings",
     "to_scalar",
     "tolerant_tverberg_1d",
     "tolerant_tverberg_lifted",

@@ -11,7 +11,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
 
 # Exact rational scalar used for every coordinate and every LP entry.
 # Fraction keeps a canonical reduced representation with positive
@@ -149,22 +148,6 @@ class PointSet:
     def by_id(self) -> dict[int, Point]:
         return {p.id: p for p in self.points}
 
-    @classmethod
-    def from_coords(
-        cls,
-        rows: Sequence[Sequence[int | str | Fraction]],
-        start_id: int = 1,
-    ) -> "PointSet":
-        """Build a PointSet from coordinate rows, ids start_id, start_id+1, ..."""
-        if not rows:
-            raise TooFewPointsError("too few points: empty coordinate list")
-        dim = len(rows[0])
-        pts = tuple(
-            Point(start_id + i, tuple(to_scalar(c) for c in row))
-            for i, row in enumerate(rows)
-        )
-        return cls(dim, pts)
-
 
 @dataclass(frozen=True)
 class IndexedPartition:
@@ -179,10 +162,6 @@ class IndexedPartition:
     @property
     def m(self) -> int:
         return len(self.parts)
-
-    @classmethod
-    def from_iterables(cls, parts: Iterable[Iterable[int]]) -> "IndexedPartition":
-        return cls(tuple(frozenset(part) for part in parts))
 
 
 def validate_partition(point_set: PointSet, partition: IndexedPartition) -> bool:

@@ -3,56 +3,42 @@
 A point set in d dimensions is split by a hyperplane orthogonal to the
 last axis, the lower half is paired with the upper half, and each pair
 is replaced by the exact intersection of its connecting segment with
-the hyperplane.  A tolerant partition of the projected set lifts back
-by substituting both endpoints for every projected point: deleting an
-original point destroys at most its own pair, so tolerance survives
-the round trip.
+the hyperplane.  ``tolerant_tverberg_lifted`` solves the projected set
+one dimension down and substitutes both endpoints for every projected
+point: deleting an original point destroys at most its own pair, so
+tolerance survives the round trip.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import (
     DimensionError,
     IndexedPartition,
-    InvalidPartitionError,
     Point,
     PointSet,
     TooFewPointsError,
     TverbergError,
     lex_key,
-    validate_partition,
 )
 from .one_d import tolerant_tverberg_1d
 
 _HALF = Fraction(1, 2)
 
 
-@dataclass(frozen=True)
-class PairProjection:
-    """Bookkeeping for one halve-and-pair step.
-
-    Projected point i is the image of pairs[i]; its id equals its index
-    into ``pairs``.  ``dropped_ids`` holds the middle point of an
-    odd-sized input, which skips the recursion and is re-absorbed when
-    lifting.
-    """
-
-    halving_value: Fraction
-    pairs: tuple[tuple[int, int], ...]
-    projected: PointSet
-    dropped_ids: frozenset[int]
-
-
-def halve_and_pair(point_set: PointSet) -> PairProjection:
+def halve_and_pair(
+    point_set: PointSet,
+) -> tuple[PointSet, tuple[tuple[int, int], ...], int | None]:
     """Split by the last coordinate and project rank-matched pairs.
 
     Points are ordered by (last coordinate, ..., first coordinate, id),
     an exact symbolic perturbation standing in for "all last coordinates
     distinct".  The i-th point below the median pairs with the i-th
-    above it.
+    above it.  Returns ``(projected, pairs, dropped)``: projected point i
+    has id i and is the image of ``pairs[i]`` = (lower id, upper id);
+    ``dropped`` is the id of the middle point of an odd-sized input,
+    else None.
     """
     d = point_set.dim
     if d < 2:
@@ -63,27 +49,19 @@ def halve_and_pair(point_set: PointSet) -> PairProjection:
 
     ordered = sorted(point_set.points, key=lex_key)
     half = n // 2
-    below = ordered[:half]
-    above = ordered[-half:]
-    dropped = frozenset(p.id for p in ordered[half : n - half])  # odd middle
-
     if n % 2 == 1:
-        halving_value = ordered[half].coords[-1]
+        dropped = ordered[half].id
+        level = ordered[half].coords[-1]
     else:
-        halving_value = (ordered[half - 1].coords[-1] + ordered[half].coords[-1]) * _HALF
+        dropped = None
+        level = (ordered[half - 1].coords[-1] + ordered[half].coords[-1]) * _HALF
 
-    pairs: list[tuple[int, int]] = []
-    projected: list[Point] = []
-    for i, (lo, hi) in enumerate(zip(below, above)):
-        pairs.append((lo.id, hi.id))
-        projected.append(Point(i, _cross_section(lo, hi, halving_value)))
-
-    return PairProjection(
-        halving_value=halving_value,
-        pairs=tuple(pairs),
-        projected=PointSet(d - 1, tuple(projected)),
-        dropped_ids=dropped,
+    matched = list(zip(ordered[:half], ordered[-half:]))
+    projected = tuple(
+        Point(i, _cross_section(lo, hi, level)) for i, (lo, hi) in enumerate(matched)
     )
+    pairs = tuple((lo.id, hi.id) for lo, hi in matched)
+    return PointSet(d - 1, projected), pairs, dropped
 
 
 def _cross_section(lo: Point, hi: Point, level: Fraction) -> tuple[Fraction, ...]:
@@ -97,36 +75,14 @@ def _cross_section(lo: Point, hi: Point, level: Fraction) -> tuple[Fraction, ...
     return tuple(a + lam * (b - a) for a, b in zip(lo.coords[:-1], hi.coords[:-1]))
 
 
-def lift_partition(
-    projection: PairProjection, partition: IndexedPartition
-) -> IndexedPartition:
-    """Replace every projected point by both endpoints of its pair.
-
-    Dropped points are appended to part 1 (part 0 when the partition has
-    a single part); extra points only grow a hull.
-    """
-    if not validate_partition(projection.projected, partition):
-        raise InvalidPartitionError("invalid partition: does not match projection")
-
-    lifted: list[set[int]] = []
-    for part in partition.parts:
-        ids: set[int] = set()
-        for q in part:
-            lo, hi = projection.pairs[q]
-            ids.add(lo)
-            ids.add(hi)
-        lifted.append(ids)
-
-    absorb = 1 if len(lifted) >= 2 else 0
-    lifted[absorb] |= projection.dropped_ids
-    return IndexedPartition(tuple(frozenset(ids) for ids in lifted))
-
-
 def tolerant_tverberg_lifted(point_set: PointSet, m: int, t: int) -> IndexedPartition:
     """A t-tolerant Tverberg m-partition in any dimension.
 
     Needs 2^(d-1) (m(t+2)-1) points: the set halves once per lost
-    dimension until the tight 1-D construction applies.
+    dimension until the tight 1-D construction applies.  Each projected
+    point is replaced by both ids of its pair, and an odd input's middle
+    point joins part 1 (part 0 when m = 1); extra points only grow a
+    hull.
     """
     if m < 1:
         raise TverbergError(f"m must be at least 1, got m={m}")
@@ -140,6 +96,11 @@ def tolerant_tverberg_lifted(point_set: PointSet, m: int, t: int) -> IndexedPart
         )
     if d == 1:
         return tolerant_tverberg_1d(point_set, m)
-    projection = halve_and_pair(point_set)
-    projected_partition = tolerant_tverberg_lifted(projection.projected, m, t)
-    return lift_partition(projection, projected_partition)
+    projected, pairs, dropped = halve_and_pair(point_set)
+    lifted = [
+        [pid for q in part for pid in pairs[q]]
+        for part in tolerant_tverberg_lifted(projected, m, t).parts
+    ]
+    if dropped is not None:
+        lifted[1 if m > 1 else 0].append(dropped)
+    return IndexedPartition(tuple(frozenset(ids) for ids in lifted))

@@ -26,7 +26,6 @@ from typing import Callable
 from .core import IndexedPartition, PointSet, TverbergError
 from .lifting import tolerant_tverberg_lifted
 from .lp import common_intersection
-from .one_d import tolerant_tverberg_1d
 
 BRUTE_FORCE_CAP = 12
 
@@ -140,11 +139,9 @@ def get_solver(name: str, dim: int) -> SolverContract:
     """Look up a solver by CLI name for a given ambient dimension."""
     if name == "brute":
         return SolverContract(lambda m: (dim + 1) * (m - 1) + 1, _solve_brute)
-    if name == "1d":
-        if dim != 1:
-            raise TverbergError("solver '1d' only applies to 1-D point sets")
-        return SolverContract(lambda m: 2 * m - 1, tolerant_tverberg_1d)
-    if name == "lift":
+    if name == "1d" and dim != 1:
+        raise TverbergError("solver '1d' only applies to 1-D point sets")
+    if name in ("1d", "lift"):
         return SolverContract(
             lambda m: (2 ** (dim - 1)) * (2 * m - 1),
             lambda point_set, m: tolerant_tverberg_lifted(point_set, m, 0),

@@ -26,9 +26,9 @@ from tolerant_tverberg import (
     IndexedPartition,
     common_intersection,
     hull_support,
-    restricted_growth_strings,
     validate_partition,
 )
+from tolerant_tverberg.solvers import restricted_growth_strings
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)

@@ -13,8 +13,8 @@ from fractions import Fraction
 from itertools import combinations
 
 import oracles
+from helpers import from_coords
 from tolerant_tverberg import (
-    IndexedPartition,
     MergeBlock,
     Point,
     PointSet,
@@ -29,13 +29,13 @@ from tolerant_tverberg import (
     max_tolerance_1d,
     merge_partitions,
     random_point_set,
-    restricted_growth_strings,
     to_scalar,
     tolerant_tverberg_1d,
     tolerant_tverberg_lifted,
     tukey_depth,
     verify_tolerance,
 )
+from tolerant_tverberg.solvers import restricted_growth_strings
 
 
 @contextmanager
@@ -49,7 +49,7 @@ def criterion(label):
 
 
 def line(*values, start_id=1):
-    return PointSet.from_coords([[v] for v in values], start_id=start_id)
+    return from_coords([[v] for v in values], start_id=start_id)
 
 
 def integer_line(n):

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 import tolerant_tverberg
+from helpers import from_coords, from_iterables
 from tolerant_tverberg import (
     DimensionError,
-    IndexedPartition,
     Point,
     PointSet,
     TverbergError,
@@ -32,7 +32,7 @@ def pt(pid, *coords):
 
 
 def pset(*values, start_id=1):
-    return PointSet.from_coords([[v] for v in values], start_id=start_id)
+    return from_coords([[v] for v in values], start_id=start_id)
 
 
 class TestScalar:
@@ -78,27 +78,27 @@ class TestScalar:
 class TestValidatePartition:
     def test_disjoint_cover(self):
         P = pset(10, 20, 30, 40)
-        T = IndexedPartition.from_iterables([{1, 3}, {2, 4}])
+        T = from_iterables([{1, 3}, {2, 4}])
         assert validate_partition(P, T)
 
     def test_overlap_rejected(self):
         P = pset(10, 20, 30, 40)
-        T = IndexedPartition.from_iterables([{1, 2}, {2, 4}])
+        T = from_iterables([{1, 2}, {2, 4}])
         assert not validate_partition(P, T)
 
     def test_uncovered_id_rejected(self):
         P = pset(10, 20, 30, 40)
-        T = IndexedPartition.from_iterables([{1, 2}, {4}])
+        T = from_iterables([{1, 2}, {4}])
         assert not validate_partition(P, T)
 
     def test_empty_part_rejected(self):
         P = pset(10, 20)
-        T = IndexedPartition.from_iterables([{1, 2}, set()])
+        T = from_iterables([{1, 2}, set()])
         assert not validate_partition(P, T)
 
     def test_foreign_id_rejected(self):
         P = pset(10, 20)
-        T = IndexedPartition.from_iterables([{1, 2, 99}])
+        T = from_iterables([{1, 2, 99}])
         assert not validate_partition(P, T)
 
 
@@ -135,7 +135,7 @@ class TestPointSet:
 
 class TestJson:
     def test_round_trip(self):
-        P = PointSet.from_coords([["1/2", 3], ["0.25", "-2/6"]])
+        P = from_coords([["1/2", 3], ["0.25", "-2/6"]])
         obj = jsonio.point_set_to_obj(P)
         again = jsonio.point_set_from_obj(obj)
         assert again == P
@@ -146,7 +146,7 @@ class TestJson:
         assert obj["points"][0]["coords"] == ["3/1"]
 
     def test_partition_round_trip(self):
-        T = IndexedPartition.from_iterables([{3, 1}, {2}])
+        T = from_iterables([{3, 1}, {2}])
         obj = jsonio.partition_to_obj(T)
         assert obj == {"parts": [[1, 3], [2]]}
         assert jsonio.partition_from_obj(obj) == T

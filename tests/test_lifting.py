@@ -2,17 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from helpers import from_coords
 from tolerant_tverberg import (
     DimensionError,
-    IndexedPartition,
-    InvalidPartitionError,
-    PointSet,
     TooFewPointsError,
     exact_tolerance,
     halve_and_pair,
     lex_key,
-    lift_partition,
     random_point_set,
     tolerant_tverberg_1d,
     tolerant_tverberg_lifted,
@@ -22,105 +20,125 @@ from tolerant_tverberg import (
 
 
 def plane(*rows, start_id=1):
-    return PointSet.from_coords(list(rows), start_id=start_id)
+    return from_coords(list(rows), start_id=start_id)
+
+
+def halves_gap(P, pairs):
+    """The highest last coordinate among lower endpoints and the lowest
+    among upper ones."""
+    by_id = P.by_id()
+    return (max(by_id[lo].coords[-1] for lo, _ in pairs),
+            min(by_id[hi].coords[-1] for _, hi in pairs))
+
+
+def halving_level(P, pairs, dropped):
+    """The halving hyperplane's level, recomputed: the odd middle point's
+    last coordinate, else the midpoint of the gap between the halves."""
+    if dropped is not None:
+        return P.by_id()[dropped].coords[-1]
+    return sum(halves_gap(P, pairs)) / 2
 
 
 class TestHalveAndPair:
     def test_symmetric_vertical_pair(self):
         P = plane([0, -1], [0, 1])
-        pp = halve_and_pair(P)
-        assert pp.pairs == ((1, 2),)
-        assert pp.halving_value == 0
-        assert pp.dropped_ids == frozenset()
-        assert pp.projected.points[0].coords == (Fraction(0),)
+        projected, pairs, dropped = halve_and_pair(P)
+        assert pairs == ((1, 2),)
+        assert dropped is None
+        assert halving_level(P, pairs, dropped) == 0
+        assert projected.points[0].coords == (Fraction(0),)
+        assert projected.points[0].id == 0
 
     def test_slanted_pair_crosses_at_midpoint(self):
         P = plane([0, -1], [2, 1])
-        pp = halve_and_pair(P)
-        assert pp.halving_value == 0
-        assert pp.projected.points[0].coords == (Fraction(1),)
+        projected, pairs, dropped = halve_and_pair(P)
+        assert halving_level(P, pairs, dropped) == 0
+        assert projected.points[0].coords == (Fraction(1),)
 
     def test_odd_size_drops_the_middle(self):
         P = plane([0, 0], [1, 1], [2, 2], [3, 3], [4, 4])
-        pp = halve_and_pair(P)
-        assert len(pp.pairs) == 2
-        assert pp.dropped_ids == frozenset({3})
-        assert pp.halving_value == 2
+        projected, pairs, dropped = halve_and_pair(P)
+        assert len(pairs) == len(projected) == 2
+        assert dropped == 3
+        top, bottom = halves_gap(P, pairs)
+        assert top < 2 < bottom
+        assert 3 not in {pid for pair in pairs for pid in pair}
 
     def test_pairs_straddle_strictly_in_general_position(self):
         P = random_point_set(12, 2, grid=200, seed=5)
-        pp = halve_and_pair(P)
-        by_id = P.by_id()
-        for lo, hi in pp.pairs:
-            assert by_id[lo].coords[-1] < pp.halving_value < by_id[hi].coords[-1]
+        _, pairs, dropped = halve_and_pair(P)
+        assert dropped is None
+        top, bottom = halves_gap(P, pairs)
+        assert top < bottom
 
     def test_last_coordinate_ties_fall_back_to_symbolic_order(self):
         P = plane([0, 5], [1, 5], [2, 5], [3, 5])
-        pp = halve_and_pair(P)
-        assert len(pp.pairs) == 2
+        projected, pairs, _ = halve_and_pair(P)
+        assert len(pairs) == 2
+        top, bottom = halves_gap(P, pairs)
+        assert top <= bottom
         by_id = P.by_id()
-        for lo, hi in pp.pairs:
+        for lo, hi in pairs:
             assert lex_key(by_id[lo]) < lex_key(by_id[hi])
         # a whole segment inside the hyperplane projects to its midpoint
-        for (lo, hi), q in zip(pp.pairs, pp.projected.points):
+        for (lo, hi), q in zip(pairs, projected.points):
             mid = (by_id[lo].coords[0] + by_id[hi].coords[0]) / 2
             assert q.coords == (mid,)
 
     def test_projection_is_exact_and_reproducible(self):
-        P = random_point_set(9, 3, grid=50, seed=8)
-        pp1 = halve_and_pair(P)
-        pp2 = halve_and_pair(P)
-        assert pp1 == pp2
-        by_id = P.by_id()
-        for (lo_id, hi_id), q in zip(pp1.pairs, pp1.projected.points):
-            lo, hi = by_id[lo_id], by_id[hi_id]
-            lam = (pp1.halving_value - lo.coords[-1]) / (hi.coords[-1] - lo.coords[-1])
-            expect = tuple(
-                a + lam * (b - a) for a, b in zip(lo.coords[:-1], hi.coords[:-1])
-            )
-            assert q.coords == expect
-            assert all(isinstance(c, Fraction) for c in q.coords)
+        for n in (9, 10):  # the level is a point's coordinate, then a midpoint
+            P = random_point_set(n, 3, grid=50, seed=8)
+            result = halve_and_pair(P)
+            assert result == halve_and_pair(P)
+            projected, pairs, dropped = result
+            top, bottom = halves_gap(P, pairs)
+            assert top < bottom
+            level = halving_level(P, pairs, dropped)
+            by_id = P.by_id()
+            for i, ((lo_id, hi_id), q) in enumerate(zip(pairs, projected.points)):
+                lo, hi = by_id[lo_id], by_id[hi_id]
+                lam = (level - lo.coords[-1]) / (hi.coords[-1] - lo.coords[-1])
+                expect = tuple(
+                    a + lam * (b - a) for a, b in zip(lo.coords[:-1], hi.coords[:-1])
+                )
+                assert q.id == i
+                assert q.coords == expect
+                assert all(isinstance(c, Fraction) for c in q.coords)
 
     def test_dimension_one_rejected(self):
         with pytest.raises(DimensionError):
-            halve_and_pair(PointSet.from_coords([[1], [2]]))
+            halve_and_pair(from_coords([[1], [2]]))
 
 
 class TestLiftPartition:
+    """Substitution back through the pairs, seen from the lifted solver."""
+
     def test_direct_substitution(self):
-        P = plane([0, -1], [1, -2], [0, 1], [1, 2])
-        pp = halve_and_pair(P)
-        T = IndexedPartition.from_iterables([{0}, {1}])
-        lifted = lift_partition(pp, T)
-        assert set(lifted.parts) == {
-            frozenset(pp.pairs[0]),
-            frozenset(pp.pairs[1]),
-        }
+        P = plane([0, -1], [1, -2], [2, -3], [0, 1], [1, 2], [2, 3])
+        projected, pairs, _ = halve_and_pair(P)
+        expect = tuple(
+            frozenset(pid for q in part for pid in pairs[q])
+            for part in tolerant_tverberg_1d(projected, 2).parts
+        )
+        assert tolerant_tverberg_lifted(P, 2, 0).parts == expect
 
     def test_single_part_collects_all_endpoints(self):
-        P = plane([0, -1], [1, -2], [0, 1], [1, 2])
-        pp = halve_and_pair(P)
-        lifted = lift_partition(pp, IndexedPartition.from_iterables([{0, 1}]))
-        assert lifted.parts == (frozenset({1, 2, 3, 4}),)
+        for n in (4, 5):  # the odd middle point joins part 0 when m = 1
+            P = random_point_set(n, 2, grid=100, seed=n)
+            assert tolerant_tverberg_lifted(P, 1, 0).parts == (P.ids(),)
 
     def test_dropped_point_lands_in_second_part(self):
-        P = plane([0, 0], [1, 1], [2, 2], [3, 3], [4, 4])
-        pp = halve_and_pair(P)
-        T = IndexedPartition.from_iterables([{0}, {1}])
-        lifted = lift_partition(pp, T)
-        assert 3 in lifted.parts[1]
-        assert validate_partition(P, lifted)
-
-    def test_invalid_projected_partition_rejected(self):
-        P = plane([0, -1], [0, 1])
-        pp = halve_and_pair(P)
-        with pytest.raises(InvalidPartitionError):
-            lift_partition(pp, IndexedPartition.from_iterables([{7}]))
+        P = plane(*([i, i] for i in range(7)))
+        _, _, dropped = halve_and_pair(P)
+        assert dropped == 4
+        T = tolerant_tverberg_lifted(P, 2, 0)
+        assert dropped in T.parts[1]
+        assert validate_partition(P, T)
 
 
 class TestLiftedSolver:
     def test_one_dimensional_input_delegates(self):
-        P = PointSet.from_coords([[v] for v in (3, 1, 4, 5, 9, 2, 6)])
+        P = from_coords([[v] for v in (3, 1, 4, 5, 9, 2, 6)])
         assert tolerant_tverberg_lifted(P, 2, 2) == tolerant_tverberg_1d(P, 2)
 
     def test_too_few_points(self):
@@ -157,9 +175,36 @@ class TestLiftedSolver:
         rng = random.Random(44)
         for seed in range(3):
             P = random_point_set(rng.choice([8, 9, 10]), 2, grid=150, seed=seed + 50)
-            pp = halve_and_pair(P)
-            sub = tolerant_tverberg_1d(pp.projected, 2)
-            lifted = lift_partition(pp, sub)
-            t_env = exact_tolerance(pp.projected, sub)
-            t_lift = exact_tolerance(P, lifted)
-            assert t_lift >= t_env
+            projected, _, _ = halve_and_pair(P)
+            t_projected = exact_tolerance(projected, tolerant_tverberg_1d(projected, 2))
+            t_lift = exact_tolerance(P, tolerant_tverberg_lifted(P, 2, 0))
+            assert t_lift >= t_projected
+
+
+@st.composite
+def degenerate_instances(draw):
+    """d in {2, 3}, m and t up to 3 and 2 with 2^(d-1)(m(t+2)-1) <= 24,
+    up to 3 surplus points, coordinates on a half-integer grid of radius
+    at most 3: ties, duplicate points and odd halves at several levels
+    all occur."""
+    d = draw(st.sampled_from([2, 3]))
+    m, t = draw(
+        st.sampled_from(
+            [(m, t) for m in (1, 2, 3) for t in (0, 1, 2)
+             if 2 ** (d - 1) * (m * (t + 2) - 1) <= 24]
+        )
+    )
+    n = 2 ** (d - 1) * (m * (t + 2) - 1) + draw(st.integers(0, 3))
+    radius = draw(st.integers(1, 6))
+    coord = st.integers(-radius, radius).map(lambda k: Fraction(k, 2))
+    rows = draw(st.lists(st.lists(coord, min_size=d, max_size=d), min_size=n, max_size=n))
+    return from_coords(rows), m, t
+
+
+@settings(max_examples=150, deadline=None)
+@given(degenerate_instances())
+def test_lifted_partition_is_tolerant_on_degenerate_inputs(instance):
+    P, m, t = instance
+    T = tolerant_tverberg_lifted(P, m, t)
+    assert validate_partition(P, T)
+    assert verify_tolerance(P, T, t) is None

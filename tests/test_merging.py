@@ -1,8 +1,8 @@
 import pytest
 
+from helpers import from_coords, from_iterables
 from tolerant_tverberg import (
     IncompatibleBlocksError,
-    IndexedPartition,
     MergeBlock,
     PointSet,
     TooFewPointsError,
@@ -17,13 +17,13 @@ from tolerant_tverberg import (
 
 
 def line(*values, start_id=1):
-    return PointSet.from_coords([[v] for v in values], start_id=start_id)
+    return from_coords([[v] for v in values], start_id=start_id)
 
 
 def block(values, parts, tolerance, start_id=1):
     return MergeBlock(
         points=line(*values, start_id=start_id),
-        partition=IndexedPartition.from_iterables(parts),
+        partition=from_iterables(parts),
         tolerance=tolerance,
     )
 
@@ -45,7 +45,7 @@ class TestMergePartitions:
         b1 = block([1, 2, 3], [{2}, {1, 3}], 0)
         b2 = block([4, 5, 6], [{5}, {4, 6}], 0, start_id=4)
         merged = merge_partitions([b1, b2])
-        assert merged.partition == IndexedPartition.from_iterables(
+        assert merged.partition == from_iterables(
             [{2, 5}, {1, 3, 4, 6}]
         )
         assert merged.tolerance == 1
@@ -83,8 +83,8 @@ class TestMergePartitions:
     def test_dimension_mismatch_rejected(self):
         b1 = block([1, 2, 3], [{2}, {1, 3}], 0)
         b2 = MergeBlock(
-            points=PointSet.from_coords([[0, 0], [1, 1], [2, 0]], start_id=4),
-            partition=IndexedPartition.from_iterables([{5}, {4, 6}]),
+            points=from_coords([[0, 0], [1, 1], [2, 0]], start_id=4),
+            partition=from_iterables([{5}, {4, 6}]),
             tolerance=0,
         )
         with pytest.raises(IncompatibleBlocksError):

@@ -4,24 +4,24 @@ from itertools import combinations
 import pytest
 
 import oracles
+from helpers import from_coords, from_iterables
 from tolerant_tverberg import (
     DimensionError,
-    IndexedPartition,
     Point,
     PointSet,
     TooFewPointsError,
     TverbergError,
     max_tolerance_1d,
-    restricted_growth_strings,
     to_scalar,
     tolerant_tverberg_1d,
     validate_partition,
     verify_tolerance,
 )
+from tolerant_tverberg.solvers import restricted_growth_strings
 
 
 def line(*values, start_id=1):
-    return PointSet.from_coords([[v] for v in values], start_id=start_id)
+    return from_coords([[v] for v in values], start_id=start_id)
 
 
 def integer_line(n):
@@ -130,7 +130,7 @@ class TestConstruction:
         with pytest.raises(TooFewPointsError):
             tolerant_tverberg_1d(integer_line(4), 3)
         with pytest.raises(DimensionError):
-            tolerant_tverberg_1d(PointSet.from_coords([[0, 0], [1, 1], [2, 0]]), 2)
+            tolerant_tverberg_1d(from_coords([[0, 0], [1, 1], [2, 0]]), 2)
 
     @pytest.mark.parametrize("m", [0, -1])
     def test_m_below_one_is_refused(self, m):
@@ -180,7 +180,7 @@ class TestToleranceSoundness:
         for j in range(2):
             parts = [set(part) for part in res.parts]
             parts[j].add(8)  # id of the appended coordinate 100
-            grown = IndexedPartition.from_iterables(parts)
+            grown = from_iterables(parts)
             assert verify_tolerance(bigger, grown, 2) is None
 
 
@@ -256,7 +256,7 @@ class TestFastOracle:
             for pid, v, b in zip(ids, values, assignment):
                 parts_ids[b].append(pid)
                 parts_vals[b].append(v)
-            T = IndexedPartition.from_iterables(parts_ids)
+            T = from_iterables(parts_ids)
             tolerant = verify_tolerance(P, T, t) is None
             assert tolerant == oracles.tolerant_1d(parts_vals, t)
 

@@ -3,10 +3,10 @@ from itertools import combinations
 
 import pytest
 
+from helpers import from_coords
 from tolerant_tverberg import (
     DimensionError,
     Point,
-    PointSet,
     center_to_tolerant_instance,
     centerpoint_depth,
     hull_support,
@@ -17,7 +17,7 @@ from tolerant_tverberg import (
 
 
 def line(*values):
-    return PointSet.from_coords([[v] for v in values])
+    return from_coords([[v] for v in values])
 
 
 def query(*coords):

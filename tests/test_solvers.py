@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
+from helpers import from_coords
 from oracles import brute_force_tverberg_exhaustive, check_solver_output
 from tolerant_tverberg import (
     BRUTE_FORCE_CAP,
@@ -19,7 +20,7 @@ from tolerant_tverberg import (
 
 
 def line(*values):
-    return PointSet.from_coords([[v] for v in values])
+    return from_coords([[v] for v in values])
 
 
 class TestBruteForce:
@@ -30,7 +31,7 @@ class TestBruteForce:
         assert set(T.parts) == {frozenset({1, 3}), frozenset({2})}
 
     def test_convex_quadrilateral_crosses_diagonals(self):
-        P = PointSet.from_coords([[0, 0], [2, 0], [2, 2], [0, 2]])
+        P = from_coords([[0, 0], [2, 0], [2, 2], [0, 2]])
         T = brute_force_tverberg(P, 2)
         assert set(T.parts) == {frozenset({1, 3}), frozenset({2, 4})}
         assert check_solver_output(P, T)
@@ -78,13 +79,13 @@ def brute_instances(draw):
     coord = st.integers(-spread, spread).map(lambda k: Fraction(k, 2))
     coords = draw(st.lists(st.lists(coord, min_size=dim, max_size=dim),
                            min_size=n, max_size=n))
-    return PointSet.from_coords(coords), draw(st.integers(1, 4))
+    return from_coords(coords), draw(st.integers(1, 4))
 
 
 # Segment 1-2 on the x axis; point 3 lies on it, point 4 above it.  The
 # first Tverberg partition {1, 2, 4} | {3} meets only at y = 0, where the
 # triangle's lowest y equals the point's: equal box ends are not skipped.
-TOUCHING = PointSet.from_coords([[0, 0], [2, 0], [1, 0], [1, 1]])
+TOUCHING = from_coords([[0, 0], [2, 0], [1, 0], [1, 1]])
 
 
 class TestBoxFilter:

@@ -6,12 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from helpers import from_coords, from_iterables
 from tolerant_tverberg import (
     BudgetExceededError,
-    IndexedPartition,
     InvalidPartitionError,
     Point,
-    PointSet,
     centerpoint_depth,
     common_intersection,
     exact_tolerance,
@@ -27,7 +26,7 @@ from tolerant_tverberg import (
 
 
 def line(*values, start_id=1):
-    return PointSet.from_coords([[v] for v in values], start_id=start_id)
+    return from_coords([[v] for v in values], start_id=start_id)
 
 
 def integer_line(n):
@@ -39,7 +38,7 @@ def query(*coords):
 
 
 FOUR = integer_line(4)
-SPLIT = IndexedPartition.from_iterables([{1, 3}, {2, 4}])
+SPLIT = from_iterables([{1, 3}, {2, 4}])
 
 
 def removal_separates(point_set, partition, removed):
@@ -75,7 +74,7 @@ class TestVerifyTolerance:
 
     def test_small_part_shortcut(self):
         P = integer_line(6)
-        T = IndexedPartition.from_iterables([{3}, {1, 2, 4, 5, 6}])
+        T = from_iterables([{3}, {1, 2, 4, 5, 6}])
         removal = verify_tolerance(P, T, 2)
         assert removal is not None
         assert len(removal) == 2
@@ -84,11 +83,11 @@ class TestVerifyTolerance:
 
     def test_invalid_partition_rejected(self):
         with pytest.raises(InvalidPartitionError):
-            verify_tolerance(FOUR, IndexedPartition.from_iterables([{1, 2}]), 0)
+            verify_tolerance(FOUR, from_iterables([{1, 2}]), 0)
 
     def test_budget_guard(self):
         P = integer_line(30)
-        T = IndexedPartition.from_iterables([set(range(1, 16)), set(range(16, 31))])
+        T = from_iterables([set(range(1, 16)), set(range(16, 31))])
         with pytest.raises(BudgetExceededError):
             verify_tolerance(P, T, 10, budget=1000)
 
@@ -103,7 +102,7 @@ class TestVerifyTolerance:
     def test_removal_monotonicity(self):
         rng = random.Random(17)
         P = integer_line(7)
-        T = IndexedPartition.from_iterables([{1, 4, 6}, {2, 5, 7}, {3}])
+        T = from_iterables([{1, 4, 6}, {2, 5, 7}, {3}])
         for _ in range(40):
             base = set(rng.sample(range(1, 8), rng.randint(1, 3)))
             if removal_separates(P, T, base):
@@ -124,7 +123,7 @@ class TestVerifyTolerance:
             parts = [[] for _ in range(m)]
             for p, b in zip(P.points, assignment):
                 parts[b].append(p.id)
-            T = IndexedPartition.from_iterables(parts)
+            T = from_iterables(parts)
             t = rng.randint(0, 3)
             removal = verify_tolerance(P, T, t)
             if removal is not None:
@@ -135,7 +134,7 @@ class TestVerifyTolerance:
 class TestExactTolerance:
     def test_single_part(self):
         P = integer_line(6)
-        T = IndexedPartition.from_iterables([{1, 2, 3, 4, 5, 6}])
+        T = from_iterables([{1, 2, 3, 4, 5, 6}])
         assert exact_tolerance(P, T) == 5
 
     def test_alternating_four(self):
@@ -143,12 +142,12 @@ class TestExactTolerance:
 
     def test_merged_pair_instance(self):
         P = integer_line(6)
-        T = IndexedPartition.from_iterables([{2, 5}, {1, 3, 4, 6}])
+        T = from_iterables([{2, 5}, {1, 3, 4, 6}])
         assert exact_tolerance(P, T) == 1
 
     def test_non_tverberg_partition(self):
         P = integer_line(4)
-        T = IndexedPartition.from_iterables([{1, 2}, {3, 4}])
+        T = from_iterables([{1, 2}, {3, 4}])
         assert exact_tolerance(P, T) == -1
 
     def test_agrees_with_interval_oracle(self):
@@ -167,7 +166,7 @@ class TestExactTolerance:
             for p, v, b in zip(P.points, values, assignment):
                 parts_ids[b].append(p.id)
                 parts_vals[b].append(v)
-            T = IndexedPartition.from_iterables(parts_ids)
+            T = from_iterables(parts_ids)
             got = exact_tolerance(P, T)
             expect = -1
             for t in range(0, n + 1):
@@ -186,7 +185,7 @@ class TestTukeyDepth:
         assert tukey_depth(query(0), integer_line(5)) == 0
 
     def test_triangle_centroid(self):
-        tri = PointSet.from_coords([[0, 0], [3, 0], [0, 3]])
+        tri = from_coords([[0, 0], [3, 0], [0, 3]])
         assert tukey_depth(query(1, 1), tri) == 1
 
     def test_budget_is_a_total_over_sizes(self):
@@ -217,7 +216,7 @@ class TestTukeyDepth:
             while len(coords) < n:
                 coords.add((rng.randint(0, 8), rng.randint(0, 8)))
             coords = sorted(coords)
-            P = PointSet.from_coords(coords)
+            P = from_coords(coords)
             for c in coords + [(4, 4), (20, 20)]:
                 got = tukey_depth(query(*c), P)
                 assert got == oracles.halfspace_depth_2d(c, coords)
@@ -271,8 +270,8 @@ def small_instances(draw):
     labels = list(range(m)) + draw(
         st.lists(st.integers(0, m - 1), min_size=n - m, max_size=n - m))
     labels = draw(st.permutations(labels))
-    P = PointSet.from_coords(coords)
-    T = IndexedPartition.from_iterables(
+    P = from_coords(coords)
+    T = from_iterables(
         [[p.id for p, b in zip(P.points, labels) if b == j] for j in range(m)])
     c = query(*draw(st.lists(st.integers(-1, 4), min_size=dim, max_size=dim)))
     return P, T, c
@@ -326,8 +325,8 @@ def spatial_instances(draw):
     labels = list(range(m)) + draw(
         st.lists(st.integers(0, m - 1), min_size=n - m, max_size=n - m))
     labels = draw(st.permutations(labels))
-    P = PointSet.from_coords(coords)
-    T = IndexedPartition.from_iterables(
+    P = from_coords(coords)
+    T = from_iterables(
         [[p.id for p, b in zip(P.points, labels) if b == j] for j in range(m)])
     return P, T
 
