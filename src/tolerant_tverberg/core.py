@@ -66,6 +66,8 @@ def to_scalar(value: int | str | Fraction) -> Fraction:
     denominator have at most that many digits.  Floats are rejected:
     binary floats are not a faithful carrier for exact rational input.
     """
+    if type(value) is int:  # the common JSON case; bool is not int by type
+        return Fraction(value)
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
@@ -184,6 +186,12 @@ def lex_key(p: Point) -> tuple:
     from the last axis down to the first, then id.
 
     A deterministic stand-in for an infinitesimal rotation: no two
-    distinct points ever compare equal.
+    distinct points ever compare equal.  Each coordinate c enters as
+    (floor(c), c): the order is that of the coordinates themselves, but
+    most comparisons end on ints, and Fractions meet only on tied floors.
     """
-    return tuple(reversed(p.coords)) + (p.id,)
+    key = []
+    for c in reversed(p.coords):
+        key += (c.numerator // c.denominator, c)
+    key.append(p.id)
+    return tuple(key)

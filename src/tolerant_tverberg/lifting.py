@@ -69,10 +69,19 @@ def _cross_section(lo: Point, hi: Point, level: Fraction) -> tuple[Fraction, ...
 
     When both endpoints share the level the whole segment lies in the
     hyperplane; the midpoint is as good as any point of it for lifting.
+    Each coordinate a + lam (b - a) is one Fraction built from integers.
     """
-    span = hi.coords[-1] - lo.coords[-1]
-    lam = _HALF if span == 0 else (level - lo.coords[-1]) / span
-    return tuple(a + lam * (b - a) for a, b in zip(lo.coords[:-1], hi.coords[:-1]))
+    y0, y1 = lo.coords[-1], hi.coords[-1]
+    # lam = p/q = (level - y0) / (y1 - y0), unreduced; q == 0 exactly when y1 == y0
+    p = (level.numerator * y0.denominator - y0.numerator * level.denominator) * y1.denominator
+    q = (y1.numerator * y0.denominator - y0.numerator * y1.denominator) * level.denominator
+    if q == 0:
+        p, q = 1, 2
+    section = []
+    for a, b in zip(lo.coords[:-1], hi.coords[:-1]):
+        an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
+        section.append(Fraction(an * bd * q + p * (bn * ad - an * bd), ad * bd * q))
+    return tuple(section)
 
 
 def tolerant_tverberg_lifted(point_set: PointSet, m: int, t: int) -> IndexedPartition:

@@ -8,6 +8,10 @@ recurrences instead of generators.  The exceptions are
 re-checks them with the library's own LP, and the ``*_exhaustive``
 functions, which judge every removal set or partition with that LP:
 they are the unpruned enumerations the library must agree with.
+``lex_key_plain``, ``cross_section_fraction`` and
+``degenerate_index_exhaustive`` are the plain forms of code the library
+runs faster: the coordinate tuple as sort key, the segment's cross
+section in Fraction arithmetic, and the scan of every (d+1)-subset.
 
 ``_phase1``/``_pivot`` are the reference LP engine: the phase-1 simplex
 under Bland's rule on a plain Fraction tableau, on a sign-flipped copy
@@ -137,6 +141,60 @@ def stirling2(n, k):
 
 def frac(value) -> Fraction:
     return Fraction(value)
+
+
+def lex_key_plain(p):
+    """The symbolic order as a plain tuple: coordinates from the last
+    axis down to the first, then the id."""
+    return tuple(reversed(p.coords)) + (p.id,)
+
+
+def cross_section_fraction(lo, hi, level):
+    """First d-1 coordinates of segment(lo, hi) at last coordinate
+    ``level``, in Fraction arithmetic; the midpoint when the segment lies
+    in that hyperplane."""
+    span = hi.coords[-1] - lo.coords[-1]
+    lam = Fraction(1, 2) if span == 0 else (level - lo.coords[-1]) / span
+    return tuple(a + lam * (b - a) for a, b in zip(lo.coords[:-1], hi.coords[:-1]))
+
+
+def det_by_fractions(mat):
+    """Determinant by Gaussian elimination over Fractions."""
+    m = [[Fraction(v) for v in row] for row in mat]
+    size = len(m)
+    det = Fraction(1)
+    for col in range(size):
+        pivot_row = next((r for r in range(col, size) if m[r][col] != 0), None)
+        if pivot_row is None:
+            return Fraction(0)
+        if pivot_row != col:
+            m[col], m[pivot_row] = m[pivot_row], m[col]
+            det = -det
+        det *= m[col][col]
+        for r in range(col + 1, size):
+            factor = m[r][col] / m[col][col]
+            for k in range(col, size):
+                m[r][k] -= factor * m[col][k]
+    return det
+
+
+def degenerate_index_exhaustive(coords, dim):
+    """The generator's offender, by a scan from the start: the later copy
+    of the first repeated point, else (d >= 2) the last index of the
+    lex-first affinely dependent (d+1)-subset, else None."""
+    seen = set()
+    for i, row in enumerate(coords):
+        if tuple(row) in seen:
+            return i
+        seen.add(tuple(row))
+    if dim == 1:
+        return None
+    for subset in combinations(range(len(coords)), dim + 1):
+        base = coords[subset[0]]
+        mat = [[coords[j][k] - base[k] for k in range(dim)] for j in subset[1:]]
+        if det_by_fractions(mat) == 0:
+            return subset[-1]
+    return None
 
 
 def check_solver_output(point_set, partition) -> bool:

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 import tolerant_tverberg
 from helpers import from_coords, from_iterables
+from oracles import lex_key_plain
 from tolerant_tverberg import (
     DimensionError,
     Point,
@@ -45,6 +46,13 @@ class TestScalar:
     def test_floats_rejected(self):
         with pytest.raises(TverbergError):
             to_scalar(0.5)
+
+    def test_bools_rejected(self):
+        for flag in (True, False):
+            with pytest.raises(TverbergError, match="not an exact scalar"):
+                to_scalar(flag)
+        with pytest.raises(TverbergError):
+            jsonio.point_set_from_obj({"dim": 2, "points": [{"id": 1, "coords": [1, True]}]})
 
     def test_bad_strings_rejected(self):
         with pytest.raises(TverbergError):
@@ -121,6 +129,28 @@ class TestTotalOrder1D:
         # transitivity
         if a < b and b < c:
             assert a < c
+
+
+@st.composite
+def keyed_points(draw):
+    """Points in d = 1..3 with distinct ids in random order; coordinates
+    negative, non-integral and often tied, on an axis or as a whole."""
+    d = draw(st.integers(1, 3))
+    values = st.sampled_from([Fraction(-7, 2), Fraction(-1), Fraction(-1, 3), Fraction(0),
+                              Fraction(1, 3), Fraction(2, 3), Fraction(1), Fraction(5, 2)])
+    coord = values | st.fractions(min_value=-3, max_value=3, max_denominator=6)
+    rows = draw(st.lists(st.lists(coord, min_size=d, max_size=d), max_size=12))
+    rows += rows[:1]  # the same coordinates under a second id
+    ids = draw(st.permutations(range(len(rows))))
+    return [Point(pid, tuple(row)) for pid, row in zip(ids, rows)]
+
+
+@given(keyed_points())
+def test_lex_key_orders_like_the_plain_tuple(points):
+    assert sorted(points, key=lex_key) == sorted(points, key=lex_key_plain)
+    for p in points:
+        for q in points:
+            assert (lex_key(p) < lex_key(q)) == (lex_key_plain(p) < lex_key_plain(q))
 
 
 class TestPointSet:

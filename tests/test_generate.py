@@ -4,29 +4,11 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from tolerant_tverberg import jsonio, random_point_set
-from tolerant_tverberg.generate import _det
-
-
-def det_by_fractions(mat):
-    """Gaussian elimination over Fractions."""
-    m = [[Fraction(v) for v in row] for row in mat]
-    size = len(m)
-    det = Fraction(1)
-    for col in range(size):
-        pivot_row = next((r for r in range(col, size) if m[r][col] != 0), None)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != col:
-            m[col], m[pivot_row] = m[pivot_row], m[col]
-            det = -det
-        det *= m[col][col]
-        for r in range(col + 1, size):
-            factor = m[r][col] / m[col][col]
-            for k in range(col, size):
-                m[r][k] -= factor * m[col][k]
-    return det
+from oracles import degenerate_index_exhaustive, det_by_fractions
+from tolerant_tverberg import generate, jsonio, random_point_set
+from tolerant_tverberg.generate import _degenerate_indices, _det
 
 
 @pytest.mark.parametrize("size", [2, 3, 4])
@@ -65,3 +47,55 @@ def test_general_position():
 def test_seeded_output_is_pinned(n, dim, grid, seed, digest):
     text = jsonio.dumps(jsonio.point_set_to_obj(random_point_set(n, dim, grid=grid, seed=seed)))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@st.composite
+def planar_grids(draw):
+    """Up to 14 points of a g x g grid, g = 2..8, with duplicates and, at
+    times, a run of collinear points spliced in at random places."""
+    g = draw(st.integers(2, 8))
+    cell = st.lists(st.integers(0, g), min_size=2, max_size=2)
+    coords = draw(st.lists(cell, min_size=1, max_size=14))
+    (x, y), (dx, dy) = draw(cell), draw(st.sampled_from([(1, 0), (0, 1), (1, 1), (1, -1), (2, 1)]))
+    run = [[x + k * dx, y + k * dy] for k in range(draw(st.integers(0, 5)))]
+    for row in run[: 14 - len(coords)]:
+        if 0 <= min(row) and max(row) <= g:
+            coords.insert(draw(st.integers(0, len(coords))), row)
+    return coords
+
+
+@settings(max_examples=300, deadline=None)
+@given(planar_grids())
+# from point 0 the run {1, 4} holds the lex-first triple, though {2, 3} closes first
+@example([[0, 0], [1, 0], [0, 1], [0, 2], [2, 0]])
+@example([[1, 1], [2, 2], [1, 1]])
+def test_planar_scan_matches_every_triple(coords):
+    assert next(_degenerate_indices(coords, 2), None) == degenerate_index_exhaustive(coords, 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([3, 4]), st.integers(1, 4), st.integers(1, 9), st.integers(0, 2**32))
+def test_resumed_rescans_redraw_like_full_rescans(dim, grid, n, seed):
+    """The generator's redraw sequence equals that of scanning every
+    subset from the start after each redraw (the first 25 redraws)."""
+    def redraws(scans):
+        rng = random.Random(seed)
+        coords = [[rng.randint(0, grid) for _ in range(dim)] for _ in range(n)]
+        seen = []
+        for bad in scans(coords):
+            seen.append(bad)
+            if len(seen) == 25:
+                break
+            coords[bad] = [rng.randint(0, grid) for _ in range(dim)]
+        return seen
+
+    full = redraws(lambda coords: iter(lambda: degenerate_index_exhaustive(coords, dim), None))
+    assert redraws(lambda coords: _degenerate_indices(coords, dim)) == full
+
+
+def test_rescan_after_redraw_checks_only_subsets_with_the_redrawn_point(monkeypatch):
+    calls = []
+    monkeypatch.setattr(generate, "_det", lambda mat: calls.append(mat) or _det(mat))
+    random_point_set(9, 3, grid=8, seed=1)  # 3 redraws, then a clean scan
+    # a scan from the start after each redraw made 424 determinant calls
+    assert len(calls) == 256

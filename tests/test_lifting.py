@@ -2,9 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from helpers import from_coords
+from oracles import cross_section_fraction
 from tolerant_tverberg import (
     DimensionError,
     TooFewPointsError,
@@ -37,6 +38,18 @@ def halving_level(P, pairs, dropped):
     if dropped is not None:
         return P.by_id()[dropped].coords[-1]
     return sum(halves_gap(P, pairs)) / 2
+
+
+@st.composite
+def sliced_sets(draw):
+    """d = 2..4 and 2..12 points with fractional and negative coordinates;
+    last coordinates are often tied, so segments lying in the halving
+    hyperplane (span 0) occur."""
+    d = draw(st.integers(2, 4))
+    coord = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+    last = st.sampled_from([Fraction(-3, 2), Fraction(0), Fraction(1, 3)]) | coord
+    row = st.tuples(*[coord] * (d - 1), last).map(list)
+    return from_coords(draw(st.lists(row, min_size=2, max_size=12)))
 
 
 class TestHalveAndPair:
@@ -104,6 +117,17 @@ class TestHalveAndPair:
                 assert q.id == i
                 assert q.coords == expect
                 assert all(isinstance(c, Fraction) for c in q.coords)
+
+    @settings(max_examples=200, deadline=None)
+    @given(sliced_sets())
+    @example(plane([1, 2], [-1, 2], ["1/2", 2], [3, 2]))  # span 0 in every pair
+    def test_projection_matches_fraction_formula(self, P):
+        projected, pairs, dropped = halve_and_pair(P)
+        level = halving_level(P, pairs, dropped)
+        by_id = P.by_id()
+        assert [q.coords for q in projected.points] == [
+            cross_section_fraction(by_id[lo], by_id[hi], level) for lo, hi in pairs
+        ]
 
     def test_dimension_one_rejected(self):
         with pytest.raises(DimensionError):
