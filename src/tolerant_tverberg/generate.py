@@ -69,10 +69,8 @@ def _degenerate_indices(coords: list[list[int]], dim: int) -> Iterator[int]:
 
 def _collinear_index(coords: list[list[int]]) -> int | None:
     """Last index of the lex-first collinear triple of distinct planar
-    points, or None, in O(n^2): from each anchor the later points are
-    grouped by sign-normalised, gcd-reduced direction, and the group with
-    the smallest first member holds that triple.
-    """
+    points, or None, in O(n^2): from each anchor, the group of later points
+    in one reduced direction with the smallest first member holds it."""
     for i, (x0, y0) in enumerate(coords):
         lines: dict[tuple[int, int], list[int]] = {}
         for j in range(i + 1, len(coords)):

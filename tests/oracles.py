@@ -180,15 +180,13 @@ def det_by_fractions(mat):
 
 def degenerate_index_exhaustive(coords, dim):
     """The generator's offender, by a scan from the start: the later copy
-    of the first repeated point, else (d >= 2) the last index of the
-    lex-first affinely dependent (d+1)-subset, else None."""
+    of the first repeated point, else the last index of the lex-first
+    affinely dependent (d+1)-subset, else None."""
     seen = set()
     for i, row in enumerate(coords):
         if tuple(row) in seen:
             return i
         seen.add(tuple(row))
-    if dim == 1:
-        return None
     for subset in combinations(range(len(coords)), dim + 1):
         base = coords[subset[0]]
         mat = [[coords[j][k] - base[k] for k in range(dim)] for j in subset[1:]]

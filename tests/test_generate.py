@@ -1,6 +1,5 @@
 import hashlib
 import random
-from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -51,8 +50,8 @@ def test_seeded_output_is_pinned(n, dim, grid, seed, digest):
 
 @st.composite
 def planar_grids(draw):
-    """Up to 14 points of a g x g grid, g = 2..8, with duplicates and, at
-    times, a run of collinear points spliced in at random places."""
+    """Up to 14 points with coordinates in 0..g, g = 2..8: duplicates, and
+    at times a run of collinear points spliced in at random places."""
     g = draw(st.integers(2, 8))
     cell = st.lists(st.integers(0, g), min_size=2, max_size=2)
     coords = draw(st.lists(cell, min_size=1, max_size=14))
