@@ -66,14 +66,12 @@ def to_scalar(value: int | str | Fraction) -> Fraction:
     denominator have at most that many digits.  Floats are rejected:
     binary floats are not a faithful carrier for exact rational input.
     """
-    if type(value) is int:  # the common JSON case; bool is not int by type
-        return Fraction(value)
-    if isinstance(value, Fraction):
-        return value
     if isinstance(value, bool):
         raise TverbergError(f"not an exact scalar: {value!r}")
     if isinstance(value, int):
         return Fraction(value)
+    if isinstance(value, Fraction):
+        return value
     if isinstance(value, str):
         try:
             exponent = _EXPONENT.search(value)

@@ -9,7 +9,6 @@ yields the same set.
 from __future__ import annotations
 
 import random
-from collections.abc import Iterator
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -25,12 +24,16 @@ def random_point_set(n: int, dim: int, grid: int = DEFAULT_GRID, seed: int = 0) 
         raise TverbergError(f"bad generator parameters: n={n}, dim={dim}, grid={grid}")
     rng = random.Random(seed)
     coords = [[rng.randint(0, grid) for _ in range(dim)] for _ in range(n)]
-    for scans, bad in enumerate(_degenerate_indices(coords, dim), 1):
-        if scans == _MAX_REDRAWS:
-            raise TverbergError(
-                f"could not reach general position for n={n}, dim={dim}, grid={grid}"
-            )
+
+    for _ in range(_MAX_REDRAWS):
+        bad = _degenerate_index(coords, dim)
+        if bad is None:
+            break
         coords[bad] = [rng.randint(0, grid) for _ in range(dim)]
+    else:
+        raise TverbergError(
+            f"could not reach general position for n={n}, dim={dim}, grid={grid}"
+        )
 
     points = tuple(
         Point(i + 1, tuple(Fraction(c) for c in row)) for i, row in enumerate(coords)
@@ -38,33 +41,26 @@ def random_point_set(n: int, dim: int, grid: int = DEFAULT_GRID, seed: int = 0) 
     return PointSet(dim, points)
 
 
-def _degenerate_indices(coords: list[list[int]], dim: int) -> Iterator[int]:
-    """Yield the index of a point in a degeneracy, which the caller
-    redraws, until ``coords`` is clean: the later copy of the first
-    repeated point, else the last point of the lex-first affinely
-    dependent (d+1)-subset.  In d >= 3 a rescan checks again only the
-    subsets before the last offender that hold a redrawn point (the rest
-    stay clean), then resumes at the offender.
-    """
-    offender, redrawn = (), set()
-    while True:
-        first: dict[tuple[int, ...], int] = {}
-        bad = next((i for i, r in enumerate(coords) if first.setdefault(tuple(r), i) != i), None)
-        if bad is None and dim == 2:
-            bad = _collinear_index(coords)
-        elif bad is None and dim > 2:
-            subsets = (s for s in combinations(range(len(coords)), dim + 1)
-                       if s >= offender or not redrawn.isdisjoint(s))
-            offender = next((s for s in subsets if _det(
-                [[coords[j][k] - coords[s[0]][k] for k in range(dim)] for j in s[1:]]
-            ) == 0), None)
-            if offender is None:
-                return
-            bad, redrawn = offender[-1], set()
-        if bad is None:
-            return
-        redrawn.add(bad)
-        yield bad
+def _degenerate_index(coords: list[list[int]], dim: int) -> int | None:
+    """Index of a point taking part in a degeneracy, or None if clean."""
+    seen: dict[tuple, int] = {}
+    for i, row in enumerate(coords):
+        key = tuple(row)
+        if key in seen:
+            return i
+        seen[key] = i
+    if dim == 1:
+        return None  # distinctness is all 1-D needs
+    if dim == 2:
+        return _collinear_index(coords)
+    for subset in combinations(range(len(coords)), dim + 1):
+        base = coords[subset[0]]
+        mat = [
+            [coords[j][k] - base[k] for k in range(dim)] for j in subset[1:]
+        ]
+        if _det(mat) == 0:
+            return subset[-1]
+    return None
 
 
 def _collinear_index(coords: list[list[int]]) -> int | None:

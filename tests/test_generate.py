@@ -6,8 +6,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from oracles import degenerate_index_exhaustive, det_by_fractions
-from tolerant_tverberg import generate, jsonio, random_point_set
-from tolerant_tverberg.generate import _degenerate_indices, _det
+from tolerant_tverberg import jsonio, random_point_set
+from tolerant_tverberg.generate import _degenerate_index, _det
 
 
 @pytest.mark.parametrize("size", [2, 3, 4])
@@ -69,32 +69,5 @@ def planar_grids(draw):
 @example([[0, 0], [1, 0], [0, 1], [0, 2], [2, 0]])
 @example([[1, 1], [2, 2], [1, 1]])
 def test_planar_scan_matches_every_triple(coords):
-    assert next(_degenerate_indices(coords, 2), None) == degenerate_index_exhaustive(coords, 2)
+    assert _degenerate_index(coords, 2) == degenerate_index_exhaustive(coords, 2)
 
-
-@settings(max_examples=40, deadline=None)
-@given(st.sampled_from([3, 4]), st.integers(1, 4), st.integers(1, 9), st.integers(0, 2**32))
-def test_resumed_rescans_redraw_like_full_rescans(dim, grid, n, seed):
-    """The generator's redraw sequence equals that of scanning every
-    subset from the start after each redraw (the first 25 redraws)."""
-    def redraws(scans):
-        rng = random.Random(seed)
-        coords = [[rng.randint(0, grid) for _ in range(dim)] for _ in range(n)]
-        seen = []
-        for bad in scans(coords):
-            seen.append(bad)
-            if len(seen) == 25:
-                break
-            coords[bad] = [rng.randint(0, grid) for _ in range(dim)]
-        return seen
-
-    full = redraws(lambda coords: iter(lambda: degenerate_index_exhaustive(coords, dim), None))
-    assert redraws(lambda coords: _degenerate_indices(coords, dim)) == full
-
-
-def test_rescan_after_redraw_checks_only_subsets_with_the_redrawn_point(monkeypatch):
-    calls = []
-    monkeypatch.setattr(generate, "_det", lambda mat: calls.append(mat) or _det(mat))
-    random_point_set(9, 3, grid=8, seed=1)  # 3 redraws, then a clean scan
-    # a scan from the start after each redraw made 424 determinant calls
-    assert len(calls) == 256
