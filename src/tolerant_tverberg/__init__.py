@@ -8,16 +8,10 @@ claims exactly via rational LP feasibility and exhaustive search.
 """
 
 from .core import (
-    BudgetExceededError,
-    DimensionError,
-    IncompatibleBlocksError,
-    IndexedPartition,
-    InvalidPartitionError,
+    Partition,
     Point,
     PointSet,
     RemovalSet,
-    Scalar,
-    TooFewPointsError,
     TverbergError,
     lex_key,
     to_scalar,
@@ -48,20 +42,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BRUTE_FORCE_CAP",
-    "BudgetExceededError",
     "DEFAULT_BUDGET",
-    "DimensionError",
-    "IncompatibleBlocksError",
-    "IndexedPartition",
-    "InvalidPartitionError",
     "MergeBlock",
+    "Partition",
     "Point",
     "PointSet",
     "ReducedInstance",
     "RemovalSet",
-    "Scalar",
     "SolverContract",
-    "TooFewPointsError",
     "TverbergError",
     "brute_force_tverberg",
     "center_to_tolerant_instance",

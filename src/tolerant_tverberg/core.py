@@ -12,13 +12,11 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-# Exact rational scalar used for every coordinate and every LP entry.
-# Fraction keeps a canonical reduced representation with positive
-# denominator, and its arithmetic is exact.
-Scalar = Fraction
-
 # A removal set is just a set of point ids drawn from one PointSet.
 RemovalSet = frozenset[int]
+# A partition of a point set into nonempty id sets.  Part order is
+# meaningful: several algorithms give part 0 a special structural role.
+Partition = tuple[frozenset[int], ...]
 
 # Largest |exponent| accepted in a decimal string such as "1e-3".
 # Fraction computes 10**exponent outright, so "1e999999999" would hang;
@@ -34,31 +32,12 @@ ECHO_LIMIT = 60
 
 
 class TverbergError(Exception):
-    """Base class for all errors raised by this package."""
-
-
-class DimensionError(TverbergError):
-    """Dimension mismatch between points, sets or query objects."""
-
-
-class TooFewPointsError(TverbergError):
-    """Input point set smaller than the algorithm's requirement."""
-
-
-class IncompatibleBlocksError(TverbergError):
-    """Merge blocks disagree on part count, dimension or share ids."""
-
-
-class InvalidPartitionError(TverbergError):
-    """A partition does not match the point set it is applied to."""
-
-
-class BudgetExceededError(TverbergError):
-    """Subset enumeration would exceed the configured budget."""
+    """The error this package raises for input it refuses; the message
+    names the kind of fault."""
 
 
 def to_scalar(value: int | str | Fraction) -> Fraction:
-    """Convert an exact representation to a Scalar.
+    """Convert an exact representation to a Fraction.
 
     Accepts ints, Fractions, "num/den" strings and decimal strings
     ("0.25" becomes 1/4 exactly) with exponents up to
@@ -125,11 +104,11 @@ class PointSet:
 
     def __post_init__(self) -> None:
         if self.dim < 1:
-            raise DimensionError(f"dimension must be positive, got {self.dim}")
+            raise TverbergError(f"dimension must be positive, got {self.dim}")
         seen: set[int] = set()
         for p in self.points:
             if len(p.coords) != self.dim:
-                raise DimensionError(
+                raise TverbergError(
                     f"point {p.id} has {len(p.coords)} coords, expected {self.dim}"
                 )
             if p.id in seen:
@@ -139,9 +118,6 @@ class PointSet:
     def __len__(self) -> int:
         return len(self.points)
 
-    def __iter__(self):
-        return iter(self.points)
-
     def ids(self) -> frozenset[int]:
         return frozenset(p.id for p in self.points)
 
@@ -149,27 +125,12 @@ class PointSet:
         return {p.id: p for p in self.points}
 
 
-@dataclass(frozen=True)
-class IndexedPartition:
-    """A partition of a point set into m nonempty id sets.
-
-    Part order is meaningful: several algorithms give part 0 a special
-    structural role.
-    """
-
-    parts: tuple[frozenset[int], ...]
-
-    @property
-    def m(self) -> int:
-        return len(self.parts)
-
-
-def validate_partition(point_set: PointSet, partition: IndexedPartition) -> bool:
+def validate_partition(point_set: PointSet, partition: Partition) -> bool:
     """True iff parts are nonempty, pairwise disjoint and cover exactly
     the ids of ``point_set``.  Total: never raises."""
     total = 0
     union: set[int] = set()
-    for part in partition.parts:
+    for part in partition:
         if not part:
             return False
         total += len(part)

@@ -14,7 +14,7 @@ import json
 from fractions import Fraction
 from typing import Any
 
-from .core import IndexedPartition, Point, PointSet, TverbergError, short_repr, to_scalar
+from .core import Partition, Point, PointSet, TverbergError, short_repr, to_scalar
 
 
 def scalar_to_json(value: Fraction) -> str:
@@ -55,11 +55,11 @@ def point_set_from_obj(obj: Any) -> PointSet:
     return PointSet(dim, tuple(points))
 
 
-def partition_to_obj(partition: IndexedPartition) -> dict[str, Any]:
-    return {"parts": [sorted(part) for part in partition.parts]}
+def partition_to_obj(partition: Partition) -> dict[str, Any]:
+    return {"parts": [sorted(part) for part in partition]}
 
 
-def partition_from_obj(obj: Any) -> IndexedPartition:
+def partition_from_obj(obj: Any) -> Partition:
     if not isinstance(obj, dict) or "parts" not in obj:
         raise TverbergError("partition JSON must have 'parts'")
     if not isinstance(obj["parts"], list):
@@ -71,7 +71,7 @@ def partition_from_obj(obj: Any) -> IndexedPartition:
         ):
             raise TverbergError("each part must be a list of integer ids")
         parts.append(frozenset(part))
-    return IndexedPartition(tuple(parts))
+    return tuple(parts)
 
 
 def dumps(obj: Any) -> str:
@@ -83,7 +83,7 @@ def load_point_set(path: str) -> PointSet:
     return point_set_from_obj(_load(path))
 
 
-def load_partition(path: str) -> IndexedPartition:
+def load_partition(path: str) -> Partition:
     return partition_from_obj(_load(path))
 
 

@@ -13,15 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .core import (
-    DimensionError,
-    IndexedPartition,
-    Point,
-    PointSet,
-    TooFewPointsError,
-    TverbergError,
-    lex_key,
-)
+from .core import Partition, Point, PointSet, TverbergError, lex_key
 from .one_d import tolerant_tverberg_1d
 
 _HALF = Fraction(1, 2)
@@ -42,10 +34,10 @@ def halve_and_pair(
     """
     d = point_set.dim
     if d < 2:
-        raise DimensionError(f"dimension: halve_and_pair needs d >= 2, got {d}")
+        raise TverbergError(f"dimension: halve_and_pair needs d >= 2, got {d}")
     n = len(point_set)
     if n < 2:
-        raise TooFewPointsError(f"too few points: need 2, got {n}")
+        raise TverbergError(f"too few points: need 2, got {n}")
 
     ordered = sorted(point_set.points, key=lex_key)
     half = n // 2
@@ -84,7 +76,7 @@ def _cross_section(lo: Point, hi: Point, level: Fraction) -> tuple[Fraction, ...
     return tuple(section)
 
 
-def tolerant_tverberg_lifted(point_set: PointSet, m: int, t: int) -> IndexedPartition:
+def tolerant_tverberg_lifted(point_set: PointSet, m: int, t: int) -> Partition:
     """A t-tolerant Tverberg m-partition in any dimension.
 
     Needs 2^(d-1) (m(t+2)-1) points: the set halves once per lost
@@ -100,7 +92,7 @@ def tolerant_tverberg_lifted(point_set: PointSet, m: int, t: int) -> IndexedPart
     d = point_set.dim
     need = (2 ** (d - 1)) * (m * (t + 2) - 1)
     if len(point_set) < need:
-        raise TooFewPointsError(
+        raise TverbergError(
             f"too few points: need 2^(d-1)(m(t+2)-1) = {need}, got {len(point_set)}"
         )
     if d == 1:
@@ -108,8 +100,8 @@ def tolerant_tverberg_lifted(point_set: PointSet, m: int, t: int) -> IndexedPart
     projected, pairs, dropped = halve_and_pair(point_set)
     lifted = [
         [pid for q in part for pid in pairs[q]]
-        for part in tolerant_tverberg_lifted(projected, m, t).parts
+        for part in tolerant_tverberg_lifted(projected, m, t)
     ]
     if dropped is not None:
         lifted[1 if m > 1 else 0].append(dropped)
-    return IndexedPartition(tuple(frozenset(ids) for ids in lifted))
+    return tuple(frozenset(ids) for ids in lifted)

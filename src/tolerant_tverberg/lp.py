@@ -30,7 +30,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .core import DimensionError, Point
+from .core import Point, TverbergError
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -144,7 +144,7 @@ def _pivot(tab: list[list[int]], cost: list[int], leave: int, enter: int, d: int
 def _check_dims(points: Sequence[Point], dim: int) -> None:
     for p in points:
         if p.dim != dim:
-            raise DimensionError(
+            raise TverbergError(
                 f"dimension: point {p.id} has dim {p.dim}, expected {dim}"
             )
 

@@ -14,21 +14,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import (
-    IncompatibleBlocksError,
-    IndexedPartition,
-    PointSet,
-    TooFewPointsError,
-    TverbergError,
-    validate_partition,
-)
+from .core import Partition, PointSet, TverbergError, validate_partition
 from .solvers import SolverContract
 
 
 @dataclass(frozen=True)
 class MergeBlock:
     points: PointSet
-    partition: IndexedPartition
+    partition: Partition
     tolerance: int
 
 
@@ -38,40 +31,40 @@ def merge_partitions(blocks: list[MergeBlock]) -> MergeBlock:
     Blocks must agree on part count and dimension and have disjoint ids.
     """
     if not blocks:
-        raise IncompatibleBlocksError("incompatible blocks: no blocks given")
-    m = blocks[0].partition.m
+        raise TverbergError("incompatible blocks: no blocks given")
+    m = len(blocks[0].partition)
     dim = blocks[0].points.dim
     seen: set[int] = set()
     for block in blocks:
-        if block.partition.m != m:
-            raise IncompatibleBlocksError(
-                f"incompatible blocks: part counts {m} vs {block.partition.m}"
+        if len(block.partition) != m:
+            raise TverbergError(
+                f"incompatible blocks: part counts {m} vs {len(block.partition)}"
             )
         if block.points.dim != dim:
-            raise IncompatibleBlocksError(
+            raise TverbergError(
                 f"incompatible blocks: dims {dim} vs {block.points.dim}"
             )
         if block.tolerance < 0:
-            raise IncompatibleBlocksError("incompatible blocks: negative tolerance")
+            raise TverbergError("incompatible blocks: negative tolerance")
         if not validate_partition(block.points, block.partition):
-            raise IncompatibleBlocksError("incompatible blocks: invalid partition")
+            raise TverbergError("incompatible blocks: invalid partition")
         ids = block.points.ids()
         if ids & seen:
-            raise IncompatibleBlocksError("incompatible blocks: overlapping ids")
+            raise TverbergError("incompatible blocks: overlapping ids")
         seen |= ids
 
     parts = []
     for j in range(m):
         merged: set[int] = set()
         for block in blocks:
-            merged |= block.partition.parts[j]
+            merged |= block.partition[j]
         parts.append(frozenset(merged))
 
     all_points = tuple(p for block in blocks for p in block.points.points)
     tolerance = sum(block.tolerance for block in blocks) + len(blocks) - 1
     return MergeBlock(
         points=PointSet(dim, all_points),
-        partition=IndexedPartition(tuple(parts)),
+        partition=tuple(parts),
         tolerance=tolerance,
     )
 
@@ -92,7 +85,7 @@ def chunk_and_merge(
     per_block = solver.points_needed(m)
     n = len(point_set)
     if n < per_block:
-        raise TooFewPointsError(
+        raise TverbergError(
             f"too few points for one block: need {per_block}, got {n}"
         )
 

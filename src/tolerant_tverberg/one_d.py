@@ -12,14 +12,7 @@ so rank r simply goes to part r mod m.
 
 from __future__ import annotations
 
-from .core import (
-    DimensionError,
-    IndexedPartition,
-    PointSet,
-    TooFewPointsError,
-    TverbergError,
-    lex_key,
-)
+from .core import Partition, PointSet, TverbergError, lex_key
 
 
 def max_tolerance_1d(n: int, m: int) -> int | None:
@@ -28,12 +21,12 @@ def max_tolerance_1d(n: int, m: int) -> int | None:
     if m < 1:
         raise TverbergError(f"m must be at least 1, got m={m}")
     if n < 1:
-        raise TooFewPointsError(f"too few points: n={n}, m={m}")
+        raise TverbergError(f"too few points: n={n}, m={m}")
     t = (n + 1) // m - 2
     return t if t >= 0 else None
 
 
-def tolerant_tverberg_1d(point_set: PointSet, m: int) -> IndexedPartition:
+def tolerant_tverberg_1d(point_set: PointSet, m: int) -> Partition:
     """Partition a 1-D point set into m parts tolerant to
     max_tolerance_1d(|P|, m) removals.
 
@@ -42,15 +35,11 @@ def tolerant_tverberg_1d(point_set: PointSet, m: int) -> IndexedPartition:
     tolerance, so the guarantee carries over.
     """
     if point_set.dim != 1:
-        raise DimensionError(f"dimension: expected 1-D input, got {point_set.dim}-D")
+        raise TverbergError(f"dimension: expected 1-D input, got {point_set.dim}-D")
     n = len(point_set)
-    if m < 1:
-        raise TverbergError(f"m must be at least 1, got m={m}")
-    if n < 2 * m - 1:
-        raise TooFewPointsError(f"too few points: need {2 * m - 1}, got {n}")
-
     t = max_tolerance_1d(n, m)
-    assert t is not None
+    if t is None:
+        raise TverbergError(f"too few points: need {2 * m - 1}, got {n}")
     core_size = m * (t + 2) - 1
 
     ordered = sorted(point_set.points, key=lex_key)
@@ -61,4 +50,4 @@ def tolerant_tverberg_1d(point_set: PointSet, m: int) -> IndexedPartition:
     for i, p in enumerate(ordered[core_size:]):
         parts[1 + i % (m - 1)].append(p.id)
 
-    return IndexedPartition(tuple(frozenset(part) for part in parts))
+    return tuple(frozenset(part) for part in parts)

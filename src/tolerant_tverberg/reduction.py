@@ -13,14 +13,14 @@ from __future__ import annotations
 from fractions import Fraction
 from dataclasses import dataclass
 
-from .core import DimensionError, IndexedPartition, Point, PointSet
+from .core import Partition, Point, PointSet, TverbergError
 from .verification import centerpoint_depth
 
 
 @dataclass(frozen=True)
 class ReducedInstance:
     lifted_points: PointSet
-    partition: IndexedPartition
+    partition: Partition
     t: int
     gadget_minus_ids: frozenset[int]
     gadget_plus_ids: frozenset[int]
@@ -36,12 +36,12 @@ def center_to_tolerant_instance(point_set: PointSet, c: Point) -> ReducedInstanc
     """
     d = point_set.dim
     if c.dim != d:
-        raise DimensionError(
+        raise TverbergError(
             f"dimension: candidate has dim {c.dim}, point set has {d}"
         )
     n = len(point_set)
     if n < 1:
-        raise DimensionError("dimension: empty point set")
+        raise TverbergError("dimension: empty point set")
 
     t = centerpoint_depth(n, d) - 1
 
@@ -62,15 +62,9 @@ def center_to_tolerant_instance(point_set: PointSet, c: Point) -> ReducedInstanc
         next_id += 1
 
     lifted = PointSet(d + 1, tuple(embedded + gadget))
-    partition = IndexedPartition(
-        (
-            frozenset(p.id for p in point_set.points),
-            frozenset(minus_ids) | frozenset(plus_ids),
-        )
-    )
     return ReducedInstance(
         lifted_points=lifted,
-        partition=partition,
+        partition=(point_set.ids(), frozenset(minus_ids + plus_ids)),
         t=t,
         gadget_minus_ids=frozenset(minus_ids),
         gadget_plus_ids=frozenset(plus_ids),

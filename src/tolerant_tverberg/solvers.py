@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .core import IndexedPartition, PointSet, TverbergError
+from .core import Partition, PointSet, TverbergError
 from .lifting import tolerant_tverberg_lifted
 from .lp import common_intersection
 
@@ -40,7 +40,7 @@ class SolverContract:
     """
 
     points_needed: Callable[[int], int]
-    solve: Callable[[PointSet, int], IndexedPartition]
+    solve: Callable[[PointSet, int], Partition]
 
 
 def restricted_growth_strings(n: int, blocks: int):
@@ -92,7 +92,7 @@ def _boxes_miss(axis_ranks: list[list[int]], rgs: tuple[int, ...], m: int) -> bo
     return False
 
 
-def brute_force_tverberg(point_set: PointSet, m: int) -> IndexedPartition | None:
+def brute_force_tverberg(point_set: PointSet, m: int) -> Partition | None:
     """First partition (in canonical restricted-growth order) whose part
     hulls share a point, or None after exhausting all of them.
 
@@ -115,13 +115,11 @@ def brute_force_tverberg(point_set: PointSet, m: int) -> IndexedPartition | None
         for p, block in zip(points, rgs):
             sets[block].append(p)
         if common_intersection(sets, point_set.dim) is not None:
-            return IndexedPartition(
-                tuple(frozenset(p.id for p in s) for s in sets)
-            )
+            return tuple(frozenset(p.id for p in s) for s in sets)
     return None
 
 
-def _solve_brute(point_set: PointSet, m: int) -> IndexedPartition:
+def _solve_brute(point_set: PointSet, m: int) -> Partition:
     """Brute-force the first (d+1)(m-1)+1 points, then put the rest in
     part 0: extra points only grow a hull, so the partition stays Tverberg
     and a block larger than its contract asks stays under the cap."""
@@ -132,7 +130,7 @@ def _solve_brute(point_set: PointSet, m: int) -> IndexedPartition:
             f"no Tverberg {m}-partition exists for this {len(point_set)}-point set"
         )
     rest = frozenset(p.id for p in point_set.points[len(head) :])
-    return IndexedPartition((partition.parts[0] | rest, *partition.parts[1:]))
+    return (partition[0] | rest, *partition[1:])
 
 
 def get_solver(name: str, dim: int) -> SolverContract:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 
-from .core import DimensionError, IndexedPartition, InvalidPartitionError, PointSet, TverbergError
+from .core import Partition, PointSet, TverbergError
 
 PALETTE = [
     "#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
@@ -20,11 +20,11 @@ WIDTH, HEIGHT, MARGIN = 640, 640, 40.0
 
 def render_svg(
     point_set: PointSet,
-    partition: IndexedPartition | None = None,
+    partition: Partition | None = None,
     removed_ids: frozenset[int] | None = None,
 ) -> str:
     if point_set.dim != 2:
-        raise DimensionError(f"dimension: plotting needs 2-D, got {point_set.dim}-D")
+        raise TverbergError(f"dimension: plotting needs 2-D, got {point_set.dim}-D")
     removed = removed_ids or frozenset()
 
     try:
@@ -49,11 +49,13 @@ def render_svg(
         groups.append((PALETTE[0], list(point_set.points)))
     else:
         by_id = point_set.by_id()
-        for j, part in enumerate(partition.parts):
+        for j, part in enumerate(partition):
             color = PALETTE[j % len(PALETTE)]
             if not part <= by_id.keys():
-                raise InvalidPartitionError("invalid partition: ids outside the point set")
+                raise TverbergError("invalid partition: ids outside the point set")
             groups.append((color, [by_id[pid] for pid in sorted(part)]))
+    if not removed <= point_set.ids():
+        raise TverbergError("invalid removal: ids outside the point set")
 
     body: list[str] = []
     for color, pts in groups:

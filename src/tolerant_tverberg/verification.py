@@ -25,13 +25,11 @@ from itertools import combinations
 from typing import Callable
 
 from .core import (
-    BudgetExceededError,
-    DimensionError,
-    IndexedPartition,
-    InvalidPartitionError,
+    Partition,
     Point,
     PointSet,
     RemovalSet,
+    TverbergError,
     validate_partition,
 )
 from .lp import common_intersection, hull_support
@@ -44,7 +42,7 @@ Judge = Callable[[RemovalSet], RemovalSet | None]
 
 def verify_tolerance(
     point_set: PointSet,
-    partition: IndexedPartition,
+    partition: Partition,
     t: int,
     budget: int = DEFAULT_BUDGET,
 ) -> RemovalSet | None:
@@ -61,7 +59,7 @@ def verify_tolerance(
     intersection.  ``budget`` bounds the C(n, min(t, n)) removal sets.
     """
     if t < 0:
-        raise InvalidPartitionError(f"invalid partition query: t={t}")
+        raise TverbergError(f"invalid partition query: t={t}")
     ids, smallest, judge = _partition_judge(point_set, partition)
     n = len(ids)
     size = min(t, n)
@@ -75,7 +73,7 @@ def verify_tolerance(
 
 def exact_tolerance(
     point_set: PointSet,
-    partition: IndexedPartition,
+    partition: Partition,
     budget: int = DEFAULT_BUDGET,
 ) -> int:
     """Largest t at which the partition verifies tolerant; -1 when it is
@@ -93,21 +91,21 @@ def exact_tolerance(
 
 
 def _partition_judge(
-    point_set: PointSet, partition: IndexedPartition
+    point_set: PointSet, partition: Partition
 ) -> tuple[list[int], RemovalSet, Judge]:
     """The sorted ids, the ids of the smallest part, and a judge that
     returns the support of the parts' common point after a removal, or
     None when their hulls no longer meet."""
     if not validate_partition(point_set, partition):
-        raise InvalidPartitionError("invalid partition: does not cover the point set")
+        raise TverbergError("invalid partition: does not cover the point set")
     by_id = point_set.by_id()
-    parts = [[by_id[pid] for pid in sorted(part)] for part in partition.parts]
+    parts = [[by_id[pid] for pid in sorted(part)] for part in partition]
 
     def judge(removed: frozenset[int]) -> frozenset[int] | None:
         sets = [[p for p in part if p.id not in removed] for part in parts]
         return common_intersection(sets, point_set.dim)
 
-    return sorted(by_id), min(partition.parts, key=len), judge
+    return sorted(by_id), min(partition, key=len), judge
 
 
 def tukey_depth(c: Point, point_set: PointSet, budget: int = DEFAULT_BUDGET) -> int:
@@ -121,7 +119,7 @@ def tukey_depth(c: Point, point_set: PointSet, budget: int = DEFAULT_BUDGET) -> 
     sets of all sizes together.
     """
     if c.dim != point_set.dim:
-        raise DimensionError(
+        raise TverbergError(
             f"dimension: query has dim {c.dim}, point set has {point_set.dim}"
         )
     ids = sorted(point_set.ids())
@@ -176,7 +174,7 @@ def _charge(n: int, size: int, budget: int) -> int:
     the ``budget`` left."""
     sets = math.comb(n, size)
     if sets > budget:
-        raise BudgetExceededError(
+        raise TverbergError(
             f"instance too large: C({n},{size}) removal sets exceed the budget left, {budget}"
         )
     return sets

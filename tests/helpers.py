@@ -1,6 +1,6 @@
 """Short constructors for the point sets and partitions the tests write out."""
 
-from tolerant_tverberg import IndexedPartition, Point, PointSet, to_scalar
+from tolerant_tverberg import Point, PointSet, to_scalar
 
 
 def from_coords(rows, start_id=1):
@@ -12,5 +12,5 @@ def from_coords(rows, start_id=1):
 
 
 def from_iterables(parts):
-    """An IndexedPartition from any iterables of ids, in part order."""
-    return IndexedPartition(tuple(frozenset(part) for part in parts))
+    """A partition from any iterables of ids, in part order."""
+    return tuple(frozenset(part) for part in parts)

@@ -27,7 +27,6 @@ from fractions import Fraction
 from itertools import combinations
 
 from tolerant_tverberg import (
-    IndexedPartition,
     common_intersection,
     hull_support,
     validate_partition,
@@ -200,7 +199,7 @@ def check_solver_output(point_set, partition) -> bool:
     if not validate_partition(point_set, partition):
         return False
     by_id = point_set.by_id()
-    sets = [[by_id[pid] for pid in sorted(part)] for part in partition.parts]
+    sets = [[by_id[pid] for pid in sorted(part)] for part in partition]
     return common_intersection(sets, point_set.dim) is not None
 
 
@@ -211,7 +210,7 @@ def brute_force_tverberg_exhaustive(point_set, m):
     for rgs in restricted_growth_strings(len(points), m):
         sets = [[p for p, block in zip(points, rgs) if block == i] for i in range(m)]
         if common_intersection(sets, point_set.dim) is not None:
-            return IndexedPartition(tuple(frozenset(p.id for p in s) for s in sets))
+            return tuple(frozenset(p.id for p in s) for s in sets)
     return None
 
 
@@ -224,7 +223,7 @@ def verify_tolerance_exhaustive(point_set, partition, t):
     """
     ids = sorted(point_set.ids())
     size = min(t, len(ids))
-    smallest = min(partition.parts, key=len)
+    smallest = min(partition, key=len)
     if t >= len(smallest):
         pad = [pid for pid in ids if pid not in smallest][: size - len(smallest)]
         return frozenset(smallest) | frozenset(pad)
@@ -232,7 +231,7 @@ def verify_tolerance_exhaustive(point_set, partition, t):
     for removal in combinations(ids, size):
         sets = [
             [by_id[pid] for pid in sorted(part) if pid not in removal]
-            for part in partition.parts
+            for part in partition
         ]
         if common_intersection(sets, point_set.dim) is None:
             return frozenset(removal)

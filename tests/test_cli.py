@@ -166,6 +166,38 @@ def test_bad_m_or_t_is_exit_2(tmp_path, capsys, flags, message):
     assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["compute", "--input", "planar.json", "--algorithm", "one_d", "--m", "2"],
+     "dimension: expected 1-D input, got 2-D"),
+    (["compute", "--input", "planar.json", "--algorithm", "lift", "--m", "3", "--t", "4"],
+     "too few points: need 2^(d-1)(m(t+2)-1) = 34, got 7"),
+    (["verify", "--input", "planar.json", "--partition", "partial.json", "--t", "0"],
+     "invalid partition: does not cover the point set"),
+    (["verify", "--input", "planar.json", "--partition", "split.json", "--t", "3",
+      "--budget", "5"],
+     "instance too large: C(7,3) removal sets exceed the budget left, 5"),
+    (["depth", "--input", "short.json", "--point", "0,0"],
+     "point 1 has 1 coords, expected 2"),
+    (["plot", "--input", "planar.json", "--removal", "99", "--output", "o.svg"],
+     "invalid removal: ids outside the point set"),
+])
+def test_each_error_kind_is_one_exact_line(tmp_path, capsys, argv, message):
+    docs = {
+        "planar.json": point_set_to_obj(random_point_set(7, 2, seed=0)),
+        "short.json": {"dim": 2, "points": [{"id": 1, "coords": [0]}]},
+        "partial.json": {"parts": [[1, 2], [3]]},
+        "split.json": {"parts": [[1, 2, 3], [4, 5, 6, 7]]},
+    }
+    for name, doc in docs.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    argv = [str(tmp_path / arg) if arg.endswith((".json", ".svg")) else arg for arg in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert not (tmp_path / "o.svg").exists()
+
+
 def test_depth_runs_tukey_depth_once(tmp_path, capsys, monkeypatch):
     P = random_point_set(9, 2, seed=3)
     pts = tmp_path / "pts.json"

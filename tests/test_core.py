@@ -8,7 +8,6 @@ import tolerant_tverberg
 from helpers import from_coords, from_iterables
 from oracles import lex_key_plain
 from tolerant_tverberg import (
-    DimensionError,
     Point,
     PointSet,
     TverbergError,
@@ -26,6 +25,19 @@ def test_export_list_resolves_without_duplicates():
     namespace = {}
     exec("from tolerant_tverberg import *", namespace)
     assert set(names) <= set(namespace)
+
+
+def test_public_names_are_pinned():
+    assert sorted(tolerant_tverberg.__all__) == [
+        "BRUTE_FORCE_CAP", "DEFAULT_BUDGET", "MergeBlock", "Partition", "Point",
+        "PointSet", "ReducedInstance", "RemovalSet", "SolverContract", "TverbergError",
+        "brute_force_tverberg", "center_to_tolerant_instance", "centerpoint_depth",
+        "chunk_and_merge", "common_intersection", "exact_tolerance", "get_solver",
+        "halve_and_pair", "hull_support", "lex_key", "max_tolerance_1d",
+        "merge_partitions", "random_point_set", "render_svg", "to_scalar",
+        "tolerant_tverberg_1d", "tolerant_tverberg_lifted", "tukey_depth",
+        "validate_partition", "verify_tolerance",
+    ]
 
 
 def pt(pid, *coords):
@@ -159,7 +171,7 @@ class TestPointSet:
             PointSet(1, (pt(1, 0), pt(1, 1)))
 
     def test_coord_length_checked(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(TverbergError, match="coords, expected"):
             PointSet(2, (pt(1, 0),))
 
 

@@ -7,8 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from helpers import from_coords
 from oracles import cross_section_fraction
 from tolerant_tverberg import (
-    DimensionError,
-    TooFewPointsError,
+    TverbergError,
     exact_tolerance,
     halve_and_pair,
     lex_key,
@@ -130,7 +129,7 @@ class TestHalveAndPair:
         ]
 
     def test_dimension_one_rejected(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(TverbergError, match="dimension"):
             halve_and_pair(from_coords([[1], [2]]))
 
 
@@ -142,21 +141,21 @@ class TestLiftPartition:
         projected, pairs, _ = halve_and_pair(P)
         expect = tuple(
             frozenset(pid for q in part for pid in pairs[q])
-            for part in tolerant_tverberg_1d(projected, 2).parts
+            for part in tolerant_tverberg_1d(projected, 2)
         )
-        assert tolerant_tverberg_lifted(P, 2, 0).parts == expect
+        assert tolerant_tverberg_lifted(P, 2, 0) == expect
 
     def test_single_part_collects_all_endpoints(self):
         for n in (4, 5):  # the odd middle point joins part 0 when m = 1
             P = random_point_set(n, 2, grid=100, seed=n)
-            assert tolerant_tverberg_lifted(P, 1, 0).parts == (P.ids(),)
+            assert tolerant_tverberg_lifted(P, 1, 0) == (P.ids(),)
 
     def test_dropped_point_lands_in_second_part(self):
         P = plane(*([i, i] for i in range(7)))
         _, _, dropped = halve_and_pair(P)
         assert dropped == 4
         T = tolerant_tverberg_lifted(P, 2, 0)
-        assert dropped in T.parts[1]
+        assert dropped in T[1]
         assert validate_partition(P, T)
 
 
@@ -167,7 +166,7 @@ class TestLiftedSolver:
 
     def test_too_few_points(self):
         P = random_point_set(9, 2, seed=1)
-        with pytest.raises(TooFewPointsError):
+        with pytest.raises(TverbergError, match="too few points"):
             tolerant_tverberg_lifted(P, 2, 1)  # needs 2 * 5 = 10
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -192,7 +191,7 @@ class TestLiftedSolver:
     def test_point_conservation(self):
         P = random_point_set(13, 2, grid=300, seed=6)  # odd: one drop absorbed
         T = tolerant_tverberg_lifted(P, 2, 1)
-        assert frozenset().union(*T.parts) == P.ids()
+        assert frozenset().union(*T) == P.ids()
         assert validate_partition(P, T)
 
     def test_lift_preserves_projected_tolerance(self):

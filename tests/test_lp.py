@@ -11,9 +11,9 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from tolerant_tverberg import (
-    DimensionError,
     Point,
     PointSet,
+    TverbergError,
     common_intersection,
     hull_support,
     lp,
@@ -202,7 +202,7 @@ class TestCommonIntersection:
         assert common_intersection([pts_1d([1, 2]), []], 1) is None
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(TverbergError, match="dimension"):
             common_intersection([[pt(1, 0, 0)], [pt(2, 1)]], 2)
 
     @pytest.mark.parametrize("dim", [2, 3])
@@ -319,5 +319,5 @@ class TestPointInHull:
             assert hull_support(c, [p for p in square if p.id in support]) is not None
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(TverbergError, match="dimension"):
             hull_support(pt(0, 1, 2), pts_1d([0, 1]))

@@ -2,10 +2,9 @@ import pytest
 
 from helpers import from_coords, from_iterables
 from tolerant_tverberg import (
-    IncompatibleBlocksError,
     MergeBlock,
     PointSet,
-    TooFewPointsError,
+    TverbergError,
     brute_force_tverberg,
     chunk_and_merge,
     exact_tolerance,
@@ -66,18 +65,18 @@ class TestMergePartitions:
         b1 = block([1, 2, 3, 4, 5], [{2, 4}, {1, 3, 5}], 0)
         b2 = block([6, 7, 8], [{7}, {6, 8}], 0, start_id=6)
         merged = merge_partitions([b1, b2])
-        assert sorted(len(p) for p in merged.partition.parts) == [3, 5]
+        assert sorted(len(p) for p in merged.partition) == [3, 5]
 
     def test_mismatched_part_count_rejected(self):
         b1 = block([1, 2, 3], [{2}, {1, 3}], 0)
         b2 = block([4, 5, 6], [{4}, {5}, {6}], 0, start_id=4)
-        with pytest.raises(IncompatibleBlocksError):
+        with pytest.raises(TverbergError, match="incompatible blocks"):
             merge_partitions([b1, b2])
 
     def test_overlapping_ids_rejected(self):
         b1 = block([1, 2, 3], [{2}, {1, 3}], 0)
         b2 = block([4, 5, 6], [{2}, {1, 3}], 0)  # same ids 1..3
-        with pytest.raises(IncompatibleBlocksError):
+        with pytest.raises(TverbergError, match="incompatible blocks"):
             merge_partitions([b1, b2])
 
     def test_dimension_mismatch_rejected(self):
@@ -87,7 +86,7 @@ class TestMergePartitions:
             partition=from_iterables([{5}, {4, 6}]),
             tolerance=0,
         )
-        with pytest.raises(IncompatibleBlocksError):
+        with pytest.raises(TverbergError, match="incompatible blocks"):
             merge_partitions([b1, b2])
 
 
@@ -131,7 +130,7 @@ class TestChunkAndMerge:
         assert chunk_and_merge(P, 2, solver) == merge_partitions(blocks)
 
     def test_too_few_points(self):
-        with pytest.raises(TooFewPointsError):
+        with pytest.raises(TverbergError, match="too few points"):
             chunk_and_merge(line(1, 2), 2, get_solver("1d", 1))
 
 
@@ -146,7 +145,7 @@ class TestManualBlockSplit:
             assert partition is not None
             blocks.append(MergeBlock(half, partition, 0))
         merged = merge_partitions(blocks)
-        assert merged.partition.m == 3
+        assert len(merged.partition) == 3
         assert merged.tolerance == 1
         assert verify_tolerance(merged.points, merged.partition, 1) is None
 

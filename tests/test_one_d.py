@@ -6,10 +6,8 @@ import pytest
 import oracles
 from helpers import from_coords, from_iterables
 from tolerant_tverberg import (
-    DimensionError,
     Point,
     PointSet,
-    TooFewPointsError,
     TverbergError,
     max_tolerance_1d,
     to_scalar,
@@ -31,7 +29,7 @@ def integer_line(n):
 
 def parts_as_values(point_set, partition):
     by_id = point_set.by_id()
-    return [[by_id[pid].coords[0] for pid in part] for part in partition.parts]
+    return [[by_id[pid].coords[0] for pid in part] for part in partition]
 
 
 class TestMaxTolerance:
@@ -61,9 +59,9 @@ class TestConstruction:
         P = integer_line(11)
         res = tolerant_tverberg_1d(P, 3)
         assert max_tolerance_1d(11, 3) == 2
-        assert sorted(res.parts[0]) == [3, 6, 9]
+        assert sorted(res[0]) == [3, 6, 9]
         # every other part takes one point from each gap
-        for part in res.parts[1:]:
+        for part in res[1:]:
             for gap in ({1, 2}, {4, 5}, {7, 8}, {10, 11}):
                 assert len(part & gap) == 1
         assert verify_tolerance(P, res, 2) is None
@@ -71,14 +69,14 @@ class TestConstruction:
     def test_radon_partition(self):
         P = integer_line(3)
         res = tolerant_tverberg_1d(P, 2)
-        assert sorted(res.parts[0]) == [2]
-        assert sorted(res.parts[1]) == [1, 3]
+        assert sorted(res[0]) == [2]
+        assert sorted(res[1]) == [1, 3]
         assert max_tolerance_1d(3, 2) == 0
 
     def test_single_part_takes_everything(self):
         P = integer_line(5)
         res = tolerant_tverberg_1d(P, 1)
-        assert res.parts == (frozenset({1, 2, 3, 4, 5}),)
+        assert res == (frozenset({1, 2, 3, 4, 5}),)
         # a lone part survives until all its points are gone
         assert max_tolerance_1d(5, 1) == 4
         assert verify_tolerance(P, res, 4) is None
@@ -109,7 +107,7 @@ class TestConstruction:
                         ordered = sorted(P.points, key=lambda p: (p.coords[0], p.id))
                         rank_of = {p.id: r for r, p in enumerate(ordered, start=1)}
                         ranks = [sorted(rank_of[pid] for pid in part)
-                                 for part in res.parts]
+                                 for part in res]
                         assert ranks[0] == [m * (i + 1) for i in range(t + 1)]
                         for j in range(1, m):
                             assert ranks[j] == (
@@ -121,15 +119,17 @@ class TestConstruction:
         P = integer_line(13)  # core is 11 points, two surplus
         res = tolerant_tverberg_1d(P, 3)
         assert max_tolerance_1d(13, 3) == 2
-        assert sorted(res.parts[0]) == [3, 6, 9]
-        assert 12 in res.parts[1]
-        assert 13 in res.parts[2]
+        assert sorted(res[0]) == [3, 6, 9]
+        assert 12 in res[1]
+        assert 13 in res[2]
         assert verify_tolerance(P, res, 2) is None
 
     def test_errors(self):
-        with pytest.raises(TooFewPointsError):
+        with pytest.raises(TverbergError, match="too few points"):
             tolerant_tverberg_1d(integer_line(4), 3)
-        with pytest.raises(DimensionError):
+        with pytest.raises(TverbergError, match="too few points: n=0, m=2"):
+            tolerant_tverberg_1d(PointSet(1, ()), 2)
+        with pytest.raises(TverbergError, match="dimension"):
             tolerant_tverberg_1d(from_coords([[0, 0], [1, 1], [2, 0]]), 2)
 
     @pytest.mark.parametrize("m", [0, -1])
@@ -178,7 +178,7 @@ class TestToleranceSoundness:
         res = tolerant_tverberg_1d(P, 2)  # t = 2
         bigger = line(*range(1, 8), 100)
         for j in range(2):
-            parts = [set(part) for part in res.parts]
+            parts = [set(part) for part in res]
             parts[j].add(8)  # id of the appended coordinate 100
             grown = from_iterables(parts)
             assert verify_tolerance(bigger, grown, 2) is None

@@ -5,8 +5,8 @@ import pytest
 
 from helpers import from_coords
 from tolerant_tverberg import (
-    DimensionError,
     Point,
+    TverbergError,
     center_to_tolerant_instance,
     centerpoint_depth,
     hull_support,
@@ -39,8 +39,8 @@ class TestConstruction:
             assert by_id[pid].coords[0] == 3 and by_id[pid].coords[1] < 0
         for pid in inst.gadget_plus_ids:
             assert by_id[pid].coords[0] == 3 and by_id[pid].coords[1] > 0
-        assert inst.partition.parts[0] == P.ids()
-        assert inst.partition.parts[1] == inst.gadget_minus_ids | inst.gadget_plus_ids
+        assert inst.partition[0] == P.ids()
+        assert inst.partition[1] == inst.gadget_minus_ids | inst.gadget_plus_ids
 
     def test_single_point(self):
         P = line(7)
@@ -50,7 +50,7 @@ class TestConstruction:
         assert verify_tolerance(inst.lifted_points, inst.partition, 0) is None
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(TverbergError, match="dimension"):
             center_to_tolerant_instance(line(1, 2, 3), query(0, 0))
 
 
@@ -74,7 +74,7 @@ class TestEquivalence:
         inst = center_to_tolerant_instance(P, query(3))
         by_id = inst.lifted_points.by_id()
         embedded = [by_id[pid] for pid in sorted(P.ids())]
-        gadget = [by_id[pid] for pid in sorted(inst.partition.parts[1])]
+        gadget = [by_id[pid] for pid in sorted(inst.partition[1])]
         # a horizontal and a vertical segment, crossing at (3, 0) only
         assert hull_support(query(3, 0), embedded) is not None
         assert hull_support(query(3, 0), gadget) is not None
@@ -85,7 +85,7 @@ class TestEquivalence:
         P = line(1, 2, 3, 4, 5)
         inst = center_to_tolerant_instance(P, query(3))
         by_id = inst.lifted_points.by_id()
-        gadget_ids = sorted(inst.partition.parts[1])
+        gadget_ids = sorted(inst.partition[1])
         c_lifted = query(3, 0)
         for removal in combinations(gadget_ids, inst.t):
             rest = [by_id[pid] for pid in gadget_ids if pid not in set(removal)]

@@ -28,12 +28,12 @@ class TestBruteForce:
         P = line(1, 2, 3)
         T = brute_force_tverberg(P, 2)
         assert T is not None
-        assert set(T.parts) == {frozenset({1, 3}), frozenset({2})}
+        assert set(T) == {frozenset({1, 3}), frozenset({2})}
 
     def test_convex_quadrilateral_crosses_diagonals(self):
         P = from_coords([[0, 0], [2, 0], [2, 2], [0, 2]])
         T = brute_force_tverberg(P, 2)
-        assert set(T.parts) == {frozenset({1, 3}), frozenset({2, 4})}
+        assert set(T) == {frozenset({1, 3}), frozenset({2, 4})}
         assert check_solver_output(P, T)
 
     def test_more_parts_than_points(self):
@@ -99,7 +99,7 @@ class TestBoxFilter:
     def test_touching_boxes_go_to_the_lp(self, monkeypatch):
         lps = count_lps(monkeypatch, solvers)
         T = brute_force_tverberg(TOUCHING, 2)
-        assert T.parts == (frozenset({1, 2, 4}), frozenset({3}))
+        assert T == (frozenset({1, 2, 4}), frozenset({3}))
         assert len(lps) == 1  # (0, 0, 0, 1) is refuted by the boxes
 
     def test_lp_count(self, monkeypatch):
@@ -144,7 +144,7 @@ class TestContracts:
         T = solver.solve(P, m)
         assert check_solver_output(P, T)
         head = PointSet(dim, P.points[: solver.points_needed(m)])
-        assert T.parts[1:] == brute_force_tverberg(head, m).parts[1:]
+        assert T[1:] == brute_force_tverberg(head, m)[1:]
 
     def test_points_needed_formulas(self):
         assert get_solver("brute", 2).points_needed(3) == 7
