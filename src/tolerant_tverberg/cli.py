@@ -14,7 +14,7 @@ import sys
 from typing import Any
 
 from . import jsonio
-from .core import Point, PointSet, TverbergError, short_repr, to_scalar
+from .core import Point, TverbergError, short_repr, to_scalar
 from .generate import DEFAULT_GRID, random_point_set
 from .lifting import tolerant_tverberg_lifted
 from .merging import chunk_and_merge

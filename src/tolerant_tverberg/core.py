@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 # A removal set is just a set of point ids drawn from one PointSet.
 RemovalSet = frozenset[int]
@@ -78,13 +79,12 @@ def short_repr(value: object) -> str:
     return text if len(text) <= ECHO_LIMIT else text[:ECHO_LIMIT] + "..."
 
 
-@dataclass(frozen=True)
-class Point:
+class Point(NamedTuple):
     """A point with a stable integer identity.
 
     The id survives projection and lifting, which is what lets a
     partition computed for a projected set be mapped back to the
-    original points.
+    original points.  A named tuple: immutable, and cheap to build.
     """
 
     id: int

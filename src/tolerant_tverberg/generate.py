@@ -53,6 +53,8 @@ def _degenerate_index(coords: list[list[int]], dim: int) -> int | None:
         return None  # distinctness is all 1-D needs
     if dim == 2:
         return _collinear_index(coords)
+    if dim == 3:
+        return _coplanar_index(coords)
     for subset in combinations(range(len(coords)), dim + 1):
         base = coords[subset[0]]
         mat = [
@@ -78,6 +80,38 @@ def _collinear_index(coords: list[list[int]]) -> int | None:
         runs = [js for js in lines.values() if len(js) > 1]
         if runs:
             return min(runs)[1]
+    return None
+
+
+def _coplanar_index(coords: list[list[int]]) -> int | None:
+    """Last index of the lex-first coplanar quadruple of distinct spatial
+    points, or None, in O(n^3).  For an anchor pair (a, b), a later point c
+    on line ab (zero normal: "flat") closes a quadruple with any later e;
+    any other c with the later flat points and those sharing its reduced
+    plane normal.  Scanning c downward keeps the next of each, so the last
+    partner found belongs to the smallest c."""
+    n = len(coords)
+    for a, (ax, ay, az) in enumerate(coords):
+        for b in range(a + 1, n):
+            ux, uy, uz = coords[b][0] - ax, coords[b][1] - ay, coords[b][2] - az
+            mates: dict[tuple[int, int, int], int] = {}
+            flat = first = n
+            for c in range(n - 1, b, -1):
+                vx, vy, vz = coords[c][0] - ax, coords[c][1] - ay, coords[c][2] - az
+                nx, ny, nz = uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx
+                if nx == ny == nz == 0:
+                    e, flat = c + 1, c
+                else:
+                    g = gcd(nx, ny, nz)
+                    if (nx or ny or nz) < 0:
+                        g = -g
+                    key = (nx // g, ny // g, nz // g)
+                    e = min(mates.get(key, n), flat)
+                    mates[key] = c
+                if e < n:
+                    first = e
+            if first < n:
+                return first
     return None
 
 

@@ -50,8 +50,7 @@ def point_set_from_obj(obj: Any) -> PointSet:
             raise TverbergError(f"point id must be an integer, got {short_repr(pid)}")
         if not isinstance(entry["coords"], list):
             raise TverbergError(f"coords of point {pid} must be a list")
-        coords = tuple(to_scalar(c) for c in entry["coords"])
-        points.append(Point(pid, coords))
+        points.append(Point(pid, tuple(map(to_scalar, entry["coords"]))))
     return PointSet(dim, tuple(points))
 
 

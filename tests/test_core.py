@@ -165,13 +165,27 @@ def test_lex_key_orders_like_the_plain_tuple(points):
             assert (lex_key(p) < lex_key(q)) == (lex_key_plain(p) < lex_key_plain(q))
 
 
+class TestPoint:
+    def test_fields_are_read_only(self):
+        p = Point(3, (Fraction(1), Fraction(2)))
+        with pytest.raises(AttributeError):
+            p.id = 2
+        with pytest.raises(AttributeError):
+            p.coords = ()
+        assert p == Point(3, (Fraction(1), Fraction(2)))
+
+    def test_dim_counts_coords(self):
+        assert Point(3, (Fraction(1), Fraction(2))).dim == 2
+        assert Point(1, ()).dim == 0
+
+
 class TestPointSet:
     def test_duplicate_ids_rejected(self):
-        with pytest.raises(TverbergError):
+        with pytest.raises(TverbergError, match=r"^duplicate point id 1$"):
             PointSet(1, (pt(1, 0), pt(1, 1)))
 
     def test_coord_length_checked(self):
-        with pytest.raises(TverbergError, match="coords, expected"):
+        with pytest.raises(TverbergError, match=r"^point 1 has 1 coords, expected 2$"):
             PointSet(2, (pt(1, 0),))
 
 

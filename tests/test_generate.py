@@ -71,3 +71,49 @@ def planar_grids(draw):
 def test_planar_scan_matches_every_triple(coords):
     assert _degenerate_index(coords, 2) == degenerate_index_exhaustive(coords, 2)
 
+
+
+@st.composite
+def spatial_grids(draw):
+    """Up to 12 points with coordinates in 0..g, g = 1..6: duplicates, and
+    at times a collinear run or a coplanar patch spliced in at random places."""
+    g = draw(st.integers(1, 6))
+    cell = st.lists(st.integers(0, g), min_size=3, max_size=3)
+    coords = draw(st.lists(cell, min_size=1, max_size=12))
+    steps = st.sampled_from([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, -1), (1, 1, 1), (2, 1, 0)])
+    base, u, v = draw(cell), draw(steps), draw(steps)
+    if draw(st.booleans()):  # a run along u
+        offsets = [(k, 0) for k in range(draw(st.integers(0, 5)))]
+    else:  # a patch of the plane spanned by u and v
+        offsets = draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), max_size=6))
+    for i, j in offsets[: 12 - len(coords)]:
+        row = [x + i * a + j * b for x, a, b in zip(base, u, v)]
+        if 0 <= min(row) and max(row) <= g:
+            coords.insert(draw(st.integers(0, len(coords))), row)
+    return coords
+
+
+@settings(max_examples=300, deadline=None)
+@given(spatial_grids())
+# point 4 lies on the anchor line 0-1 and closes (0, 1, 2, 4)
+@example([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [2, 0, 0]])
+# point 2 lies on the anchor line 0-1, so any later point closes the quadruple
+@example([[0, 0, 0], [1, 0, 0], [2, 0, 0], [0, 1, 0]])
+# the last point lies on the anchor line 0-1 and has no point after it
+@example([[0, 0, 0], [1, 1, 1], [2, 2, 2]])
+# from anchors 0-1, (3, 4) closes at 4, before the lex-first (2, 5)
+@example([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 2], [0, 2, 0]])
+@example([[1, 1, 1], [2, 0, 1], [0, 2, 2], [1, 1, 1]])
+def test_spatial_scan_matches_every_quadruple(coords):
+    assert _degenerate_index(coords, 3) == degenerate_index_exhaustive(coords, 3)
+
+
+def test_scan_in_four_dimensions_matches_every_quintuple():
+    rng = random.Random(4)
+    found = 0
+    for _ in range(40):
+        coords = [[rng.randint(0, 2) for _ in range(4)] for _ in range(rng.randint(1, 8))]
+        expect = degenerate_index_exhaustive(coords, 4)
+        assert _degenerate_index(coords, 4) == expect
+        found += expect is not None
+    assert 0 < found < 40

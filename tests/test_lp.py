@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from tolerant_tverberg import (
     Point,
-    PointSet,
     TverbergError,
     common_intersection,
     hull_support,
