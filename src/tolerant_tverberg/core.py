@@ -1,9 +1,9 @@
 """Exact-arithmetic point and partition model shared by the whole package.
 
-All coordinates are ``fractions.Fraction`` values, so every geometric
-decision made downstream (hull membership, LP feasibility, tolerance
-verdicts) is exact.  Every type here is immutable after construction and
-safe to share across threads.
+Coordinates are ints when integral, else Fractions, and nothing divides
+them with ``/``, so every geometric decision made downstream (hull
+membership, LP feasibility, tolerance verdicts) is exact.  Every type
+here is immutable after construction and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -37,8 +37,9 @@ class TverbergError(Exception):
     names the kind of fault."""
 
 
-def to_scalar(value: int | str | Fraction) -> Fraction:
-    """Convert an exact representation to a Fraction.
+def to_scalar(value: int | str | Fraction) -> int | Fraction:
+    """Convert an exact representation to an int when it is integral,
+    else to a Fraction: ints are cheaper, and as exact without ``/``.
 
     Accepts ints, Fractions, "num/den" strings and decimal strings
     ("0.25" becomes 1/4 exactly) with exponents up to
@@ -49,9 +50,9 @@ def to_scalar(value: int | str | Fraction) -> Fraction:
     if isinstance(value, bool):
         raise TverbergError(f"not an exact scalar: {value!r}")
     if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, Fraction):
         return value
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
     if isinstance(value, str):
         try:
             exponent = _EXPONENT.search(value)
@@ -66,7 +67,7 @@ def to_scalar(value: int | str | Fraction) -> Fraction:
             raise TverbergError(
                 f"scalar beyond {MAX_DECIMAL_EXPONENT} digits: {short_repr(value)}"
             )
-        return scalar
+        return scalar.numerator if scalar.denominator == 1 else scalar
     raise TverbergError(
         f"not an exact scalar: {short_repr(value)} (floats are not accepted)"
     )
@@ -88,7 +89,7 @@ class Point(NamedTuple):
     """
 
     id: int
-    coords: tuple[Fraction, ...]
+    coords: tuple[int | Fraction, ...]
 
     @property
     def dim(self) -> int:
@@ -145,9 +146,9 @@ def lex_key(p: Point) -> tuple:
     from the last axis down to the first, then id.
 
     A deterministic stand-in for an infinitesimal rotation: no two
-    distinct points ever compare equal.  Each coordinate c enters as
-    (floor(c), c): the order is that of the coordinates themselves, but
-    most comparisons end on ints, and Fractions meet only on tied floors.
+    distinct points ever compare equal.  Each coordinate c, int or Fraction,
+    enters as (floor(c), c): the order is that of the coordinates, but most
+    comparisons end on ints, and Fractions meet only on tied floors.
     """
     key = []
     for c in reversed(p.coords):

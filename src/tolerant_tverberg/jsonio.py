@@ -17,7 +17,7 @@ from typing import Any
 from .core import Partition, Point, PointSet, TverbergError, short_repr, to_scalar
 
 
-def scalar_to_json(value: Fraction) -> str:
+def scalar_to_json(value: int | Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 

@@ -32,12 +32,12 @@ from typing import Sequence
 
 from .core import Point, TverbergError
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+_ZERO = 0
+_ONE = 1
 
 
 def lp_feasible(
-    rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
+    rows: Sequence[Sequence[int | Fraction]], rhs: Sequence[int | Fraction]
 ) -> list[int] | None:
     """The columns j with w_j > 0 in an exact w >= 0 with rows . w = rhs,
     or None when there is no such w.
@@ -62,7 +62,7 @@ def lp_feasible(
     return support
 
 
-def _phase1(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction], ncols: int):
+def _phase1(rows: Sequence[Sequence[int | Fraction]], rhs: Sequence[int | Fraction], ncols: int):
     """Minimize the sum of one artificial variable per row, Bland's rule.
 
     Returns the witness as integers (numerators, d), w_j = numerators[j] / d
@@ -171,8 +171,8 @@ def common_intersection(sets: Sequence[Sequence[Point]], dim: int) -> frozenset[
 
     first = sets[0]
     ncols = sum(len(s) for s in sets)
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
+    rows: list[list[int | Fraction]] = []
+    rhs: list[int | Fraction] = []
     offset = 0
     for i, s in enumerate(sets):
         n = len(s)

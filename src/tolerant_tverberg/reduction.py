@@ -10,7 +10,6 @@ so the answer is "yes" exactly when c has centerpoint depth in P.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from dataclasses import dataclass
 
 from .core import Partition, Point, PointSet, TverbergError
@@ -45,19 +44,18 @@ def center_to_tolerant_instance(point_set: PointSet, c: Point) -> ReducedInstanc
 
     t = centerpoint_depth(n, d) - 1
 
-    zero = Fraction(0)
-    embedded = [Point(p.id, p.coords + (zero,)) for p in point_set.points]
+    embedded = [Point(p.id, p.coords + (0,)) for p in point_set.points]
 
     next_id = max(p.id for p in point_set.points) + 1
     minus_ids: list[int] = []
     plus_ids: list[int] = []
     gadget: list[Point] = []
     for off in range(1, t + 2):
-        gadget.append(Point(next_id, c.coords + (Fraction(-off),)))
+        gadget.append(Point(next_id, c.coords + (-off,)))
         minus_ids.append(next_id)
         next_id += 1
     for off in range(1, t + 2):
-        gadget.append(Point(next_id, c.coords + (Fraction(off),)))
+        gadget.append(Point(next_id, c.coords + (off,)))
         plus_ids.append(next_id)
         next_id += 1
 

@@ -151,8 +151,10 @@ def lex_key_plain(p):
 def cross_section_fraction(lo, hi, level):
     """First d-1 coordinates of segment(lo, hi) at last coordinate
     ``level``, in Fraction arithmetic; the midpoint when the segment lies
-    in that hyperplane."""
-    span = hi.coords[-1] - lo.coords[-1]
+    in that hyperplane.  Coordinates may be ints, so ``level`` and the
+    span enter as Fractions: ``/`` on two ints would give a float."""
+    level = Fraction(level)
+    span = Fraction(hi.coords[-1] - lo.coords[-1])
     lam = Fraction(1, 2) if span == 0 else (level - lo.coords[-1]) / span
     return tuple(a + lam * (b - a) for a, b in zip(lo.coords[:-1], hi.coords[:-1]))
 
@@ -259,9 +261,12 @@ def tukey_depth_exhaustive(c, point_set):
 
 def fraction_lp_feasible(rows, rhs):
     """``lp.lp_feasible`` on the reference engine, without its re-check:
-    an exact w >= 0 with rows . w = rhs, or None."""
-    signed = [list(row) if b >= 0 else [-c for c in row] for row, b in zip(rows, rhs)]
-    values, art_total = _phase1(signed, [abs(b) for b in rhs], len(rows[0]))
+    an exact w >= 0 with rows . w = rhs, or None.  Entries may be ints;
+    they become Fractions, so the ratio test's ``/`` stays exact."""
+    signed = [
+        [Fraction(c) if b >= 0 else -Fraction(c) for c in row] for row, b in zip(rows, rhs)
+    ]
+    values, art_total = _phase1(signed, [abs(Fraction(b)) for b in rhs], len(rows[0]))
     return None if art_total != 0 else tuple(values)
 
 

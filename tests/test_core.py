@@ -55,6 +55,13 @@ class TestScalar:
         assert to_scalar(7) == Fraction(7)
         assert to_scalar("-3/9") == Fraction(-1, 3)
 
+    def test_integral_values_are_ints(self):
+        for raw, value in ((7, 7), ("6/2", 3), (Fraction(4, 2), 2), ("2.0", 2), ("1e2", 100)):
+            scalar = to_scalar(raw)
+            assert type(scalar) is int and scalar == value
+        assert type(to_scalar("1/2")) is Fraction
+        assert type(to_scalar(Fraction(-3, 9))) is Fraction
+
     def test_floats_rejected(self):
         with pytest.raises(TverbergError):
             to_scalar(0.5)

@@ -36,7 +36,7 @@ def halving_level(P, pairs, dropped):
     last coordinate, else the midpoint of the gap between the halves."""
     if dropped is not None:
         return P.by_id()[dropped].coords[-1]
-    return sum(halves_gap(P, pairs)) / 2
+    return Fraction(sum(halves_gap(P, pairs)), 2)
 
 
 @st.composite
@@ -94,7 +94,7 @@ class TestHalveAndPair:
             assert lex_key(by_id[lo]) < lex_key(by_id[hi])
         # a whole segment inside the hyperplane projects to its midpoint
         for (lo, hi), q in zip(pairs, projected.points):
-            mid = (by_id[lo].coords[0] + by_id[hi].coords[0]) / 2
+            mid = Fraction(by_id[lo].coords[0] + by_id[hi].coords[0], 2)
             assert q.coords == (mid,)
 
     def test_projection_is_exact_and_reproducible(self):
@@ -109,7 +109,7 @@ class TestHalveAndPair:
             by_id = P.by_id()
             for i, ((lo_id, hi_id), q) in enumerate(zip(pairs, projected.points)):
                 lo, hi = by_id[lo_id], by_id[hi_id]
-                lam = (level - lo.coords[-1]) / (hi.coords[-1] - lo.coords[-1])
+                lam = Fraction(level - lo.coords[-1]) / (hi.coords[-1] - lo.coords[-1])
                 expect = tuple(
                     a + lam * (b - a) for a, b in zip(lo.coords[:-1], hi.coords[:-1])
                 )
