@@ -202,7 +202,7 @@ def test_depth_runs_tukey_depth_once(tmp_path, capsys, monkeypatch):
     P = random_point_set(9, 2, seed=3)
     pts = tmp_path / "pts.json"
     pts.write_text(dumps(point_set_to_obj(P)))
-    centroid = [sum(p.coords[k] for p in P.points) / len(P) for k in range(2)]
+    centroid = [Fraction(sum(p.coords[k] for p in P.points), len(P)) for k in range(2)]
     calls = []
 
     def counting(*args, **kwargs):
