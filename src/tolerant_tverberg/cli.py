@@ -35,13 +35,13 @@ def _write(path: str | None, text: str) -> None:
             fh.write(text)
 
 
-def _parse_point(raw: str, dim: int, pid: int = 0) -> Point:
+def _parse_point(raw: str, dim: int) -> Point:
     coords = tuple(to_scalar(part.strip()) for part in raw.split(","))
     if len(coords) != dim:
         raise TverbergError(
             f"dimension: point {short_repr(raw)} has {len(coords)} coords, expected {dim}"
         )
-    return Point(pid, coords)
+    return Point(0, coords)
 
 
 def _cmd_compute(args: argparse.Namespace) -> int:
@@ -69,8 +69,6 @@ def _cmd_compute(args: argparse.Namespace) -> int:
         if maybe is None:
             raise TverbergError(f"no Tverberg {args.m}-partition exists")
         partition, tolerance = maybe, 0
-    else:  # pragma: no cover - argparse restricts choices
-        raise TverbergError(f"unknown algorithm {args.algorithm!r}")
 
     out = {
         **jsonio.partition_to_obj(partition),

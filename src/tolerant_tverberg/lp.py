@@ -32,9 +32,6 @@ from typing import Sequence
 
 from .core import Point, TverbergError
 
-_ZERO = 0
-_ONE = 1
-
 
 def lp_feasible(
     rows: Sequence[Sequence[int | Fraction]], rhs: Sequence[int | Fraction]
@@ -179,17 +176,17 @@ def common_intersection(sets: Sequence[Sequence[Point]], dim: int) -> frozenset[
         if i > 0:
             # sum_j a_{i,j} p_{i,j,k} - sum_j a_{0,j} p_{0,j,k} = 0
             for k in range(dim):
-                row = [_ZERO] * ncols
+                row = [0] * ncols
                 for j, p in enumerate(first):
                     row[j] = -p.coords[k]
                 for j, p in enumerate(s):
                     row[offset + j] = p.coords[k]
                 rows.append(row)
-                rhs.append(_ZERO)
-        row = [_ZERO] * ncols
-        row[offset : offset + n] = [_ONE] * n
+                rhs.append(0)
+        row = [0] * ncols
+        row[offset : offset + n] = [1] * n
         rows.append(row)
-        rhs.append(_ONE)
+        rhs.append(1)
         offset += n
 
     support = lp_feasible(rows, rhs)
@@ -204,6 +201,6 @@ def hull_support(c: Point, hull_points: Sequence[Point]) -> frozenset[int] | Non
         return None
     _check_dims(hull_points, c.dim)
     rows = [[p.coords[k] for p in hull_points] for k in range(c.dim)]
-    rows.append([_ONE] * len(hull_points))
-    support = lp_feasible(rows, [*c.coords, _ONE])
+    rows.append([1] * len(hull_points))
+    support = lp_feasible(rows, [*c.coords, 1])
     return None if support is None else frozenset(hull_points[j].id for j in support)

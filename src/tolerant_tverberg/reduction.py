@@ -40,7 +40,7 @@ def center_to_tolerant_instance(point_set: PointSet, c: Point) -> ReducedInstanc
         )
     n = len(point_set)
     if n < 1:
-        raise TverbergError("dimension: empty point set")
+        raise TverbergError("too few points: empty point set")
 
     t = centerpoint_depth(n, d) - 1
 

@@ -96,6 +96,8 @@ def _partition_judge(
     """The sorted ids, the ids of the smallest part, and a judge that
     returns the support of the parts' common point after a removal, or
     None when their hulls no longer meet."""
+    if not partition:
+        raise TverbergError("invalid partition: no parts")
     if not validate_partition(point_set, partition):
         raise TverbergError("invalid partition: does not cover the point set")
     by_id = point_set.by_id()

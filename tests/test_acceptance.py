@@ -148,6 +148,7 @@ def test_c06_merge_lemma_lower_bound():
             dim = rng.choice([1, 2])
             k = rng.choice([2, 3])
             blocks = []
+            union = []
             next_id = 1
             ok = True
             for _ in range(k):
@@ -165,19 +166,19 @@ def test_c06_merge_lemma_lower_bound():
                         ),
                     )
                 next_id += n
+                union += pts.points
                 partition = brute_force_tverberg(pts, 2)
                 if partition is None:
                     ok = False
                     break
-                blocks.append(
-                    MergeBlock(pts, partition, exact_tolerance(pts, partition))
-                )
+                blocks.append(MergeBlock(partition, exact_tolerance(pts, partition)))
             if not ok:
                 continue
             merged = merge_partitions(blocks)
             bound = sum(b.tolerance for b in blocks) + k - 1
             assert merged.tolerance == bound
-            assert verify_tolerance(merged.points, merged.partition, bound) is None
+            P = PointSet(dim, tuple(union))
+            assert verify_tolerance(P, merged.partition, bound) is None
             checked += 1
 
 

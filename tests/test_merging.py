@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import from_coords, from_iterables
 from tolerant_tverberg import (
@@ -19,75 +20,111 @@ def line(*values, start_id=1):
     return from_coords([[v] for v in values], start_id=start_id)
 
 
-def block(values, parts, tolerance, start_id=1):
-    return MergeBlock(
-        points=line(*values, start_id=start_id),
-        partition=from_iterables(parts),
-        tolerance=tolerance,
-    )
+def block(parts, tolerance):
+    return MergeBlock(from_iterables(parts), tolerance)
 
 
 class TestMergePartitions:
     def test_single_block_is_identity(self):
-        b = block([1, 2, 3], [{2}, {1, 3}], 0)
+        b = block([{2}, {1, 3}], 0)
         assert merge_partitions([b]) == b
 
     def test_merged_result_merges_again(self):
-        b1 = block([1, 2, 3], [{2}, {1, 3}], 0)
-        b2 = block([4, 5, 6], [{5}, {4, 6}], 0, start_id=4)
-        b3 = block([7, 8, 9], [{8}, {7, 9}], 0, start_id=7)
+        b1 = block([{2}, {1, 3}], 0)
+        b2 = block([{5}, {4, 6}], 0)
+        b3 = block([{8}, {7, 9}], 0)
         nested = merge_partitions([merge_partitions([b1, b2]), b3])
         assert nested == merge_partitions([b1, b2, b3])
         assert nested.tolerance == 2
 
     def test_two_radon_blocks_gain_one(self):
-        b1 = block([1, 2, 3], [{2}, {1, 3}], 0)
-        b2 = block([4, 5, 6], [{5}, {4, 6}], 0, start_id=4)
+        # blocks on the points 1, 2, 3 and 4, 5, 6 of the line, id = value
+        P = line(1, 2, 3, 4, 5, 6)
+        b1 = block([{2}, {1, 3}], 0)
+        b2 = block([{5}, {4, 6}], 0)
         merged = merge_partitions([b1, b2])
         assert merged.partition == from_iterables(
             [{2, 5}, {1, 3, 4, 6}]
         )
         assert merged.tolerance == 1
-        assert validate_partition(merged.points, merged.partition)
-        assert verify_tolerance(merged.points, merged.partition, 1) is None
+        assert validate_partition(P, merged.partition)
+        assert verify_tolerance(P, merged.partition, 1) is None
 
     def test_three_blocks_claim_two(self):
+        P = line(*range(1, 10))
         blocks = [
-            block([1, 2, 3], [{2}, {1, 3}], 0),
-            block([4, 5, 6], [{5}, {4, 6}], 0, start_id=4),
-            block([7, 8, 9], [{8}, {7, 9}], 0, start_id=7),
+            block([{2}, {1, 3}], 0),
+            block([{5}, {4, 6}], 0),
+            block([{8}, {7, 9}], 0),
         ]
         merged = merge_partitions(blocks)
         assert merged.tolerance == 2
-        assert verify_tolerance(merged.points, merged.partition, 2) is None
+        assert verify_tolerance(P, merged.partition, 2) is None
 
     def test_part_sizes_add_up(self):
-        b1 = block([1, 2, 3, 4, 5], [{2, 4}, {1, 3, 5}], 0)
-        b2 = block([6, 7, 8], [{7}, {6, 8}], 0, start_id=6)
+        b1 = block([{2, 4}, {1, 3, 5}], 0)
+        b2 = block([{7}, {6, 8}], 0)
         merged = merge_partitions([b1, b2])
         assert sorted(len(p) for p in merged.partition) == [3, 5]
 
     def test_mismatched_part_count_rejected(self):
-        b1 = block([1, 2, 3], [{2}, {1, 3}], 0)
-        b2 = block([4, 5, 6], [{4}, {5}, {6}], 0, start_id=4)
-        with pytest.raises(TverbergError, match="incompatible blocks"):
+        b1 = block([{2}, {1, 3}], 0)
+        b2 = block([{4}, {5}, {6}], 0)
+        with pytest.raises(TverbergError, match="^incompatible blocks:"):
             merge_partitions([b1, b2])
 
     def test_overlapping_ids_rejected(self):
-        b1 = block([1, 2, 3], [{2}, {1, 3}], 0)
-        b2 = block([4, 5, 6], [{2}, {1, 3}], 0)  # same ids 1..3
-        with pytest.raises(TverbergError, match="incompatible blocks"):
+        b1 = block([{2}, {1, 3}], 0)
+        b2 = block([{2}, {1, 3}], 0)  # same ids 1..3
+        with pytest.raises(TverbergError, match="^incompatible blocks:"):
             merge_partitions([b1, b2])
 
-    def test_dimension_mismatch_rejected(self):
-        b1 = block([1, 2, 3], [{2}, {1, 3}], 0)
-        b2 = MergeBlock(
-            points=from_coords([[0, 0], [1, 1], [2, 0]], start_id=4),
-            partition=from_iterables([{5}, {4, 6}]),
-            tolerance=0,
+
+# mismatched m and overlap across blocks are the two tests above
+REFUSED = {
+    "no blocks": [],
+    "empty part": [block([{1}, set()], 0)],
+    "overlap within a block": [block([{1, 2}, {2, 3}], 0)],
+    "negative t": [block([{1}, {2, 3}], 0), block([{4}, {5, 6}], -1)],
+}
+
+
+@pytest.mark.parametrize("blocks", REFUSED.values(), ids=REFUSED.keys())
+def test_refusals(blocks):
+    with pytest.raises(TverbergError, match="^incompatible blocks:"):
+        merge_partitions(blocks)
+
+
+@st.composite
+def disjoint_blocks(draw):
+    """Blocks cut from a shuffled id range, each an m-partition with
+    nonempty parts and a tolerance drawn at random."""
+    m = draw(st.integers(1, 4))
+    sizes = draw(st.lists(st.integers(m, m + 4), min_size=1, max_size=5))
+    ids = draw(st.permutations(range(1, sum(sizes) + 1)))
+    blocks = []
+    start = 0
+    for size in sizes:
+        chunk = ids[start : start + size]
+        start += size
+        # the first m ids seed the parts, so none is empty
+        labels = list(range(m)) + draw(
+            st.lists(st.integers(0, m - 1), min_size=size - m, max_size=size - m)
         )
-        with pytest.raises(TverbergError, match="incompatible blocks"):
-            merge_partitions([b1, b2])
+        parts = [[pid for pid, j in zip(chunk, labels) if j == i] for i in range(m)]
+        blocks.append(block(parts, draw(st.integers(0, 5))))
+    return blocks
+
+
+@settings(max_examples=100, deadline=None)
+@given(disjoint_blocks())
+def test_merge_is_the_partwise_union(blocks):
+    merged = merge_partitions(blocks)
+    m = len(blocks[0].partition)
+    assert merged.partition == tuple(
+        frozenset(pid for b in blocks for pid in b.partition[j]) for j in range(m)
+    )
+    assert merged.tolerance == sum(b.tolerance for b in blocks) + len(blocks) - 1
 
 
 class TestChunkAndMerge:
@@ -126,7 +163,7 @@ class TestChunkAndMerge:
         P = line(7, 2, 9, 4, 1, 8, 3)  # blocks of 3, 4 in input order
         solver = get_solver("1d", 1)
         halves = [PointSet(1, P.points[:3]), PointSet(1, P.points[3:])]
-        blocks = [MergeBlock(h, solver.solve(h, 2), 0) for h in halves]
+        blocks = [MergeBlock(solver.solve(h, 2), 0) for h in halves]
         assert chunk_and_merge(P, 2, solver) == merge_partitions(blocks)
 
     def test_too_few_points(self):
@@ -138,32 +175,34 @@ class TestManualBlockSplit:
     def test_two_six_point_blocks_give_one_tolerant_three_partition(self):
         # split twelve points into t+1 = 2 halves by hand, solve each for
         # m = ceil(6/2) = 3 parts, and merge
-        halves = [line(*range(1, 7)), line(*range(7, 13), start_id=7)]
+        P = line(*range(1, 13))
+        halves = [PointSet(1, P.points[:6]), PointSet(1, P.points[6:])]
         blocks = []
         for half in halves:
             partition = brute_force_tverberg(half, 3)
             assert partition is not None
-            blocks.append(MergeBlock(half, partition, 0))
+            blocks.append(MergeBlock(partition, 0))
         merged = merge_partitions(blocks)
         assert len(merged.partition) == 3
         assert merged.tolerance == 1
-        assert verify_tolerance(merged.points, merged.partition, 1) is None
+        assert verify_tolerance(P, merged.partition, 1) is None
 
 
 class TestMergeToleranceLowerBound:
     def test_confirmed_blocks_reach_the_bound(self):
         # block tolerances established by exhaustive search first
-        b1_points = line(1, 2, 3, 4, 5, 6)
+        P = line(1, 2, 3, 4, 5, 6, 10, 20, 30)
+        b1_points = PointSet(1, P.points[:6])
         b1_parts = brute_force_tverberg(b1_points, 2)
         t1 = exact_tolerance(b1_points, b1_parts)
-        b2_points = line(10, 20, 30, start_id=7)
+        b2_points = PointSet(1, P.points[6:])
         b2_parts = brute_force_tverberg(b2_points, 2)
         t2 = exact_tolerance(b2_points, b2_parts)
         merged = merge_partitions(
             [
-                MergeBlock(b1_points, b1_parts, t1),
-                MergeBlock(b2_points, b2_parts, t2),
+                MergeBlock(b1_parts, t1),
+                MergeBlock(b2_parts, t2),
             ]
         )
         assert merged.tolerance == t1 + t2 + 1
-        assert exact_tolerance(merged.points, merged.partition) >= merged.tolerance
+        assert exact_tolerance(P, merged.partition) >= merged.tolerance

@@ -6,6 +6,7 @@ import pytest
 from helpers import from_coords
 from tolerant_tverberg import (
     Point,
+    PointSet,
     TverbergError,
     center_to_tolerant_instance,
     centerpoint_depth,
@@ -52,6 +53,10 @@ class TestConstruction:
     def test_dimension_mismatch(self):
         with pytest.raises(TverbergError, match="dimension"):
             center_to_tolerant_instance(line(1, 2, 3), query(0, 0))
+
+    def test_empty_point_set_is_too_few_points(self):
+        with pytest.raises(TverbergError, match="too few points: empty point set"):
+            center_to_tolerant_instance(PointSet(2, ()), query(0, 0))
 
 
 class TestEquivalence:

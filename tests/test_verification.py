@@ -9,6 +9,7 @@ import oracles
 from helpers import from_coords, from_iterables
 from tolerant_tverberg import (
     Point,
+    PointSet,
     TverbergError,
     centerpoint_depth,
     common_intersection,
@@ -83,6 +84,11 @@ class TestVerifyTolerance:
     def test_invalid_partition_rejected(self):
         with pytest.raises(TverbergError, match="invalid partition"):
             verify_tolerance(FOUR, from_iterables([{1, 2}]), 0)
+        empty = PointSet(1, ())
+        with pytest.raises(TverbergError, match="invalid partition: no parts"):
+            verify_tolerance(empty, (), 0)
+        with pytest.raises(TverbergError, match="invalid partition: no parts"):
+            exact_tolerance(empty, ())
 
     def test_budget_guard(self):
         P = integer_line(30)
