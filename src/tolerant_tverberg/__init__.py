@@ -13,9 +13,9 @@ from .core import (
     PointSet,
     RemovalSet,
     TverbergError,
+    check_partition,
     lex_key,
     to_scalar,
-    validate_partition,
 )
 from .generate import random_point_set
 from .lifting import halve_and_pair, tolerant_tverberg_lifted
@@ -54,6 +54,7 @@ __all__ = [
     "brute_force_tverberg",
     "center_to_tolerant_instance",
     "centerpoint_depth",
+    "check_partition",
     "chunk_and_merge",
     "common_intersection",
     "exact_tolerance",
@@ -69,6 +70,5 @@ __all__ = [
     "tolerant_tverberg_1d",
     "tolerant_tverberg_lifted",
     "tukey_depth",
-    "validate_partition",
     "verify_tolerance",
 ]

@@ -1,9 +1,11 @@
 """Exact-arithmetic point and partition model shared by the whole package.
 
-Coordinates are ints when integral, else Fractions, and nothing divides
-them with ``/``, so every geometric decision made downstream (hull
-membership, LP feasibility, tolerance verdicts) is exact.  Every type
-here is immutable after construction and safe to share across threads.
+``to_scalar`` makes parsed coordinates ints when integral, else
+Fractions; computed points may hold integral Fractions, and no decision
+depends on which.  Nothing divides a coordinate with ``/``, so every
+geometric decision made downstream (hull membership, LP feasibility,
+tolerance verdicts) is exact.  Every type here is immutable after
+construction and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -126,19 +128,23 @@ class PointSet:
         return {p.id: p for p in self.points}
 
 
-def validate_partition(point_set: PointSet, partition: Partition) -> bool:
-    """True iff parts are nonempty, pairwise disjoint and cover exactly
-    the ids of ``point_set``.  Total: never raises."""
-    total = 0
-    union: set[int] = set()
+def check_partition(partition: Partition, ids: frozenset[int]) -> None:
+    """Raise an ``invalid partition: ...`` TverbergError naming the first
+    fault unless ``partition`` has parts, none empty, no id in two parts,
+    and exactly ``ids`` among them."""
+    if not partition:
+        raise TverbergError("invalid partition: no parts")
+    seen: set[int] = set()
     for part in partition:
         if not part:
-            return False
-        total += len(part)
-        union |= part
-    if total != len(union):  # overlap
-        return False
-    return union == set(p.id for p in point_set.points)
+            raise TverbergError("invalid partition: empty part")
+        if not seen.isdisjoint(part):
+            raise TverbergError(f"invalid partition: id {min(seen & part)} in two parts")
+        seen |= part
+    if not seen <= ids:
+        raise TverbergError("invalid partition: ids outside the point set")
+    if len(seen) != len(ids):
+        raise TverbergError("invalid partition: does not cover the point set")
 
 
 def lex_key(p: Point) -> tuple:

@@ -76,6 +76,11 @@ def _cross_section(lo: Point, hi: Point, level: Fraction) -> tuple[Fraction, ...
     return tuple(section)
 
 
+def lifted_points_needed(dim: int, m: int, t: int) -> int:
+    """2^(d-1) (m(t+2)-1), the fewest points ``tolerant_tverberg_lifted`` takes."""
+    return 2 ** (dim - 1) * (m * (t + 2) - 1)
+
+
 def tolerant_tverberg_lifted(point_set: PointSet, m: int, t: int) -> Partition:
     """A t-tolerant Tverberg m-partition in any dimension.
 
@@ -90,7 +95,7 @@ def tolerant_tverberg_lifted(point_set: PointSet, m: int, t: int) -> Partition:
     if t < 0:
         raise TverbergError(f"t must be nonnegative, got t={t}")
     d = point_set.dim
-    need = (2 ** (d - 1)) * (m * (t + 2) - 1)
+    need = lifted_points_needed(d, m, t)
     if len(point_set) < need:
         raise TverbergError(
             f"too few points: need 2^(d-1)(m(t+2)-1) = {need}, got {len(point_set)}"

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Partition, PointSet, TverbergError
+from .core import Partition, PointSet, TverbergError, check_partition
 from .solvers import SolverContract
 
 
@@ -29,14 +29,13 @@ def merge_partitions(blocks: list[MergeBlock]) -> MergeBlock:
     """Part-wise union of the blocks' partitions, tolerant to
     sum(t_i) + k - 1.
 
-    Blocks must agree on part count, claim no negative tolerance, have
-    no empty part, and place no id in two parts, within a block or
-    across blocks.
+    Blocks must agree on part count and claim no negative tolerance, and
+    all their parts together must partition their union: no empty part,
+    and no id in two parts, within a block or across blocks.
     """
     if not blocks:
         raise TverbergError("incompatible blocks: no blocks given")
     m = len(blocks[0].partition)
-    seen: set[int] = set()
     for block in blocks:
         if len(block.partition) != m:
             raise TverbergError(
@@ -44,16 +43,12 @@ def merge_partitions(blocks: list[MergeBlock]) -> MergeBlock:
             )
         if block.tolerance < 0:
             raise TverbergError("incompatible blocks: negative tolerance")
-        for part in block.partition:
-            if not part:
-                raise TverbergError("incompatible blocks: empty part")
-            if not seen.isdisjoint(part):
-                raise TverbergError("incompatible blocks: overlapping ids")
-            seen |= part
 
     parts = tuple(
         frozenset().union(*(block.partition[j] for block in blocks)) for j in range(m)
     )
+    every_part = tuple(part for block in blocks for part in block.partition)
+    check_partition(every_part, frozenset().union(*parts))
     tolerance = sum(block.tolerance for block in blocks) + len(blocks) - 1
     return MergeBlock(parts, tolerance)
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .core import Partition, PointSet, TverbergError
-from .lifting import tolerant_tverberg_lifted
+from .lifting import lifted_points_needed, tolerant_tverberg_lifted
 from .lp import common_intersection
 
 BRUTE_FORCE_CAP = 12
@@ -119,11 +119,16 @@ def brute_force_tverberg(point_set: PointSet, m: int) -> Partition | None:
     return None
 
 
+def _brute_points_needed(dim: int, m: int) -> int:
+    """(d+1)(m-1)+1, the Tverberg number: enough points for an m-partition."""
+    return (dim + 1) * (m - 1) + 1
+
+
 def _solve_brute(point_set: PointSet, m: int) -> Partition:
     """Brute-force the first (d+1)(m-1)+1 points, then put the rest in
     part 0: extra points only grow a hull, so the partition stays Tverberg
     and a block larger than its contract asks stays under the cap."""
-    head = point_set.points[: (point_set.dim + 1) * (m - 1) + 1]
+    head = point_set.points[: _brute_points_needed(point_set.dim, m)]
     partition = brute_force_tverberg(PointSet(point_set.dim, head), m)
     if partition is None:
         raise TverbergError(
@@ -136,12 +141,12 @@ def _solve_brute(point_set: PointSet, m: int) -> Partition:
 def get_solver(name: str, dim: int) -> SolverContract:
     """Look up a solver by CLI name for a given ambient dimension."""
     if name == "brute":
-        return SolverContract(lambda m: (dim + 1) * (m - 1) + 1, _solve_brute)
+        return SolverContract(lambda m: _brute_points_needed(dim, m), _solve_brute)
     if name == "1d" and dim != 1:
         raise TverbergError("solver '1d' only applies to 1-D point sets")
     if name in ("1d", "lift"):
         return SolverContract(
-            lambda m: (2 ** (dim - 1)) * (2 * m - 1),
+            lambda m: lifted_points_needed(dim, m, 0),
             lambda point_set, m: tolerant_tverberg_lifted(point_set, m, 0),
         )
     raise TverbergError(f"unknown solver {name!r} (choose from: brute, 1d, lift)")

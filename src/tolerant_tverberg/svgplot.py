@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 
-from .core import Partition, PointSet, TverbergError
+from .core import Partition, PointSet, TverbergError, check_partition
 
 PALETTE = [
     "#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
@@ -48,12 +48,10 @@ def render_svg(
     if partition is None:
         groups.append((PALETTE[0], list(point_set.points)))
     else:
+        check_partition(partition, point_set.ids())
         by_id = point_set.by_id()
         for j, part in enumerate(partition):
-            color = PALETTE[j % len(PALETTE)]
-            if not part <= by_id.keys():
-                raise TverbergError("invalid partition: ids outside the point set")
-            groups.append((color, [by_id[pid] for pid in sorted(part)]))
+            groups.append((PALETTE[j % len(PALETTE)], [by_id[pid] for pid in sorted(part)]))
     if not removed <= point_set.ids():
         raise TverbergError("invalid removal: ids outside the point set")
 

@@ -24,14 +24,7 @@ import math
 from itertools import combinations
 from typing import Callable
 
-from .core import (
-    Partition,
-    Point,
-    PointSet,
-    RemovalSet,
-    TverbergError,
-    validate_partition,
-)
+from .core import Partition, Point, PointSet, RemovalSet, TverbergError, check_partition
 from .lp import common_intersection, hull_support
 
 DEFAULT_BUDGET = 10**6
@@ -96,10 +89,7 @@ def _partition_judge(
     """The sorted ids, the ids of the smallest part, and a judge that
     returns the support of the parts' common point after a removal, or
     None when their hulls no longer meet."""
-    if not partition:
-        raise TverbergError("invalid partition: no parts")
-    if not validate_partition(point_set, partition):
-        raise TverbergError("invalid partition: does not cover the point set")
+    check_partition(partition, point_set.ids())
     by_id = point_set.by_id()
     parts = [[by_id[pid] for pid in sorted(part)] for part in partition]
 

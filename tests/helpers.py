@@ -1,6 +1,7 @@
 """Short constructors for the point sets and partitions the tests write out."""
 
 from tolerant_tverberg import Point, PointSet, to_scalar
+from tolerant_tverberg.solvers import restricted_growth_strings
 
 
 def from_coords(rows, start_id=1):
@@ -14,3 +15,32 @@ def from_coords(rows, start_id=1):
 def from_iterables(parts):
     """A partition from any iterables of ids, in part order."""
     return tuple(frozenset(part) for part in parts)
+
+
+def line(*values, start_id=1):
+    """A 1-D PointSet with the given coordinates, ids from start_id."""
+    return from_coords([[v] for v in values], start_id=start_id)
+
+
+def integer_line(n):
+    """ids equal coordinates 1..n, handy for reading partitions."""
+    return line(*range(1, n + 1))
+
+
+def pt(pid, *coords):
+    """A Point with id ``pid`` and exact coordinates."""
+    return Point(pid, tuple(to_scalar(c) for c in coords))
+
+
+def query(*coords):
+    """A query point, id 0."""
+    return pt(0, *coords)
+
+
+def all_m_partitions(values, m):
+    """Every split of ``values`` into m nonempty lists, in restricted-growth order."""
+    for rgs in restricted_growth_strings(len(values), m):
+        parts = [[] for _ in range(m)]
+        for v, block in zip(values, rgs):
+            parts[block].append(v)
+        yield parts

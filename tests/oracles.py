@@ -26,11 +26,7 @@ carries a common point.
 from fractions import Fraction
 from itertools import combinations
 
-from tolerant_tverberg import (
-    common_intersection,
-    hull_support,
-    validate_partition,
-)
+from tolerant_tverberg import check_partition, common_intersection, hull_support
 from tolerant_tverberg.solvers import restricted_growth_strings
 
 _ZERO = Fraction(0)
@@ -197,9 +193,9 @@ def degenerate_index_exhaustive(coords, dim):
 
 
 def check_solver_output(point_set, partition) -> bool:
-    """Valid cover and intersecting hulls."""
-    if not validate_partition(point_set, partition):
-        return False
+    """Intersecting hulls; a partition that does not partition the point
+    set raises from ``check_partition``."""
+    check_partition(partition, point_set.ids())
     by_id = point_set.by_id()
     sets = [[by_id[pid] for pid in sorted(part)] for part in partition]
     return common_intersection(sets, point_set.dim) is not None

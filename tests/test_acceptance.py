@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import oracles
-from helpers import from_coords
+from helpers import all_m_partitions, integer_line, line, query
 from tolerant_tverberg import (
     MergeBlock,
     Point,
@@ -29,13 +29,11 @@ from tolerant_tverberg import (
     max_tolerance_1d,
     merge_partitions,
     random_point_set,
-    to_scalar,
     tolerant_tverberg_1d,
     tolerant_tverberg_lifted,
     tukey_depth,
     verify_tolerance,
 )
-from tolerant_tverberg.solvers import restricted_growth_strings
 
 
 @contextmanager
@@ -46,26 +44,6 @@ def criterion(label):
         print(f"[FAIL] {label}")
         raise
     print(f"[PASS] {label}")
-
-
-def line(*values, start_id=1):
-    return from_coords([[v] for v in values], start_id=start_id)
-
-
-def integer_line(n):
-    return line(*range(1, n + 1))
-
-
-def query(*coords):
-    return Point(0, tuple(to_scalar(c) for c in coords))
-
-
-def all_m_partitions(values, m):
-    for rgs in restricted_growth_strings(len(values), m):
-        parts = [[] for _ in range(m)]
-        for v, block in zip(values, rgs):
-            parts[block].append(v)
-        yield parts
 
 
 def test_c01_one_dimensional_tight_bound():

@@ -180,13 +180,55 @@ def test_bad_m_or_t_is_exit_2(tmp_path, capsys, flags, message):
      "point 1 has 1 coords, expected 2"),
     (["plot", "--input", "planar.json", "--removal", "99", "--output", "o.svg"],
      "invalid removal: ids outside the point set"),
+    (["verify", "--input", "planar.json", "--partition", "overlap.json", "--t", "0"],
+     "invalid partition: id 4 in two parts"),
+    (["tolerance", "--input", "planar.json", "--partition", "empty_part.json"],
+     "invalid partition: empty part"),
+    (["verify", "--input", "planar.json", "--partition", "no_parts.json", "--t", "0"],
+     "invalid partition: no parts"),
+    (["verify", "--input", "planar.json", "--partition", "foreign.json", "--t", "0"],
+     "invalid partition: ids outside the point set"),
+    (["plot", "--input", "planar.json", "--partition", "overlap.json", "--output", "o.svg"],
+     "invalid partition: id 4 in two parts"),
+    (["plot", "--input", "planar.json", "--partition", "partial.json", "--output", "o.svg"],
+     "invalid partition: does not cover the point set"),
+    (["plot", "--input", "planar.json", "--partition", "empty_part.json", "--output", "o.svg"],
+     "invalid partition: empty part"),
+    (["depth", "--input", "points_not_list.json", "--point", "0"], "'points' must be a list"),
+    (["depth", "--input", "text_id.json", "--point", "0"],
+     "point id must be an integer, got 'x'"),
+    (["depth", "--input", "coords_not_list.json", "--point", "0"],
+     "coords of point 1 must be a list"),
+    (["depth", "--input", "dim_0.json", "--point", "0"], "dimension must be positive, got 0"),
+    (["tolerance", "--input", "planar.json", "--partition", "no_key.json"],
+     "partition JSON must have 'parts'"),
+    (["tolerance", "--input", "planar.json", "--partition", "parts_not_list.json"],
+     "'parts' must be a list"),
+    (["tolerance", "--input", "planar.json", "--partition", "text_part_id.json"],
+     "each part must be a list of integer ids"),
+    (["compute", "--input", "planar.json", "--algorithm", "chunk_merge", "--m", "2"],
+     "algorithm 'chunk_merge' requires --solver"),
+    (["gen", "--n", "0", "--dim", "2"], "bad generator parameters: n=0, dim=2, grid=1000"),
+    (["gen", "--n", "10", "--dim", "1", "--grid", "3"],
+     "could not reach general position for n=10, dim=1, grid=3"),
 ])
 def test_each_error_kind_is_one_exact_line(tmp_path, capsys, argv, message):
     docs = {
         "planar.json": point_set_to_obj(random_point_set(7, 2, seed=0)),
         "short.json": {"dim": 2, "points": [{"id": 1, "coords": [0]}]},
+        "points_not_list.json": {"dim": 1, "points": {}},
+        "text_id.json": {"dim": 1, "points": [{"id": "x", "coords": [0]}]},
+        "coords_not_list.json": {"dim": 1, "points": [{"id": 1, "coords": 0}]},
+        "dim_0.json": {"dim": 0, "points": [{"id": 1, "coords": []}]},
         "partial.json": {"parts": [[1, 2], [3]]},
         "split.json": {"parts": [[1, 2, 3], [4, 5, 6, 7]]},
+        "overlap.json": {"parts": [[1, 2, 3, 4], [4, 5, 6, 7]]},
+        "empty_part.json": {"parts": [[1, 2, 3, 4, 5, 6, 7], []]},
+        "no_parts.json": {"parts": []},
+        "foreign.json": {"parts": [[1, 2, 3], [4, 5, 6, 7, 99]]},
+        "no_key.json": {"part": [[1, 2, 3, 4, 5, 6, 7]]},
+        "parts_not_list.json": {"parts": {}},
+        "text_part_id.json": {"parts": [[1, 2, 3], [4, 5, 6, "7"]]},
     }
     for name, doc in docs.items():
         (tmp_path / name).write_text(json.dumps(doc))

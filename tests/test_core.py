@@ -5,16 +5,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 import tolerant_tverberg
-from helpers import from_coords, from_iterables
+from helpers import from_coords, from_iterables, line, pt
 from oracles import lex_key_plain
 from tolerant_tverberg import (
     Point,
     PointSet,
     TverbergError,
+    check_partition,
     jsonio,
     lex_key,
     to_scalar,
-    validate_partition,
 )
 
 
@@ -32,20 +32,12 @@ def test_public_names_are_pinned():
         "BRUTE_FORCE_CAP", "DEFAULT_BUDGET", "MergeBlock", "Partition", "Point",
         "PointSet", "ReducedInstance", "RemovalSet", "SolverContract", "TverbergError",
         "brute_force_tverberg", "center_to_tolerant_instance", "centerpoint_depth",
-        "chunk_and_merge", "common_intersection", "exact_tolerance", "get_solver",
-        "halve_and_pair", "hull_support", "lex_key", "max_tolerance_1d",
+        "check_partition", "chunk_and_merge", "common_intersection", "exact_tolerance",
+        "get_solver", "halve_and_pair", "hull_support", "lex_key", "max_tolerance_1d",
         "merge_partitions", "random_point_set", "render_svg", "to_scalar",
         "tolerant_tverberg_1d", "tolerant_tverberg_lifted", "tukey_depth",
-        "validate_partition", "verify_tolerance",
+        "verify_tolerance",
     ]
-
-
-def pt(pid, *coords):
-    return Point(pid, tuple(to_scalar(c) for c in coords))
-
-
-def pset(*values, start_id=1):
-    return from_coords([[v] for v in values], start_id=start_id)
 
 
 class TestScalar:
@@ -103,30 +95,52 @@ class TestScalar:
 
 
 class TestValidatePartition:
+    """check_partition accepts a partition of the ids and names the first fault otherwise."""
+
     def test_disjoint_cover(self):
-        P = pset(10, 20, 30, 40)
-        T = from_iterables([{1, 3}, {2, 4}])
-        assert validate_partition(P, T)
+        P = line(10, 20, 30, 40)
+        assert check_partition(from_iterables([{1, 3}, {2, 4}]), P.ids()) is None
 
     def test_overlap_rejected(self):
-        P = pset(10, 20, 30, 40)
+        P = line(10, 20, 30, 40)
         T = from_iterables([{1, 2}, {2, 4}])
-        assert not validate_partition(P, T)
+        with pytest.raises(TverbergError, match="^invalid partition: id 2 in two parts$"):
+            check_partition(T, P.ids())
 
     def test_uncovered_id_rejected(self):
-        P = pset(10, 20, 30, 40)
+        P = line(10, 20, 30, 40)
         T = from_iterables([{1, 2}, {4}])
-        assert not validate_partition(P, T)
+        with pytest.raises(TverbergError, match="^invalid partition: does not cover the point set$"):
+            check_partition(T, P.ids())
 
     def test_empty_part_rejected(self):
-        P = pset(10, 20)
-        T = from_iterables([{1, 2}, set()])
-        assert not validate_partition(P, T)
+        P = line(10, 20)
+        for T in (from_iterables([{1, 2}, set()]), from_iterables([set(), {1, 2}])):
+            with pytest.raises(TverbergError, match="^invalid partition: empty part$"):
+                check_partition(T, P.ids())
 
     def test_foreign_id_rejected(self):
-        P = pset(10, 20)
+        P = line(10, 20)
         T = from_iterables([{1, 2, 99}])
-        assert not validate_partition(P, T)
+        with pytest.raises(TverbergError, match="^invalid partition: ids outside the point set$"):
+            check_partition(T, P.ids())
+
+    def test_no_parts_rejected(self):
+        for ids in (frozenset(), line(10).ids()):
+            with pytest.raises(TverbergError, match="^invalid partition: no parts$"):
+                check_partition((), ids)
+
+    def test_first_fault_is_named(self):
+        # parts are read in order; membership is judged once all are read
+        cases = [
+            ([{1, 2}, {2, 3}, {99}], "id 2 in two parts"),
+            ([{1, 3}, {3, 4}, {2, 4}], "id 3 in two parts"),
+            ([{1, 99}, set()], "empty part"),
+            ([{1}, {99}], "ids outside the point set"),
+        ]
+        for parts, fault in cases:
+            with pytest.raises(TverbergError, match=f"^invalid partition: {fault}$"):
+                check_partition(from_iterables(parts), line(10, 20, 30, 40).ids())
 
 
 class TestTotalOrder1D:
@@ -204,7 +218,7 @@ class TestJson:
         assert again == P
 
     def test_output_is_num_den_strings(self):
-        P = pset(3)
+        P = line(3)
         obj = jsonio.point_set_to_obj(P)
         assert obj["points"][0]["coords"] == ["3/1"]
 
@@ -228,7 +242,7 @@ class TestJson:
             jsonio.point_set_from_obj(raw)
 
     def test_dumps_stable(self):
-        P = pset(1, 2)
+        P = line(1, 2)
         text = jsonio.dumps(jsonio.point_set_to_obj(P))
         assert text == jsonio.dumps(jsonio.point_set_to_obj(P))
         json.loads(text)  # well-formed

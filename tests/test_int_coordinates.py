@@ -45,6 +45,19 @@ def test_library_never_divides_with_a_slash():
     assert offenders == []
 
 
+def test_library_never_asserts():
+    """Every re-check must survive ``python -O``, which strips ``assert``."""
+    paths = sorted(Path(tolerant_tverberg.__file__).parent.glob("*.py"))
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path in paths
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert {"lp.py", "svgplot.py", "verification.py"} <= {path.name for path in paths}
+    assert offenders == []
+
+
 @st.composite
 def integer_instances(draw):
     """d = 1..3, 2..9 points on a small grid, so ties and duplicate

@@ -8,13 +8,13 @@ from helpers import from_coords
 from oracles import cross_section_fraction
 from tolerant_tverberg import (
     TverbergError,
+    check_partition,
     exact_tolerance,
     halve_and_pair,
     lex_key,
     random_point_set,
     tolerant_tverberg_1d,
     tolerant_tverberg_lifted,
-    validate_partition,
     verify_tolerance,
 )
 
@@ -132,6 +132,10 @@ class TestHalveAndPair:
         with pytest.raises(TverbergError, match="dimension"):
             halve_and_pair(from_coords([[1], [2]]))
 
+    def test_one_point_rejected(self):
+        with pytest.raises(TverbergError, match="^too few points: need 2, got 1$"):
+            halve_and_pair(from_coords([[1, 2]]))
+
 
 class TestLiftPartition:
     """Substitution back through the pairs, seen from the lifted solver."""
@@ -156,7 +160,7 @@ class TestLiftPartition:
         assert dropped == 4
         T = tolerant_tverberg_lifted(P, 2, 0)
         assert dropped in T[1]
-        assert validate_partition(P, T)
+        check_partition(T, P.ids())
 
 
 class TestLiftedSolver:
@@ -173,26 +177,26 @@ class TestLiftedSolver:
     def test_plane_two_parts_one_tolerant(self, seed):
         P = random_point_set(10, 2, grid=400, seed=seed)
         T = tolerant_tverberg_lifted(P, 2, 1)
-        assert validate_partition(P, T)
+        check_partition(T, P.ids())
         assert verify_tolerance(P, T, 1) is None
 
     def test_plane_three_parts_two_tolerant(self):
         P = random_point_set(22, 2, grid=400, seed=12)
         T = tolerant_tverberg_lifted(P, 3, 2)
-        assert validate_partition(P, T)
+        check_partition(T, P.ids())
         assert verify_tolerance(P, T, 2) is None
 
     def test_three_dimensions(self):
         P = random_point_set(12, 3, grid=300, seed=4)  # 2^2 * 3 points
         T = tolerant_tverberg_lifted(P, 2, 0)
-        assert validate_partition(P, T)
+        check_partition(T, P.ids())
         assert verify_tolerance(P, T, 0) is None
 
     def test_point_conservation(self):
         P = random_point_set(13, 2, grid=300, seed=6)  # odd: one drop absorbed
         T = tolerant_tverberg_lifted(P, 2, 1)
         assert frozenset().union(*T) == P.ids()
-        assert validate_partition(P, T)
+        check_partition(T, P.ids())
 
     def test_lift_preserves_projected_tolerance(self):
         rng = random.Random(44)
@@ -229,5 +233,5 @@ def degenerate_instances(draw):
 def test_lifted_partition_is_tolerant_on_degenerate_inputs(instance):
     P, m, t = instance
     T = tolerant_tverberg_lifted(P, m, t)
-    assert validate_partition(P, T)
+    check_partition(T, P.ids())
     assert verify_tolerance(P, T, t) is None

@@ -10,23 +10,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from helpers import pt
 from tolerant_tverberg import (
     Point,
     TverbergError,
     common_intersection,
     hull_support,
     lp,
-    to_scalar,
 )
 from tolerant_tverberg.lp import lp_feasible
 
 
 def F(*args):
     return Fraction(*args)
-
-
-def pt(pid, *coords):
-    return Point(pid, tuple(to_scalar(c) for c in coords))
 
 
 def pts_1d(values, start_id=0):

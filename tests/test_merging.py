@@ -1,23 +1,19 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import from_coords, from_iterables
+from helpers import from_iterables, line
 from tolerant_tverberg import (
     MergeBlock,
     PointSet,
     TverbergError,
     brute_force_tverberg,
+    check_partition,
     chunk_and_merge,
     exact_tolerance,
     get_solver,
     merge_partitions,
-    validate_partition,
     verify_tolerance,
 )
-
-
-def line(*values, start_id=1):
-    return from_coords([[v] for v in values], start_id=start_id)
 
 
 def block(parts, tolerance):
@@ -47,7 +43,7 @@ class TestMergePartitions:
             [{2, 5}, {1, 3, 4, 6}]
         )
         assert merged.tolerance == 1
-        assert validate_partition(P, merged.partition)
+        check_partition(merged.partition, P.ids())
         assert verify_tolerance(P, merged.partition, 1) is None
 
     def test_three_blocks_claim_two(self):
@@ -76,22 +72,28 @@ class TestMergePartitions:
     def test_overlapping_ids_rejected(self):
         b1 = block([{2}, {1, 3}], 0)
         b2 = block([{2}, {1, 3}], 0)  # same ids 1..3
-        with pytest.raises(TverbergError, match="^incompatible blocks:"):
+        with pytest.raises(TverbergError, match="^invalid partition: id 2 in two parts$"):
             merge_partitions([b1, b2])
 
 
 # mismatched m and overlap across blocks are the two tests above
 REFUSED = {
-    "no blocks": [],
-    "empty part": [block([{1}, set()], 0)],
-    "overlap within a block": [block([{1, 2}, {2, 3}], 0)],
-    "negative t": [block([{1}, {2, 3}], 0), block([{4}, {5, 6}], -1)],
+    "no blocks": ([], "incompatible blocks: no blocks given"),
+    "no parts": ([block([], 0), block([], 1)], "invalid partition: no parts"),
+    "empty part": ([block([{1}, set()], 0)], "invalid partition: empty part"),
+    "overlap within a block": (
+        [block([{1, 2}, {2, 3}], 0)], "invalid partition: id 2 in two parts"
+    ),
+    "negative t": (
+        [block([{1}, {2, 3}], 0), block([{4}, {5, 6}], -1)],
+        "incompatible blocks: negative tolerance",
+    ),
 }
 
 
-@pytest.mark.parametrize("blocks", REFUSED.values(), ids=REFUSED.keys())
-def test_refusals(blocks):
-    with pytest.raises(TverbergError, match="^incompatible blocks:"):
+@pytest.mark.parametrize("blocks,message", REFUSED.values(), ids=REFUSED.keys())
+def test_refusals(blocks, message):
+    with pytest.raises(TverbergError, match=f"^{message}$"):
         merge_partitions(blocks)
 
 
@@ -133,20 +135,20 @@ class TestChunkAndMerge:
         solver = get_solver("1d", 1)
         merged = chunk_and_merge(P, 2, solver)
         assert merged.tolerance == 3
-        assert validate_partition(P, merged.partition)
+        check_partition(merged.partition, P.ids())
         assert verify_tolerance(P, merged.partition, 3) is None
 
     def test_exact_single_block(self):
         P = line(5, 1, 9)
         merged = chunk_and_merge(P, 2, get_solver("1d", 1))
         assert merged.tolerance == 0
-        assert validate_partition(P, merged.partition)
+        check_partition(merged.partition, P.ids())
 
     def test_remainder_goes_to_last_block(self):
         P = line(*range(1, 12))  # 11 points, block size 3 -> 3 blocks of 3,3,5
         merged = chunk_and_merge(P, 2, get_solver("1d", 1))
         assert merged.tolerance == 2
-        assert validate_partition(P, merged.partition)
+        check_partition(merged.partition, P.ids())
         assert verify_tolerance(P, merged.partition, 2) is None
 
     def test_two_blocks_of_six_with_brute_solver(self):

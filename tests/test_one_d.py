@@ -4,27 +4,18 @@ from itertools import combinations
 import pytest
 
 import oracles
-from helpers import from_coords, from_iterables
+from helpers import all_m_partitions, from_coords, from_iterables, integer_line, line
 from tolerant_tverberg import (
     Point,
     PointSet,
     TverbergError,
+    check_partition,
     max_tolerance_1d,
     to_scalar,
     tolerant_tverberg_1d,
-    validate_partition,
     verify_tolerance,
 )
 from tolerant_tverberg.solvers import restricted_growth_strings
-
-
-def line(*values, start_id=1):
-    return from_coords([[v] for v in values], start_id=start_id)
-
-
-def integer_line(n):
-    """ids equal coordinates 1..n, handy for reading partitions."""
-    return line(*range(1, n + 1))
 
 
 def parts_as_values(point_set, partition):
@@ -145,7 +136,7 @@ class TestConstruction:
     def test_duplicate_coordinates_are_fine(self):
         P = line(5, 5, 5, 5, 5, 1, 2)  # ids break the ties
         res = tolerant_tverberg_1d(P, 2)
-        assert validate_partition(P, res)
+        check_partition(res, P.ids())
         assert verify_tolerance(P, res, max_tolerance_1d(7, 2)) is None
 
 
@@ -161,7 +152,7 @@ class TestToleranceSoundness:
             P = line(*(f"{c}/{d}" for c, d in zip(coords, dens)))
             res = tolerant_tverberg_1d(P, m)
             assert max_tolerance_1d(n, m) == t
-            assert validate_partition(P, res)
+            check_partition(res, P.ids())
             assert verify_tolerance(P, res, t) is None
 
     @pytest.mark.parametrize("m,n", [(2, 6), (2, 9), (3, 12), (3, 13)])
@@ -170,7 +161,7 @@ class TestToleranceSoundness:
         values = rng.sample(range(-99, 99), n)
         P = line(*values)
         res = tolerant_tverberg_1d(P, m)
-        assert validate_partition(P, res)
+        check_partition(res, P.ids())
         assert verify_tolerance(P, res, max_tolerance_1d(n, m)) is None
 
     def test_monotone_under_augmentation(self):
@@ -182,14 +173,6 @@ class TestToleranceSoundness:
             parts[j].add(8)  # id of the appended coordinate 100
             grown = from_iterables(parts)
             assert verify_tolerance(bigger, grown, 2) is None
-
-
-def all_m_partitions(values, m):
-    for rgs in restricted_growth_strings(len(values), m):
-        parts = [[] for _ in range(m)]
-        for v, block in zip(values, rgs):
-            parts[block].append(v)
-        yield parts
 
 
 class TestTightnessAndSizes:

@@ -3,26 +3,16 @@ from itertools import combinations
 
 import pytest
 
-from helpers import from_coords
+from helpers import line, query
 from tolerant_tverberg import (
-    Point,
     PointSet,
     TverbergError,
     center_to_tolerant_instance,
     centerpoint_depth,
     hull_support,
-    to_scalar,
     tukey_depth,
     verify_tolerance,
 )
-
-
-def line(*values):
-    return from_coords([[v] for v in values])
-
-
-def query(*coords):
-    return Point(0, tuple(to_scalar(c) for c in coords))
 
 
 class TestConstruction:

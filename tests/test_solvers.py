@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from helpers import from_coords
+from helpers import from_coords, line
 from oracles import brute_force_tverberg_exhaustive, check_solver_output
 from tolerant_tverberg import (
     BRUTE_FORCE_CAP,
@@ -17,10 +17,6 @@ from tolerant_tverberg import (
     solvers,
     tolerant_tverberg_1d,
 )
-
-
-def line(*values):
-    return from_coords([[v] for v in values])
 
 
 class TestBruteForce:
@@ -113,6 +109,20 @@ class TestBoxFilter:
         assert len(oracle_lps) == 171
 
 
+# points_needed(m) for m = 1..5: brute (d+1)(m-1)+1, lift 2^(d-1)(2m-1)
+POINTS_NEEDED = {
+    ("brute", 1): [1, 3, 5, 7, 9],
+    ("brute", 2): [1, 4, 7, 10, 13],
+    ("brute", 3): [1, 5, 9, 13, 17],
+    ("brute", 4): [1, 6, 11, 16, 21],
+    ("1d", 1): [1, 3, 5, 7, 9],
+    ("lift", 1): [1, 3, 5, 7, 9],
+    ("lift", 2): [2, 6, 10, 14, 18],
+    ("lift", 3): [4, 12, 20, 28, 36],
+    ("lift", 4): [8, 24, 40, 56, 72],
+}
+
+
 class TestContracts:
     def test_both_1d_routes_verify_at_minimum_size(self):
         rng = random.Random(6)
@@ -151,6 +161,17 @@ class TestContracts:
         assert get_solver("1d", 1).points_needed(2) == 3
         assert get_solver("lift", 2).points_needed(2) == 6
         assert get_solver("lift", 3).points_needed(2) == 12
+        for (name, dim), needed in POINTS_NEEDED.items():
+            solver = get_solver(name, dim)
+            assert [solver.points_needed(m) for m in range(1, 6)] == needed
+            if name == "brute":
+                continue
+            # the lifted solver takes exactly as few points as its contract names
+            for m, n in enumerate(needed, start=1):
+                P = from_coords([[i] * dim for i in range(n)])
+                assert len(solver.solve(P, m)) == m
+                with pytest.raises(TverbergError, match="^too few points"):
+                    solver.solve(PointSet(dim, P.points[:-1]), m)
 
     def test_1d_solver_requires_1d(self):
         with pytest.raises(TverbergError):

@@ -6,9 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from helpers import from_coords, from_iterables
+from helpers import from_coords, from_iterables, integer_line, line, query
 from tolerant_tverberg import (
-    Point,
     PointSet,
     TverbergError,
     centerpoint_depth,
@@ -17,24 +16,11 @@ from tolerant_tverberg import (
     hull_support,
     lp,
     random_point_set,
-    to_scalar,
     tolerant_tverberg_1d,
     tolerant_tverberg_lifted,
     tukey_depth,
     verify_tolerance,
 )
-
-
-def line(*values, start_id=1):
-    return from_coords([[v] for v in values], start_id=start_id)
-
-
-def integer_line(n):
-    return line(*range(1, n + 1))
-
-
-def query(*coords):
-    return Point(0, tuple(to_scalar(c) for c in coords))
 
 
 FOUR = integer_line(4)
@@ -82,8 +68,14 @@ class TestVerifyTolerance:
         assert removal_separates(P, T, removal)
 
     def test_invalid_partition_rejected(self):
-        with pytest.raises(TverbergError, match="invalid partition"):
+        with pytest.raises(TverbergError, match="^invalid partition: does not cover the point set$"):
             verify_tolerance(FOUR, from_iterables([{1, 2}]), 0)
+        with pytest.raises(TverbergError, match="^invalid partition: id 2 in two parts$"):
+            verify_tolerance(FOUR, from_iterables([{1, 2}, {2, 3, 4}]), 0)
+        with pytest.raises(TverbergError, match="^invalid partition: empty part$"):
+            exact_tolerance(FOUR, from_iterables([{1, 2, 3, 4}, set()]))
+        with pytest.raises(TverbergError, match="^invalid partition query: t=-1$"):
+            verify_tolerance(FOUR, SPLIT, -1)
         empty = PointSet(1, ())
         with pytest.raises(TverbergError, match="invalid partition: no parts"):
             verify_tolerance(empty, (), 0)
@@ -192,6 +184,10 @@ class TestTukeyDepth:
     def test_triangle_centroid(self):
         tri = from_coords([[0, 0], [3, 0], [0, 3]])
         assert tukey_depth(query(1, 1), tri) == 1
+
+    def test_query_of_another_dimension_rejected(self):
+        with pytest.raises(TverbergError, match="^dimension: query has dim 2, point set has 1$"):
+            tukey_depth(query(0, 0), integer_line(3))
 
     def test_budget_is_a_total_over_sizes(self):
         # sizes 0..6 enumerate sum C(11, r) = 1486 removal sets
