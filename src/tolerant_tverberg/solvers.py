@@ -120,8 +120,14 @@ def brute_force_tverberg(point_set: PointSet, m: int) -> Partition | None:
 
 
 def _brute_points_needed(dim: int, m: int) -> int:
-    """(d+1)(m-1)+1, the Tverberg number: enough points for an m-partition."""
-    return (dim + 1) * (m - 1) + 1
+    """(d+1)(m-1)+1, the Tverberg number: enough points for an m-partition.
+    Refused when over the cap, before any block is solved."""
+    n = (dim + 1) * (m - 1) + 1
+    if n > BRUTE_FORCE_CAP:
+        raise TverbergError(
+            f"instance too large for brute force: blocks of {n} points > cap {BRUTE_FORCE_CAP}"
+        )
+    return n
 
 
 def _solve_brute(point_set: PointSet, m: int) -> Partition:

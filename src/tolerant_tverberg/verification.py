@@ -1,12 +1,15 @@
-"""Exhaustive, exact checking of tolerance, Tukey depth and centerpoints.
+"""Exact checking of tolerance, Tukey depth and centerpoints.
 
-Tolerance testing is coNP-complete in general, so these routines run a
-budgeted exhaustive search: every removal set of the critical size is
-enumerated in lexicographic id order, and each one that could refute is
-judged by one exact LP: a simplex on a fraction-free integer tableau,
-whose witnesses re-check by exact substitution.  That makes them
-oracles for desk-scale instances rather than scalable algorithms, which
-is exactly their job here.
+Tolerance testing is coNP-complete in general, so ``verify_tolerance``
+and ``exact_tolerance`` run a budgeted exhaustive search: every removal
+set of the critical size is enumerated in lexicographic id order, and
+each one that could refute is judged by one exact LP: a simplex on a
+fraction-free integer tableau, whose witnesses re-check by exact
+substitution.  That makes them oracles for desk-scale instances rather
+than scalable algorithms, which is exactly their job here.  Tukey depth
+takes the same ascent from d = 3 on; in the line and the plane it is
+counted directly, by an exact O(n log n) angular sweep in integers that
+enumerates no removal set and solves no LP.
 
 Every feasible LP reports its witness's support, the points with
 nonzero weight; a basic witness has at most one per LP row (Carathéodory).
@@ -15,12 +18,14 @@ it cannot refute and is skipped; only removals that hit every support
 found so far are judged.  Skipped sets never refute, so the reported
 refutation is still the lexicographically first: ``verify_tolerance``
 returns that removal itself, or None when the partition is tolerant.
-The budget is charged for every removal set of a level, judged or not.
+The budget is charged for every removal set of a level, judged or not,
+and bounds only enumerated removal sets: the planar sweep is not charged.
 """
 
 from __future__ import annotations
 
 import math
+from functools import cmp_to_key
 from itertools import combinations
 from typing import Callable
 
@@ -104,7 +109,9 @@ def tukey_depth(c: Point, point_set: PointSet, budget: int = DEFAULT_BUDGET) -> 
     """Depth of c with respect to the point set: the smallest number of
     deletions that pulls c out of the convex hull of the rest.
 
-    Searched by ascending removal size; each candidate removal is judged
+    In the line and the plane it is counted directly, with no removal set
+    enumerated, so ``budget`` is not used there.  From d = 3 on it is
+    searched by ascending removal size; each candidate removal is judged
     by an exact hull-membership LP, and the supports found at one size
     prune every later size.  Removing all n points always evicts c, so
     size n is charged but not judged.  ``budget`` bounds the removal
@@ -114,6 +121,12 @@ def tukey_depth(c: Point, point_set: PointSet, budget: int = DEFAULT_BUDGET) -> 
         raise TverbergError(
             f"dimension: query has dim {c.dim}, point set has {point_set.dim}"
         )
+    if c.dim == 1:  # the closed half-lines at c: the points on either side
+        x = c.coords[0]
+        values = [p.coords[0] for p in point_set.points]
+        return min(sum(v <= x for v in values), sum(v >= x for v in values))
+    if c.dim == 2:
+        return _planar_depth(c, point_set.points)
     ids = sorted(point_set.ids())
     by_id = point_set.by_id()
 
@@ -121,6 +134,54 @@ def tukey_depth(c: Point, point_set: PointSet, budget: int = DEFAULT_BUDGET) -> 
         return hull_support(c, [by_id[pid] for pid in ids if pid not in removed])
 
     return _first_refuted_size(ids, len(ids), judge, budget)
+
+
+def _planar_depth(c: Point, points: tuple[Point, ...]) -> int:
+    """Planar depth by an angular sweep around c, in integers.
+
+    A closed half-plane through c holds the z points at c and every
+    v_j = p_j - c outside the opposite open half-plane, and the most an
+    open half-plane through c holds is the most v_j in one half-open arc
+    [v_k, v_k + pi).  So depth = z + #{v} - that maximum; n when every
+    point is c.  Coordinates are scaled by the lcm of their denominators
+    and directions reduced by their gcd, then sorted counter-clockwise by
+    half-plane and cross product; the arc's far end only moves forward.
+    """
+    scale = math.lcm(*(x.denominator for p in (c, *points) for x in p.coords))
+    cx, cy = (x.numerator * (scale // x.denominator) for x in c.coords)
+    weights: dict[tuple[int, int], int] = {}
+    for p in points:
+        x, y = (v.numerator * (scale // v.denominator) for v in p.coords)
+        x, y = x - cx, y - cy
+        if x or y:
+            g = math.gcd(x, y)
+            u = (x // g, y // g)
+            weights[u] = weights.get(u, 0) + 1
+    if not weights:
+        return len(points)
+    order = cmp_to_key(_ccw_cmp)
+    dirs = sorted((u for u in weights if u[1] > 0 or (u[1] == 0 and u[0] > 0)), key=order)
+    dirs += sorted((u for u in weights if u[1] < 0 or (u[1] == 0 and u[0] < 0)), key=order)
+    k = len(dirs)
+    best = inside = end = 0  # inside: the v_j strictly between dirs[i] and dirs[end]
+    for i, (ux, uy) in enumerate(dirs):
+        if end <= i:
+            end, inside = i + 1, 0
+        while end < i + k:
+            vx, vy = dirs[end % k]
+            if ux * vy - uy * vx <= 0:
+                break
+            inside += weights[vx, vy]
+            end += 1
+        best = max(best, weights[ux, uy] + inside)
+        if end > i + 1:
+            inside -= weights[dirs[(i + 1) % k]]
+    return len(points) - best
+
+
+def _ccw_cmp(u: tuple[int, int], v: tuple[int, int]) -> int:
+    """Negative when v lies counter-clockwise of u, within half a turn."""
+    return u[1] * v[0] - u[0] * v[1]
 
 
 def _first_refuted_size(ids: list[int], stop: int, judge: Judge, budget: int) -> int:

@@ -338,6 +338,16 @@ def test_brute_beyond_the_cap_is_exit_2(tmp_path, capsys):
     assert captured.err == "error: instance too large for brute force: 13 > cap 12\n"
 
 
+def test_chunk_merge_brute_blocks_over_the_cap_is_exit_2(tmp_path, capsys):
+    pts = tmp_path / "p.json"
+    pts.write_text(dumps(point_set_to_obj(random_point_set(40, 3, seed=1))))
+    assert main(["compute", "--input", str(pts), "--algorithm", "chunk_merge",
+                 "--m", "5", "--solver", "brute"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: instance too large for brute force: blocks of 17 points > cap 12\n"
+
+
 def _run_main(argv, tmp_path):
     """Exit code, stdout, stderr and the bytes of o.svg/o.json after main(argv)."""
     out, err = io.StringIO(), io.StringIO()

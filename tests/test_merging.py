@@ -12,6 +12,8 @@ from tolerant_tverberg import (
     exact_tolerance,
     get_solver,
     merge_partitions,
+    random_point_set,
+    solvers,
     verify_tolerance,
 )
 
@@ -159,6 +161,22 @@ class TestChunkAndMerge:
         merged = chunk_and_merge(P, 3, solver)
         # floor(12/5) = 2 blocks
         assert merged.tolerance == 1
+        assert verify_tolerance(P, merged.partition, 1) is None
+
+    def test_brute_blocks_over_the_cap_refused_before_solving(self, monkeypatch):
+        # d = 3, m = 5: the Tverberg number is 17, over the cap of 12
+        monkeypatch.setattr(solvers, "brute_force_tverberg",
+                            lambda *args: pytest.fail("a block was solved"))
+        with pytest.raises(TverbergError) as excinfo:
+            chunk_and_merge(random_point_set(40, 3, seed=1), 5, get_solver("brute", 3))
+        assert str(excinfo.value) == "instance too large for brute force: blocks of 17 points > cap 12"
+
+    def test_brute_blocks_under_the_cap_merge_in_3d(self):
+        # d = 3, m = 2: eight blocks of 5 points merge to tolerance 7
+        P = random_point_set(40, 3, seed=1)
+        merged = chunk_and_merge(P, 2, get_solver("brute", 3))
+        assert merged.tolerance == 7
+        check_partition(merged.partition, P.ids())
         assert verify_tolerance(P, merged.partition, 1) is None
 
     def test_blocks_follow_input_order(self):

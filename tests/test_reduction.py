@@ -1,9 +1,11 @@
+import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
-from helpers import line, query
+import oracles
+from helpers import from_coords, line, query
 from tolerant_tverberg import (
     PointSet,
     TverbergError,
@@ -85,3 +87,43 @@ class TestEquivalence:
         for removal in combinations(gadget_ids, inst.t):
             rest = [by_id[pid] for pid in gadget_ids if pid not in set(removal)]
             assert hull_support(c_lifted, rest) is not None
+
+
+def planar_family(seed):
+    """A seeded planar set of 9..15 points on a small grid, with a
+    collinear run of 3 or 4, and for each of the depths ceil(n/3) and
+    ceil(n/3) - 1 the first candidate c at exactly that depth: the input
+    points first, then the half-integer grid over the box."""
+    rng = random.Random(seed)
+    n = 9 + seed % 7
+    x0, y0, dx, dy = rng.randint(0, 3), rng.randint(0, 3), rng.randint(1, 2), rng.choice([-1, 1])
+    coords = [(x0 + j * dx, y0 + j * dy) for j in range(rng.randint(3, 4))]
+    while len(coords) < n:
+        coords.append((rng.randint(0, 8), rng.randint(0, 8)))
+    P = from_coords(coords)
+    grid = [(Fraction(i, 2), Fraction(j, 2)) for i in range(17) for j in range(17)]
+    at_depth = {}
+    for c in coords + grid:
+        at_depth.setdefault(tukey_depth(query(*c), P), c)
+    target = centerpoint_depth(n, 2)
+    return P, {depth: at_depth[depth] for depth in (target, target - 1)}
+
+
+class TestReducedInstancesWithKnownAnswers:
+    """The reduction's answer is known from the planar depth: the lifted
+    instance is t-tolerant exactly when depth(c) >= ceil(n/3)."""
+
+    def test_verdicts_match_the_planar_depth(self):
+        on_input = {True: 0, False: 0}
+        for seed in range(7):
+            P, queries = planar_family(seed)
+            coords = [p.coords for p in P.points]
+            for depth, c in queries.items():
+                assert oracles.halfspace_depth_2d(c, coords) == depth
+                tolerant = depth >= centerpoint_depth(len(P), 2)
+                inst = center_to_tolerant_instance(P, query(*c))
+                removal = verify_tolerance(inst.lifted_points, inst.partition, inst.t)
+                assert (removal is None) == tolerant, (seed, c)
+                on_input[tolerant] += c in coords
+        # c sits on an input point for some instances of each verdict
+        assert on_input[True] and on_input[False]

@@ -163,9 +163,18 @@ class TestContracts:
         assert get_solver("lift", 3).points_needed(2) == 12
         for (name, dim), needed in POINTS_NEEDED.items():
             solver = get_solver(name, dim)
-            assert [solver.points_needed(m) for m in range(1, 6)] == needed
             if name == "brute":
+                # blocks over the cap are refused before any is solved
+                for m, n in enumerate(needed, start=1):
+                    if n <= BRUTE_FORCE_CAP:
+                        assert solver.points_needed(m) == n
+                        continue
+                    with pytest.raises(TverbergError) as excinfo:
+                        solver.points_needed(m)
+                    assert str(excinfo.value) == (
+                        f"instance too large for brute force: blocks of {n} points > cap 12")
                 continue
+            assert [solver.points_needed(m) for m in range(1, 6)] == needed
             # the lifted solver takes exactly as few points as its contract names
             for m, n in enumerate(needed, start=1):
                 P = from_coords([[i] * dim for i in range(n)])

@@ -190,15 +190,45 @@ class TestTukeyDepth:
             tukey_depth(query(0, 0), integer_line(3))
 
     def test_budget_is_a_total_over_sizes(self):
-        # sizes 0..6 enumerate sum C(11, r) = 1486 removal sets
-        assert tukey_depth(query(6), integer_line(11), budget=1486) == 6
+        # the cube's center has depth 4: sizes 0..4 enumerate
+        # sum C(8, r) = 163 removal sets
+        cube = from_coords([[x, y, z] for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)])
+        assert tukey_depth(query(0, 0, 0), cube, budget=163) == 4
         with pytest.raises(TverbergError, match="instance too large"):
-            tukey_depth(query(6), integer_line(11), budget=1485)
+            tukey_depth(query(0, 0, 0), cube, budget=162)
         # n copies of c: depth n, and size n itself is charged, 2^n in all
-        P = line(*[7] * 5)
-        assert tukey_depth(query(7), P, budget=2**5) == 5
+        P = from_coords([[7, 7, 7]] * 5)
+        assert tukey_depth(query(7, 7, 7), P, budget=2**5) == 5
         with pytest.raises(TverbergError, match="instance too large"):
-            tukey_depth(query(7), P, budget=2**5 - 1)
+            tukey_depth(query(7, 7, 7), P, budget=2**5 - 1)
+
+    def test_line_and_plane_charge_no_budget(self):
+        assert tukey_depth(query(6), integer_line(11), budget=0) == 6
+        square = from_coords([[0, 0], [2, 0], [0, 2], [2, 2], [1, 1]])
+        assert tukey_depth(query(1, 1), square, budget=0) == 3
+
+    def test_line_and_plane_solve_no_lp(self, monkeypatch):
+        solved = []
+        feasible = lp.lp_feasible
+        monkeypatch.setattr(lp, "lp_feasible",
+                            lambda rows, rhs: solved.append(1) or feasible(rows, rhs))
+        assert tukey_depth(query(3), integer_line(5)) == 3
+        P = random_point_set(12, 2, seed=0)
+        for c in [query(0, 0), query("1/2", "-1/3"), P.points[0]._replace(id=0)]:
+            tukey_depth(c, P)
+        assert solved == []
+        assert tukey_depth(query(0, 0, 0), from_coords([[1, 0, 0], [-1, 0, 0]])) == 1
+        assert solved  # the 3-D ascent does solve LPs
+
+    def test_antipodal_pairs_closed_form(self):
+        # k pairs c +- v_i in distinct directions: every closed half-plane
+        # through c keeps one of each pair, and a generic one no more
+        k = 1000
+        c = (Fraction(1, 3), Fraction(-2, 5))
+        coords = [(c[0] + s, c[1] + s * i) for i in range(k) for s in (1, -1)]
+        assert tukey_depth(query(*c), from_coords(coords)) == k
+        # k more points at c lie in every such half-plane
+        assert tukey_depth(query(*c), from_coords(coords + [c] * k)) == 2 * k
 
     def test_matches_closed_form_on_random_lines(self):
         rng = random.Random(31415)
@@ -221,6 +251,70 @@ class TestTukeyDepth:
             for c in coords + [(4, 4), (20, 20)]:
                 got = tukey_depth(query(*c), P)
                 assert got == oracles.halfspace_depth_2d(c, coords)
+
+
+@st.composite
+def line_and_plane_depth_instances(draw):
+    """A query point and 1..9 points in the line or the plane, on a
+    half-integer grid with negative values: duplicates are common, a
+    collinear run is added on request, and the query is an input point,
+    a point of a wider grid (often outside the hull), or the only
+    location of every point."""
+    dim = draw(st.sampled_from([1, 2]))
+    coord = st.integers(-4, 4).map(lambda k: Fraction(k, 2))
+    coords = draw(st.lists(st.lists(coord, min_size=dim, max_size=dim), min_size=1, max_size=6))
+    if draw(st.booleans()):
+        base = draw(st.lists(coord, min_size=dim, max_size=dim))
+        step = draw(st.lists(st.integers(-2, 2), min_size=dim, max_size=dim))
+        coords += [[b + j * s for b, s in zip(base, step)] for j in range(draw(st.integers(2, 3)))]
+    kind = draw(st.sampled_from(["input", "free", "all at c"]))
+    if kind == "input":
+        c = draw(st.sampled_from(coords))
+    else:
+        c = draw(st.lists(st.integers(-12, 12).map(lambda k: Fraction(k, 3)),
+                          min_size=dim, max_size=dim))
+        if kind == "all at c":
+            coords = [c] * len(coords)
+    return from_coords(coords), query(*c)
+
+
+class TestLineAndPlaneSweep:
+    """Depth in d <= 2 is counted directly; it must equal both the
+    closed-form half-space count and the unpruned removal ascent."""
+
+    @given(line_and_plane_depth_instances())
+    @settings(max_examples=200, deadline=None)
+    def test_agrees_with_halfspace_and_exhaustive_oracles(self, instance):
+        P, c = instance
+        coords = [p.coords for p in P.points]
+        if P.dim == 1:
+            expect = oracles.halfspace_depth_1d(c.coords[0], [x for x, in coords])
+        else:
+            expect = oracles.halfspace_depth_2d(c.coords, coords)
+        assert tukey_depth(c, P) == expect
+        assert oracles.tukey_depth_exhaustive(c, P) == expect
+
+
+@st.composite
+def spatial_depth_instances(draw):
+    """Up to 7 points in 3-D on a narrow grid, so ties and coplanar
+    points are common, and a query that is an input point or a grid
+    point (sometimes outside the hull)."""
+    coord = st.integers(-2, 2)
+    coords = draw(st.lists(st.lists(coord, min_size=3, max_size=3), min_size=1, max_size=7))
+    if draw(st.booleans()):
+        c = draw(st.sampled_from(coords))
+    else:
+        c = draw(st.lists(st.integers(-3, 3).map(lambda k: Fraction(k, 2)),
+                          min_size=3, max_size=3))
+    return from_coords(coords), query(*c)
+
+
+@given(spatial_depth_instances())
+@settings(max_examples=100, deadline=None)
+def test_3d_ascent_agrees_with_exhaustive(instance):
+    P, c = instance
+    assert tukey_depth(c, P) == oracles.tukey_depth_exhaustive(c, P)
 
 
 def reaches_centerpoint_depth(c, point_set):
