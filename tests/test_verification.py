@@ -295,28 +295,6 @@ class TestLineAndPlaneSweep:
         assert oracles.tukey_depth_exhaustive(c, P) == expect
 
 
-@st.composite
-def spatial_depth_instances(draw):
-    """Up to 7 points in 3-D on a narrow grid, so ties and coplanar
-    points are common, and a query that is an input point or a grid
-    point (sometimes outside the hull)."""
-    coord = st.integers(-2, 2)
-    coords = draw(st.lists(st.lists(coord, min_size=3, max_size=3), min_size=1, max_size=7))
-    if draw(st.booleans()):
-        c = draw(st.sampled_from(coords))
-    else:
-        c = draw(st.lists(st.integers(-3, 3).map(lambda k: Fraction(k, 2)),
-                          min_size=3, max_size=3))
-    return from_coords(coords), query(*c)
-
-
-@given(spatial_depth_instances())
-@settings(max_examples=100, deadline=None)
-def test_3d_ascent_agrees_with_exhaustive(instance):
-    P, c = instance
-    assert tukey_depth(c, P) == oracles.tukey_depth_exhaustive(c, P)
-
-
 def reaches_centerpoint_depth(c, point_set):
     """The CLI's centerpoint test: depth against ceil(n / (d+1))."""
     return tukey_depth(c, point_set) >= centerpoint_depth(len(point_set), point_set.dim)
@@ -372,6 +350,21 @@ def small_instances(draw):
     return P, T, c
 
 
+@st.composite
+def spatial_depth_instances(draw):
+    """Up to 7 points in 3-D on a narrow grid, so ties and coplanar
+    points are common, and a query that is an input point or a grid
+    point (sometimes outside the hull)."""
+    coord = st.integers(-2, 2)
+    coords = draw(st.lists(st.lists(coord, min_size=3, max_size=3), min_size=1, max_size=7))
+    if draw(st.booleans()):
+        c = draw(st.sampled_from(coords))
+    else:
+        c = draw(st.lists(st.integers(-3, 3).map(lambda k: Fraction(k, 2)),
+                          min_size=3, max_size=3))
+    return from_coords(coords), query(*c)
+
+
 class TestPrunedAgreesWithExhaustive:
     """Witness-support pruning changes how many LPs run, never an answer."""
 
@@ -391,6 +384,12 @@ class TestPrunedAgreesWithExhaustive:
     @settings(max_examples=100, deadline=None)
     def test_tukey_depth(self, instance):
         P, _, c = instance
+        assert tukey_depth(c, P) == oracles.tukey_depth_exhaustive(c, P)
+
+    @given(spatial_depth_instances())
+    @settings(max_examples=100, deadline=None)
+    def test_tukey_depth_3d(self, instance):
+        P, c = instance
         assert tukey_depth(c, P) == oracles.tukey_depth_exhaustive(c, P)
 
     def test_lifted_instance_lp_count(self, monkeypatch):
