@@ -128,10 +128,13 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 def _cmd_plot(args: argparse.Namespace) -> int:
     points = jsonio.load_point_set(args.input)
     partition = jsonio.load_partition(args.partition) if args.partition else None
-    removed = frozenset()
-    if args.removal:
-        removed = frozenset(int(tok) for tok in args.removal.split(","))
-    _write(args.output, render_svg(points, partition, removed))
+    removed = []
+    for tok in args.removal.split(",") if args.removal else ():
+        try:
+            removed.append(int(tok))
+        except ValueError:
+            raise TverbergError(f"invalid removal: not an integer id: {short_repr(tok)}") from None
+    _write(args.output, render_svg(points, partition, frozenset(removed)))
     return 0
 
 

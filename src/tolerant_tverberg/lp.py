@@ -72,10 +72,9 @@ def _phase1(rows: Sequence[Sequence[int | Fraction]], rhs: Sequence[int | Fracti
     m = len(rows)
     dens = [math.lcm(b.denominator, *(c.denominator for c in row)) for row, b in zip(rows, rhs)]
     tab: list[list[int]] = []
-    for i, (row, b, den) in enumerate(zip(rows, rhs, dens)):
+    for row, b, den in zip(rows, rhs, dens):
         scale = den if b >= 0 else -den
-        line = [c.numerator * (scale // c.denominator) for c in row] + [0] * m
-        line[ncols + i] = 1
+        line = [c.numerator * (scale // c.denominator) for c in row]
         line.append(b.numerator * (scale // b.denominator))
         tab.append(line)
     basis = [ncols + i for i in range(m)]
@@ -86,13 +85,12 @@ def _phase1(rows: Sequence[Sequence[int | Fraction]], rhs: Sequence[int | Fracti
     lcm = math.lcm(*dens)
     weights = [lcm // den for den in dens]
     cost = [-sum(w * line[j] for w, line in zip(weights, tab)) for j in range(ncols)]
-    cost += [0] * m
     cost.append(-sum(w * line[-1] for w, line in zip(weights, tab)))
     d = 1
 
     while True:
         enter = -1
-        for j in range(ncols + m):
+        for j in range(ncols):
             if cost[j] < 0:
                 enter = j  # Bland: lowest eligible index
                 break

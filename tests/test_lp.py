@@ -7,7 +7,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from helpers import pt
@@ -155,21 +155,46 @@ def _pivots_of(module, solve):
         return solve(), taken
 
 
-class TestSamePivotsAsFractionEngine:
+def _check_prefix_of_fraction_engine(rows, rhs):
     """The integer tableau takes the Fraction tableau's pivots, one by one,
-    and returns its witness, numerators over d; ``lp_feasible`` reports
-    that witness's support."""
+    up to the first one that would enter an artificial column, and returns
+    the same witness, numerators over d; ``lp_feasible`` reports that
+    witness's support.  Returns the integer tableau's pivots."""
+    ncols = len(rows[0])
+    got, pivots = _pivots_of(lp, lambda: witness(rows, rhs))
+    want, ref_pivots = _pivots_of(oracles, lambda: oracles.fraction_lp_feasible(rows, rhs))
+    assert ref_pivots[: len(pivots)] == pivots
+    assert len(ref_pivots) == len(pivots) or ref_pivots[len(pivots)][1] >= ncols
+    assert got == (None if want is None else list(want))
+    support = None if want is None else [j for j, x in enumerate(want) if x != 0]
+    assert lp_feasible(rows, rhs) == support
+    return pivots
+
+
+class TestSamePivotsAsFractionEngine:
+    """The artificial columns are implicit in the integer tableau, so it
+    stops where the Fraction tableau, which carries them, would next enter
+    one; until then the pivots are the same, and so are the verdict and
+    the witness."""
 
     @given(_lp_systems())
+    @example(([[F(-2), F(1)], [F(2), F(0)], [F(0), F(3)]], [F(-1), F(1), F(0)]))
+    @example(([[F(2), F(0)], [F(3), F(3)], [F(-1), F(3)]], [F(0), F(1), F(3)]))
     @settings(max_examples=400, deadline=None)
     def test_witness_and_pivot_sequence(self, system):
-        rows, rhs = system
-        got, pivots = _pivots_of(lp, lambda: witness(rows, rhs))
-        want, ref_pivots = _pivots_of(oracles, lambda: oracles.fraction_lp_feasible(rows, rhs))
-        assert pivots == ref_pivots
-        assert got == (None if want is None else list(want))
-        support = None if want is None else [j for j, x in enumerate(want) if x != 0]
-        assert lp_feasible(rows, rhs) == support
+        _check_prefix_of_fraction_engine(*system)
+
+    @pytest.mark.parametrize("rows, rhs, ref_tail", [
+        # feasible: the Fraction engine goes on with a degenerate pivot
+        ([[-2, 1], [2, 0], [0, 3]], [-1, 1, 0], (2, 2)),
+        # infeasible: it goes on with a pivot that cannot reach 0
+        ([[2, 0], [3, 3], [-1, 3]], [0, 1, 3], (0, 2)),
+    ])
+    def test_stops_before_an_artificial_pivot(self, rows, rhs, ref_tail):
+        rows, rhs = [[F(c) for c in row] for row in rows], [F(b) for b in rhs]
+        _, ref_pivots = _pivots_of(oracles, lambda: oracles.fraction_lp_feasible(rows, rhs))
+        assert _check_prefix_of_fraction_engine(rows, rhs) == [(0, 0), (1, 1)]
+        assert ref_pivots == [(0, 0), (1, 1), ref_tail]
 
 
 def _values_in(sets, support):
