@@ -9,7 +9,13 @@ so that its rhs is nonnegative, the phase-1 objective weighs row i's
 artificial by L/den_i, and every pivot is fraction-free,
 (a*p - f*b) // d with d the previous pivot, as in Edmonds-Bareiss
 elimination.  Every reduced-cost sign and ratio comparison is the one a
-Fraction tableau would see, so the pivots are the same.  Then
+Fraction tableau would see.  The artificials are only basis labels,
+with no columns, so one that leaves never re-enters, and the engine
+stops where the Fraction tableau would first enter one.  Bland's rule
+does that only when no structural reduced cost is negative: the basis
+then decides feasibility with the departed artificials held at 0, and
+at optimum 0 each further pivot is degenerate (a positive step would
+push the objective below 0), so verdict and witness are the same.  Then
 
   * a feasible answer comes with an integer witness w = numerators / d
     that re-checks by exact substitution into the caller's rows, and
@@ -65,9 +71,10 @@ def _phase1(rows: Sequence[Sequence[int | Fraction]], rhs: Sequence[int | Fracti
     Returns the witness as integers (numerators, d), w_j = numerators[j] / d
     with d > 0, or None when the optimum is positive.  Row i is scaled to
     integers by den_i, the lcm of its denominators, negated when rhs_i < 0,
-    and keeps an artificial with coefficient 1, so the objective weighs
-    that artificial by L/den_i, L = lcm(den_i).  Every tableau entry is d
-    times its true value, d the last pivot.
+    and has an artificial with coefficient 1, weighed by L/den_i in the
+    objective, L = lcm(den_i), and kept only as the basis label ncols + i:
+    a row holds its ncols structural entries and the rhs.  Every tableau
+    entry is d times its true value, d the last pivot.
     """
     m = len(rows)
     dens = [math.lcm(b.denominator, *(c.denominator for c in row)) for row, b in zip(rows, rhs)]
@@ -80,8 +87,7 @@ def _phase1(rows: Sequence[Sequence[int | Fraction]], rhs: Sequence[int | Fracti
     basis = [ncols + i for i in range(m)]
 
     # reduced costs for min sum(weight_i * artificial_i): -sum_i weight_i
-    # a_ij on structural columns, 0 on artificials; last entry tracks
-    # -objective
+    # a_ij on structural columns; last entry tracks -objective
     lcm = math.lcm(*dens)
     weights = [lcm // den for den in dens]
     cost = [-sum(w * line[j] for w, line in zip(weights, tab)) for j in range(ncols)]
@@ -92,7 +98,7 @@ def _phase1(rows: Sequence[Sequence[int | Fraction]], rhs: Sequence[int | Fracti
         enter = -1
         for j in range(ncols):
             if cost[j] < 0:
-                enter = j  # Bland: lowest eligible index
+                enter = j  # Bland: lowest eligible structural index
                 break
         if enter < 0:
             break

@@ -211,6 +211,10 @@ def test_bad_m_or_t_is_exit_2(tmp_path, capsys, flags, message):
     (["gen", "--n", "0", "--dim", "2"], "bad generator parameters: n=0, dim=2, grid=1000"),
     (["gen", "--n", "10", "--dim", "1", "--grid", "3"],
      "could not reach general position for n=10, dim=1, grid=3"),
+    (["plot", "--input", "planar.json", "--removal", "1,x", "--output", "o.svg"],
+     "invalid removal: not an integer id: 'x'"),
+    (["plot", "--input", "planar.json", "--removal", "9" * 5000, "--output", "o.svg"],
+     "invalid removal: not an integer id: '" + "9" * 59 + "..."),
 ])
 def test_each_error_kind_is_one_exact_line(tmp_path, capsys, argv, message):
     docs = {

@@ -10,13 +10,18 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from helpers import pt
+from helpers import from_coords, pt, query
 from tolerant_tverberg import (
     Point,
     TverbergError,
+    brute_force_tverberg,
     common_intersection,
     hull_support,
     lp,
+    random_point_set,
+    tolerant_tverberg_lifted,
+    tukey_depth,
+    verify_tolerance,
 )
 from tolerant_tverberg.lp import lp_feasible
 
@@ -159,7 +164,7 @@ def _check_prefix_of_fraction_engine(rows, rhs):
     """The integer tableau takes the Fraction tableau's pivots, one by one,
     up to the first one that would enter an artificial column, and returns
     the same witness, numerators over d; ``lp_feasible`` reports that
-    witness's support.  Returns the integer tableau's pivots."""
+    witness's support.  Returns both pivot sequences and that witness."""
     ncols = len(rows[0])
     got, pivots = _pivots_of(lp, lambda: witness(rows, rhs))
     want, ref_pivots = _pivots_of(oracles, lambda: oracles.fraction_lp_feasible(rows, rhs))
@@ -168,7 +173,7 @@ def _check_prefix_of_fraction_engine(rows, rhs):
     assert got == (None if want is None else list(want))
     support = None if want is None else [j for j, x in enumerate(want) if x != 0]
     assert lp_feasible(rows, rhs) == support
-    return pivots
+    return pivots, ref_pivots, want
 
 
 class TestSamePivotsAsFractionEngine:
@@ -192,9 +197,85 @@ class TestSamePivotsAsFractionEngine:
     ])
     def test_stops_before_an_artificial_pivot(self, rows, rhs, ref_tail):
         rows, rhs = [[F(c) for c in row] for row in rows], [F(b) for b in rhs]
-        _, ref_pivots = _pivots_of(oracles, lambda: oracles.fraction_lp_feasible(rows, rhs))
-        assert _check_prefix_of_fraction_engine(rows, rhs) == [(0, 0), (1, 1)]
-        assert ref_pivots == [(0, 0), (1, 1), ref_tail]
+        pivots, ref_pivots, _ = _check_prefix_of_fraction_engine(rows, rhs)
+        assert pivots == [(0, 0), (1, 1)] and ref_pivots == [*pivots, ref_tail]
+
+
+def _recorded_systems(run):
+    """The (rows, rhs) of every LP that ``run()`` hands to ``lp_feasible``."""
+    systems = []
+    real = lp.lp_feasible
+
+    def spy(rows, rhs):
+        systems.append((rows, rhs))
+        return real(rows, rhs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lp, "lp_feasible", spy)
+        run()
+    return systems
+
+
+class TestCallersLpShapes:
+    """The prefix-and-witness check on the LPs the callers really build:
+    up to 7 rows by 20 columns, which ``_lp_systems`` never draws."""
+
+    def test_prefix_of_fraction_engine_on_recorded_systems(self):
+        def run():
+            ps = random_point_set(22, 2, seed=0)
+            partition = tolerant_tverberg_lifted(ps, 3, 2)
+            for t in (2, 3):  # tolerant, then refuted
+                verify_tolerance(ps, partition, t)
+            brute_force_tverberg(random_point_set(7, 2, seed=0), 3)
+            # 3-D, with a duplicate, a collinear run and c on an input point
+            coords = [[0, 0, 0], [4, 0, 0], [0, 4, 0], [0, 0, 4], [4, 4, 4],
+                      [1, 1, 1], [2, 2, 2], [3, 3, 3], [4, 0, 0], ["1/2", 3, "5/2"]]
+            tukey_depth(query(1, 1, 1), from_coords(coords))
+
+        systems = _recorded_systems(run)
+        assert max(len(rows) for rows, _ in systems) == 7
+        assert max(len(rows[0]) for rows, _ in systems) >= 20
+        witnesses = [_check_prefix_of_fraction_engine(*system)[2] for system in systems]
+        assert None in witnesses and witnesses.count(None) < len(witnesses)
+
+
+class TestWorkCounters:
+    """Deterministic work: LPs solved (``_phase1`` calls) and pivots
+    (``_pivot`` calls) on two fixed instances, and every tableau row the
+    pivot rewrites holds the structural columns and the rhs, nothing
+    else."""
+
+    def _count(self, run):
+        counts = {"lps": 0, "pivots": 0}
+        widths = set()
+        real_phase1, real_pivot = lp._phase1, lp._pivot
+
+        def phase1(rows, rhs, ncols):
+            counts["lps"] += 1
+            counts["ncols"] = ncols
+            return real_phase1(rows, rhs, ncols)
+
+        def pivot(tab, cost, *rest):
+            counts["pivots"] += 1
+            widths.update(len(row) - counts["ncols"] for row in [*tab, cost])
+            return real_pivot(tab, cost, *rest)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lp, "_phase1", phase1)
+            mp.setattr(lp, "_pivot", pivot)
+            result = run()
+        assert widths == {1}
+        return result, counts["lps"], counts["pivots"]
+
+    def test_lifted_planar_verify(self):
+        ps = random_point_set(22, 2, seed=0)
+        partition = tolerant_tverberg_lifted(ps, 3, 2)
+        assert self._count(lambda: verify_tolerance(ps, partition, 2)) == (None, 11, 144)
+
+    def test_brute_force(self):
+        ps = random_point_set(7, 2, seed=0)
+        partition, lps, pivots = self._count(lambda: brute_force_tverberg(ps, 3))
+        assert partition is not None and (lps, pivots) == (21, 168)
 
 
 def _values_in(sets, support):
