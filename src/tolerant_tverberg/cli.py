@@ -35,13 +35,8 @@ def _write(path: str | None, text: str) -> None:
             fh.write(text)
 
 
-def _parse_point(raw: str, dim: int) -> Point:
-    coords = tuple(to_scalar(part.strip()) for part in raw.split(","))
-    if len(coords) != dim:
-        raise TverbergError(
-            f"dimension: point {short_repr(raw)} has {len(coords)} coords, expected {dim}"
-        )
-    return Point(0, coords)
+def _parse_point(raw: str) -> Point:
+    return Point(0, tuple(to_scalar(part.strip()) for part in raw.split(",")))
 
 
 def _cmd_compute(args: argparse.Namespace) -> int:
@@ -99,7 +94,7 @@ def _cmd_tolerance(args: argparse.Namespace) -> int:
 
 def _cmd_depth(args: argparse.Namespace) -> int:
     points = jsonio.load_point_set(args.input)
-    c = _parse_point(args.point, points.dim)
+    c = _parse_point(args.point)
     depth = tukey_depth(c, points, budget=args.budget)
     center = depth >= centerpoint_depth(len(points), points.dim)
     print(f"depth={depth} centerpoint={'true' if center else 'false'}")
@@ -108,7 +103,7 @@ def _cmd_depth(args: argparse.Namespace) -> int:
 
 def _cmd_reduce_center(args: argparse.Namespace) -> int:
     points = jsonio.load_point_set(args.input)
-    c = _parse_point(args.point, points.dim)
+    c = _parse_point(args.point)
     instance = center_to_tolerant_instance(points, c)
     obj = jsonio.point_set_to_obj(instance.lifted_points)
     obj.update(jsonio.partition_to_obj(instance.partition))

@@ -3,7 +3,8 @@
 Coordinates are integers drawn uniformly from [0, grid]; offending
 points are redrawn until no d+1 points are affinely dependent (for
 d = 1: until all coordinates are distinct).  The same seed always
-yields the same set.
+yields the same set.  A request that no draw on the grid can satisfy is
+refused before drawing.
 """
 
 from __future__ import annotations
@@ -22,6 +23,14 @@ _MAX_REDRAWS = 10000
 def random_point_set(n: int, dim: int, grid: int = DEFAULT_GRID, seed: int = 0) -> PointSet:
     if n < 1 or dim < 1 or grid < 1:
         raise TverbergError(f"bad generator parameters: n={n}, dim={dim}, grid={grid}")
+    failed = f"could not reach general position for n={n}, dim={dim}, grid={grid}"
+    # Pigeonhole: d = 1 needs n <= grid+1; in d >= 2 three points on one of the
+    # (grid+1)^(d-1) axis-parallel lines and any d-2 others are dependent.
+    cap, axes = (1, 1) if dim == 1 else (2, dim - 1)
+    while axes and cap < n:
+        cap, axes = cap * (grid + 1), axes - 1
+    if cap < n:
+        raise TverbergError(failed)
     rng = random.Random(seed)
     coords = [[rng.randint(0, grid) for _ in range(dim)] for _ in range(n)]
 
@@ -31,9 +40,7 @@ def random_point_set(n: int, dim: int, grid: int = DEFAULT_GRID, seed: int = 0) 
             break
         coords[bad] = [rng.randint(0, grid) for _ in range(dim)]
     else:
-        raise TverbergError(
-            f"could not reach general position for n={n}, dim={dim}, grid={grid}"
-        )
+        raise TverbergError(failed)
 
     points = tuple(
         Point(i + 1, tuple(Fraction(c) for c in row)) for i, row in enumerate(coords)

@@ -159,15 +159,13 @@ def common_intersection(sets: Sequence[Sequence[Point]], dim: int) -> frozenset[
     combination sum_j a_{i,j} p_{i,j} equals set 0's, axis by axis.  The
     ids returned are the witness's support, the points with nonzero
     weight, so the same point stays common to the hulls of any subsets
-    that keep the support.  An empty set has an empty hull, so the
-    intersection is immediately empty; an empty list of sets constrains
-    nothing and needs no points.
+    that keep the support.  Every None is the LP's verdict: an empty set's
+    convexity row reads 0 = 1.  An empty list of sets constrains nothing,
+    needs no points and solves no LP.
     """
     if not sets:
         return frozenset()
     for s in sets:
-        if not s:
-            return None
         _check_dims(s, dim)
 
     first = sets[0]
@@ -200,9 +198,8 @@ def common_intersection(sets: Sequence[Sequence[Point]], dim: int) -> frozenset[
 
 def hull_support(c: Point, hull_points: Sequence[Point]) -> frozenset[int] | None:
     """Ids of hull points that carry c as a convex combination, or None
-    when c is outside the hull of ``hull_points``."""
-    if not hull_points:
-        return None
+    when c is outside the hull of ``hull_points``.  Every None is the LP's
+    verdict: with no hull points the convexity row reads 0 = 1."""
     _check_dims(hull_points, c.dim)
     rows = [[p.coords[k] for p in hull_points] for k in range(c.dim)]
     rows.append([1] * len(hull_points))

@@ -36,7 +36,7 @@ def center_to_tolerant_instance(point_set: PointSet, c: Point) -> ReducedInstanc
     d = point_set.dim
     if c.dim != d:
         raise TverbergError(
-            f"dimension: candidate has dim {c.dim}, point set has {d}"
+            f"dimension: query has dim {c.dim}, point set has {d}"
         )
     n = len(point_set)
     if n < 1:

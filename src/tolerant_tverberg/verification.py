@@ -142,10 +142,11 @@ def _planar_depth(c: Point, points: tuple[Point, ...]) -> int:
     A closed half-plane through c holds the z points at c and every
     v_j = p_j - c outside the opposite open half-plane, and the most an
     open half-plane through c holds is the most v_j in one half-open arc
-    [v_k, v_k + pi).  So depth = z + #{v} - that maximum; n when every
-    point is c.  Coordinates are scaled by the lcm of their denominators
-    and directions reduced by their gcd, then sorted counter-clockwise by
-    half-plane and cross product; the arc's far end only moves forward.
+    [v_k, v_k + pi).  So depth = z + #{v} - that maximum, n when every
+    point is c (no v, maximum 0).  Coordinates are scaled by the lcm of
+    their denominators and directions reduced by their gcd, then sorted
+    counter-clockwise by half-plane and cross product; the arc's far end
+    only moves forward.
     """
     scale = math.lcm(*(x.denominator for p in (c, *points) for x in p.coords))
     cx, cy = (x.numerator * (scale // x.denominator) for x in c.coords)
@@ -157,8 +158,6 @@ def _planar_depth(c: Point, points: tuple[Point, ...]) -> int:
             g = math.gcd(x, y)
             u = (x // g, y // g)
             weights[u] = weights.get(u, 0) + 1
-    if not weights:
-        return len(points)
     order = cmp_to_key(_ccw_cmp)
     dirs = sorted((u for u in weights if u[1] > 0 or (u[1] == 0 and u[0] > 0)), key=order)
     dirs += sorted((u for u in weights if u[1] < 0 or (u[1] == 0 and u[0] < 0)), key=order)

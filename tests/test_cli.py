@@ -12,7 +12,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tolerant_tverberg import cli, centerpoint_depth, random_point_set, render_svg, tukey_depth
+from tolerant_tverberg import (
+    cli, centerpoint_depth, generate, random_point_set, render_svg, tukey_depth,
+)
 from tolerant_tverberg.cli import main
 from tolerant_tverberg.jsonio import dumps, load_point_set, point_set_to_obj
 
@@ -215,6 +217,14 @@ def test_bad_m_or_t_is_exit_2(tmp_path, capsys, flags, message):
      "invalid removal: not an integer id: 'x'"),
     (["plot", "--input", "planar.json", "--removal", "9" * 5000, "--output", "o.svg"],
      "invalid removal: not an integer id: '" + "9" * 59 + "..."),
+    (["depth", "--input", "planar.json", "--point", "1,2,3"],
+     "dimension: query has dim 3, point set has 2"),
+    (["reduce-center", "--input", "planar.json", "--point", "1,2,3"],
+     "dimension: query has dim 3, point set has 2"),
+    (["depth", "--input", "list.json", "--point", "0"],
+     "point set JSON must have 'dim' and 'points'"),
+    (["depth", "--input", "dim_only.json", "--point", "0,0"],
+     "point set JSON must have 'dim' and 'points'"),
 ])
 def test_each_error_kind_is_one_exact_line(tmp_path, capsys, argv, message):
     docs = {
@@ -233,6 +243,8 @@ def test_each_error_kind_is_one_exact_line(tmp_path, capsys, argv, message):
         "no_key.json": {"part": [[1, 2, 3, 4, 5, 6, 7]]},
         "parts_not_list.json": {"parts": {}},
         "text_part_id.json": {"parts": [[1, 2, 3], [4, 5, 6, "7"]]},
+        "list.json": [],
+        "dim_only.json": {"dim": 2},
     }
     for name, doc in docs.items():
         (tmp_path / name).write_text(json.dumps(doc))
@@ -242,6 +254,21 @@ def test_each_error_kind_is_one_exact_line(tmp_path, capsys, argv, message):
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
     assert not (tmp_path / "o.svg").exists()
+
+
+@pytest.mark.parametrize("n,dim", [(2003, 2), (1002, 1)])
+def test_gen_refuses_a_pigeonholed_request_before_drawing(capsys, monkeypatch, n, dim):
+    # 2 * 1001 points fill the 1001 vertical lines of the default planar
+    # grid with no three on one; 1001 values fill the 1-D grid
+    def scan(*args):
+        raise AssertionError("the general-position scan ran")
+
+    monkeypatch.setattr(generate, "_degenerate_index", scan)
+    assert main(["gen", "--n", str(n), "--dim", str(dim)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: could not reach general position for n={n}, dim={dim}, grid=1000\n")
 
 
 def test_depth_runs_tukey_depth_once(tmp_path, capsys, monkeypatch):

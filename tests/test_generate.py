@@ -10,6 +10,13 @@ from tolerant_tverberg import jsonio, random_point_set
 from tolerant_tverberg.generate import _degenerate_index, _det
 
 
+@pytest.mark.parametrize("n,dim,grid", [(4, 1, 3), (4, 2, 1), (5, 3, 1)])
+def test_pigeonhole_refusal_spares_what_the_grid_holds(n, dim, grid):
+    # the line's 4 values, the square's 4 corners; in the unit cube two
+    # points may share one of the 4 vertical lines, so 5 points fit
+    assert len(random_point_set(n, dim, grid=grid)) == n
+
+
 @pytest.mark.parametrize("size", [2, 3, 4])
 def test_det_matches_fraction_elimination(size):
     rng = random.Random(size)

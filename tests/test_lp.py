@@ -243,7 +243,7 @@ class TestWorkCounters:
     """Deterministic work: LPs solved (``_phase1`` calls) and pivots
     (``_pivot`` calls) on two fixed instances, and every tableau row the
     pivot rewrites holds the structural columns and the rhs, nothing
-    else."""
+    else.  An empty part or hull is refuted by exactly one LP."""
 
     def _count(self, run):
         counts = {"lps": 0, "pivots": 0}
@@ -276,6 +276,18 @@ class TestWorkCounters:
         ps = random_point_set(7, 2, seed=0)
         partition, lps, pivots = self._count(lambda: brute_force_tverberg(ps, 3))
         assert partition is not None and (lps, pivots) == (21, 168)
+
+    @pytest.mark.parametrize("run", [
+        lambda: common_intersection([[pt(1, 0)], []], 1),
+        lambda: common_intersection([[], []], 2),
+        lambda: hull_support(pt(0, 1, "1/2"), []),
+    ])
+    def test_an_empty_hull_is_one_lp_verdict(self, monkeypatch, run):
+        solved = []
+        real = lp._phase1
+        monkeypatch.setattr(lp, "_phase1", lambda *args: solved.append(1) or real(*args))
+        assert run() is None
+        assert len(solved) == 1
 
 
 def _values_in(sets, support):
