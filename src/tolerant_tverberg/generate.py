@@ -4,7 +4,7 @@ Coordinates are integers drawn uniformly from [0, grid]; offending
 points are redrawn until no d+1 points are affinely dependent (for
 d = 1: until all coordinates are distinct).  The same seed always
 yields the same set.  A request that no draw on the grid can satisfy is
-refused before drawing.
+refused before drawing, and so is one of more than MAX_COORDS coordinates.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from .core import Point, PointSet, TverbergError
 
 DEFAULT_GRID = 1000
 _MAX_REDRAWS = 10000
+MAX_COORDS = 10**6  # n * dim; the largest bench input holds 3 * 10^4
 
 
 def random_point_set(n: int, dim: int, grid: int = DEFAULT_GRID, seed: int = 0) -> PointSet:
@@ -31,6 +32,8 @@ def random_point_set(n: int, dim: int, grid: int = DEFAULT_GRID, seed: int = 0) 
         cap, axes = cap * (grid + 1), axes - 1
     if cap < n:
         raise TverbergError(failed)
+    if n * dim > MAX_COORDS:
+        raise TverbergError(f"too many coordinates: n*dim = {n * dim} > {MAX_COORDS}")
     rng = random.Random(seed)
     coords = [[rng.randint(0, grid) for _ in range(dim)] for _ in range(n)]
 

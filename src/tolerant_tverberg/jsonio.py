@@ -12,9 +12,12 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Any
 
 from .core import Partition, Point, PointSet, TverbergError, short_repr, to_scalar
+
+_LEAF = {int: int.__repr__, str: _quote}  # by exact type: a bool is no int here
 
 
 def scalar_to_json(value: int | Fraction) -> str:
@@ -48,9 +51,11 @@ def point_set_from_obj(obj: Any) -> PointSet:
         pid = entry["id"]
         if not isinstance(pid, int) or isinstance(pid, bool):
             raise TverbergError(f"point id must be an integer, got {short_repr(pid)}")
-        if not isinstance(entry["coords"], list):
+        coords = entry["coords"]
+        if not isinstance(coords, list):
             raise TverbergError(f"coords of point {pid} must be a list")
-        points.append(Point(pid, tuple(map(to_scalar, entry["coords"]))))
+        exact = set(map(type, coords)) <= {int}  # ints, which to_scalar keeps as they are
+        points.append(Point(pid, tuple(coords) if exact else tuple(map(to_scalar, coords))))
     return PointSet(dim, tuple(points))
 
 
@@ -74,8 +79,26 @@ def partition_from_obj(obj: Any) -> Partition:
 
 
 def dumps(obj: Any) -> str:
-    """Serialize with a fixed layout so identical results are byte-identical."""
-    return json.dumps(obj, indent=2) + "\n"
+    """Exactly ``json.dumps(obj, indent=2)`` and a newline, but each list of
+    ints or of strs joined in one step instead of value by value."""
+    return _encode(obj, "\n") + "\n"
+
+
+def _encode(obj: Any, nl: str) -> str:
+    """``json.dumps(obj, indent=2)`` with its line breaks written as ``nl``.
+    Empty containers, bools, None, floats and non-str keys go to json.dumps."""
+    kind, inner = type(obj), nl + "  "
+    if kind in _LEAF:
+        return _LEAF[kind](obj)
+    if kind is dict and obj and all(type(k) is str for k in obj):
+        items = [f"{_quote(k)}: {_encode(v, inner)}" for k, v in obj.items()]
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    if (kind is list or kind is tuple) and obj:
+        first = type(obj[0])
+        same = first in _LEAF and all(type(x) is first for x in obj)
+        items = map(_LEAF[first], obj) if same else [_encode(x, inner) for x in obj]
+        return "[" + inner + ("," + inner).join(items) + nl + "]"
+    return json.dumps(obj, indent=2).replace("\n", nl)
 
 
 def load_point_set(path: str) -> PointSet:

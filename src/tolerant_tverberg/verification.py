@@ -56,6 +56,7 @@ def verify_tolerance(
     independently: deleting it leaves the parts' hulls with empty common
     intersection.  ``budget`` bounds the C(n, min(t, n)) removal sets.
     """
+    _check_budget(budget)
     if t < 0:
         raise TverbergError(f"invalid partition query: t={t}")
     ids, smallest, judge = _partition_judge(point_set, partition)
@@ -84,6 +85,7 @@ def exact_tolerance(
     levels together, and the witness supports found at one level prune
     the next.
     """
+    _check_budget(budget)
     ids, smallest, judge = _partition_judge(point_set, partition)
     return _first_refuted_size(ids, len(smallest), judge, budget) - 1
 
@@ -117,6 +119,7 @@ def tukey_depth(c: Point, point_set: PointSet, budget: int = DEFAULT_BUDGET) -> 
     size n is charged but not judged.  ``budget`` bounds the removal
     sets of all sizes together.
     """
+    _check_budget(budget)
     if c.dim != point_set.dim:
         raise TverbergError(
             f"dimension: query has dim {c.dim}, point set has {point_set.dim}"
@@ -219,6 +222,12 @@ def _first_refutation(
             return removed
         supports.append(support)
     return None
+
+
+def _check_budget(budget: int) -> None:
+    """Refuse a negative budget before any work, wherever it would be read."""
+    if budget < 0:
+        raise TverbergError(f"invalid budget: {budget}")
 
 
 def _charge(n: int, size: int, budget: int) -> int:

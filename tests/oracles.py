@@ -8,10 +8,12 @@ recurrences instead of generators.  The exceptions are
 re-checks them with the library's own LP, and the ``*_exhaustive``
 functions, which judge every removal set or partition with that LP:
 they are the unpruned enumerations the library must agree with.
-``lex_key_plain``, ``cross_section_fraction`` and
-``degenerate_index_exhaustive`` are the plain forms of code the library
-runs faster: the coordinate tuple as sort key, the segment's cross
-section in Fraction arithmetic, and the scan of every (d+1)-subset.
+``lex_key_plain``, ``cross_section_fraction``,
+``degenerate_index_exhaustive`` and ``point_set_from_obj_per_value`` are
+the plain forms of code the library runs faster: the coordinate tuple as
+sort key, the segment's cross section in Fraction arithmetic, the scan
+of every (d+1)-subset, and a point set read with one ``to_scalar`` call
+per coordinate.
 
 ``_phase1``/``_pivot`` are the reference LP engine: the phase-1 simplex
 under Bland's rule on a plain Fraction tableau, on a sign-flipped copy
@@ -28,7 +30,10 @@ carries a common point.
 from fractions import Fraction
 from itertools import combinations
 
-from tolerant_tverberg import check_partition, common_intersection, hull_support
+from tolerant_tverberg import (
+    Point, PointSet, TverbergError, check_partition, common_intersection, hull_support, to_scalar,
+)
+from tolerant_tverberg.core import short_repr
 from tolerant_tverberg.solvers import restricted_growth_strings
 
 _ZERO = Fraction(0)
@@ -192,6 +197,31 @@ def degenerate_index_exhaustive(coords, dim):
         if det_by_fractions(mat) == 0:
             return subset[-1]
     return None
+
+
+def point_set_from_obj_per_value(obj):
+    """``jsonio.point_set_from_obj`` with every coordinate, int or not,
+    converted by its own ``to_scalar`` call."""
+    if not isinstance(obj, dict) or "dim" not in obj or "points" not in obj:
+        raise TverbergError("point set JSON must have 'dim' and 'points'")
+    dim = obj["dim"]
+    if not isinstance(dim, int) or isinstance(dim, bool):
+        raise TverbergError("'dim' must be an integer")
+    if not isinstance(obj["points"], list):
+        raise TverbergError("'points' must be a list")
+    if not obj["points"]:
+        raise TverbergError("'points' must not be empty")
+    points = []
+    for entry in obj["points"]:
+        if not isinstance(entry, dict) or "id" not in entry or "coords" not in entry:
+            raise TverbergError("each point needs 'id' and 'coords'")
+        pid = entry["id"]
+        if not isinstance(pid, int) or isinstance(pid, bool):
+            raise TverbergError(f"point id must be an integer, got {short_repr(pid)}")
+        if not isinstance(entry["coords"], list):
+            raise TverbergError(f"coords of point {pid} must be a list")
+        points.append(Point(pid, tuple(to_scalar(c) for c in entry["coords"])))
+    return PointSet(dim, tuple(points))
 
 
 def check_solver_output(point_set, partition) -> bool:

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import random
 import subprocess
 import sys
 import tempfile
@@ -225,6 +226,14 @@ def test_bad_m_or_t_is_exit_2(tmp_path, capsys, flags, message):
      "point set JSON must have 'dim' and 'points'"),
     (["depth", "--input", "dim_only.json", "--point", "0,0"],
      "point set JSON must have 'dim' and 'points'"),
+    (["verify", "--input", "planar.json", "--partition", "split.json", "--t", "0",
+      "--budget", "-1"], "invalid budget: -1"),
+    (["tolerance", "--input", "planar.json", "--partition", "split.json", "--budget", "-1"],
+     "invalid budget: -1"),
+    (["depth", "--input", "planar.json", "--point", "0,0", "--budget", "-5"],
+     "invalid budget: -5"),
+    (["verify", "--input", "planar.json", "--partition", "split.json", "--t", "0",
+      "--budget", "0"], "instance too large: C(7,0) removal sets exceed the budget left, 0"),
 ])
 def test_each_error_kind_is_one_exact_line(tmp_path, capsys, argv, message):
     docs = {
@@ -269,6 +278,25 @@ def test_gen_refuses_a_pigeonholed_request_before_drawing(capsys, monkeypatch, n
     assert captured.out == ""
     assert captured.err == (
         f"error: could not reach general position for n={n}, dim={dim}, grid=1000\n")
+
+
+def test_gen_refuses_too_many_coordinates_before_drawing(capsys, monkeypatch):
+    # 3 * 10^8 coordinates pass the pigeonhole test and would fill memory
+    def randint(*args):
+        raise AssertionError("a coordinate was drawn")
+
+    monkeypatch.setattr(random.Random, "randint", randint)
+    assert main(["gen", "--n", "1", "--dim", "300000000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: too many coordinates: n*dim = 300000000 > 1000000\n"
+
+
+def test_budget_zero_keeps_planar_depth(tmp_path, capsys):
+    pts = tmp_path / "p.json"
+    pts.write_text(dumps(point_set_to_obj(random_point_set(7, 2, seed=0))))
+    assert main(["depth", "--input", str(pts), "--point", "500,500", "--budget", "0"]) == 0
+    assert capsys.readouterr().out.startswith("depth=")
 
 
 def test_depth_runs_tukey_depth_once(tmp_path, capsys, monkeypatch):

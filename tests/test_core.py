@@ -2,11 +2,11 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import tolerant_tverberg
 from helpers import from_coords, from_iterables, line, pt
-from oracles import lex_key_plain
+from oracles import lex_key_plain, point_set_from_obj_per_value
 from tolerant_tverberg import (
     Point,
     PointSet,
@@ -210,6 +210,40 @@ class TestPointSet:
             PointSet(2, (pt(1, 0),))
 
 
+json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text()),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.lists(st.one_of(st.integers(), st.booleans()), max_size=6),  # bools among ints
+        st.lists(st.text(), max_size=4),
+        st.dictionaries(st.one_of(st.text(), st.integers(), st.booleans(), st.none()), inner,
+                        max_size=4),
+        st.dictionaries(st.text(), inner, max_size=4),
+    ),
+    max_leaves=25,
+)
+
+coordinates = st.one_of(
+    st.integers(-(10**30), 10**30),
+    st.booleans(),
+    st.floats(allow_nan=False),
+    st.fractions().map(lambda q: f"{q.numerator}/{q.denominator}"),
+    st.decimals(allow_nan=False, allow_infinity=False).map(str),
+    st.sampled_from(["1/0", "abc", "", " 2 ", "6/2", "1e3", "-0.0"]),
+)
+point_entries = st.fixed_dictionaries({
+    "id": st.one_of(st.integers(0, 12), st.booleans()),
+    "coords": st.one_of(
+        st.lists(st.integers(-9, 9), min_size=2, max_size=2),  # the common shape
+        st.lists(coordinates, max_size=3),
+        st.just("1/2"),
+    ),
+})
+point_set_docs = st.fixed_dictionaries(
+    {"dim": st.integers(0, 3), "points": st.lists(point_entries, max_size=6)})
+
+
 class TestJson:
     def test_round_trip(self):
         P = from_coords([["1/2", 3], ["0.25", "-2/6"]])
@@ -246,6 +280,28 @@ class TestJson:
         text = jsonio.dumps(jsonio.point_set_to_obj(P))
         assert text == jsonio.dumps(jsonio.point_set_to_obj(P))
         json.loads(text)  # well-formed
+
+    @settings(max_examples=300, deadline=None)
+    @given(json_values)
+    @example({"parts": [[3, True, 1], (2, False)], 5: [], None: {}, True: "\u00e9\n\"", "": 1.5})
+    @example([10**100, -(10**40), (), [[]], {"\x00": [None, float("nan")]}])
+    def test_dumps_writes_exactly_json_dumps(self, value):
+        assert jsonio.dumps(value) == json.dumps(value, indent=2) + "\n"
+
+    @settings(max_examples=300, deadline=None)
+    @given(point_set_docs)
+    @example({"dim": 2, "points": [{"id": 1, "coords": [1, 2]}, {"id": 2, "coords": [3, True]}]})
+    @example({"dim": 1, "points": [{"id": 1, "coords": [4]}, {"id": 1, "coords": ["8/2"]}]})
+    @example({"dim": 2, "points": [{"id": 1, "coords": [1]}, {"id": 2, "coords": ["x", 0.5]}]})
+    def test_point_set_read_matches_a_to_scalar_call_per_value(self, doc):
+        # the same PointSet, int and Fraction coordinates alike, or the same first error
+        def outcome(read):
+            try:
+                return repr(read(doc))
+            except TverbergError as exc:
+                return f"error: {exc}"
+
+        assert outcome(jsonio.point_set_from_obj) == outcome(point_set_from_obj_per_value)
 
 
 def test_every_export_resolves():

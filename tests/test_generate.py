@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from oracles import degenerate_index_exhaustive, det_by_fractions
-from tolerant_tverberg import jsonio, random_point_set
+from tolerant_tverberg import TverbergError, generate, jsonio, random_point_set
 from tolerant_tverberg.generate import _degenerate_index, _det
 
 
@@ -15,6 +15,15 @@ def test_pigeonhole_refusal_spares_what_the_grid_holds(n, dim, grid):
     # the line's 4 values, the square's 4 corners; in the unit cube two
     # points may share one of the 4 vertical lines, so 5 points fit
     assert len(random_point_set(n, dim, grid=grid)) == n
+
+
+def test_coordinate_cap_is_on_n_times_dim(monkeypatch):
+    monkeypatch.setattr(generate, "MAX_COORDS", 12)
+    assert len(random_point_set(4, 3)) == 4
+    assert len(random_point_set(12, 1)) == 12
+    for n, dim in [(13, 1), (5, 3), (1, 13)]:
+        with pytest.raises(TverbergError, match=rf"^too many coordinates: n\*dim = {n * dim} > 12$"):
+            random_point_set(n, dim)
 
 
 @pytest.mark.parametrize("size", [2, 3, 4])

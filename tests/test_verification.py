@@ -201,6 +201,16 @@ class TestTukeyDepth:
         with pytest.raises(TverbergError, match="instance too large"):
             tukey_depth(query(7, 7, 7), P, budget=2**5 - 1)
 
+    def test_negative_budget_refused_before_any_other_work(self):
+        # each call is also malformed otherwise: the budget is checked first
+        with pytest.raises(TverbergError, match=r"^invalid budget: -1$"):
+            verify_tolerance(FOUR, SPLIT, -1, budget=-1)
+        with pytest.raises(TverbergError, match=r"^invalid budget: -1$"):
+            exact_tolerance(FOUR, from_iterables([{1, 2}]), budget=-1)
+        for c in (query(0), query(1, 1), query(0, 0, 0, 0)):
+            with pytest.raises(TverbergError, match=r"^invalid budget: -5$"):
+                tukey_depth(c, integer_line(3), budget=-5)
+
     def test_line_and_plane_charge_no_budget(self):
         assert tukey_depth(query(6), integer_line(11), budget=0) == 6
         square = from_coords([[0, 0], [2, 0], [0, 2], [2, 2], [1, 1]])
