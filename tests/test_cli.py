@@ -292,13 +292,6 @@ def test_gen_refuses_too_many_coordinates_before_drawing(capsys, monkeypatch):
     assert captured.err == "error: too many coordinates: n*dim = 300000000 > 1000000\n"
 
 
-def test_budget_zero_keeps_planar_depth(tmp_path, capsys):
-    pts = tmp_path / "p.json"
-    pts.write_text(dumps(point_set_to_obj(random_point_set(7, 2, seed=0))))
-    assert main(["depth", "--input", str(pts), "--point", "500,500", "--budget", "0"]) == 0
-    assert capsys.readouterr().out.startswith("depth=")
-
-
 def test_depth_runs_tukey_depth_once(tmp_path, capsys, monkeypatch):
     P = random_point_set(9, 2, seed=3)
     pts = tmp_path / "pts.json"

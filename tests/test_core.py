@@ -281,14 +281,14 @@ class TestJson:
         assert text == jsonio.dumps(jsonio.point_set_to_obj(P))
         json.loads(text)  # well-formed
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(json_values)
     @example({"parts": [[3, True, 1], (2, False)], 5: [], None: {}, True: "\u00e9\n\"", "": 1.5})
     @example([10**100, -(10**40), (), [[]], {"\x00": [None, float("nan")]}])
     def test_dumps_writes_exactly_json_dumps(self, value):
         assert jsonio.dumps(value) == json.dumps(value, indent=2) + "\n"
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(point_set_docs)
     @example({"dim": 2, "points": [{"id": 1, "coords": [1, 2]}, {"id": 2, "coords": [3, True]}]})
     @example({"dim": 1, "points": [{"id": 1, "coords": [4]}, {"id": 1, "coords": ["8/2"]}]})
