@@ -3,13 +3,16 @@
 Exit codes: 0 success (and "tolerant" for verify), 1 refuted (verify
 only), 2 any error.  All numeric JSON output uses exact "num/den"
 strings, and identical inputs, seeds and flags produce byte-identical
-files.  A value flag whose value starts with "-", such as
-``--point -1,2``, is read as that value, the same as ``--point=-1,2``.
+files.  ``main`` may be called any number of times in one process; the
+parser is built once, on the first call.  A value flag whose value
+starts with "-", such as ``--point -1,2``, is read as that value, the
+same as ``--point=-1,2``.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Any
 
@@ -133,6 +136,7 @@ def _cmd_plot(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache  # parse_args never writes to the parser, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tverberg",

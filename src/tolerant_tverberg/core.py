@@ -28,7 +28,8 @@ MAX_DECIMAL_EXPONENT = 4300
 # A parsed string's numerator and denominator stay below this, at most
 # 4300 digits, so that the "num/den" output form can print them.
 _DIGIT_BOUND = 10**MAX_DECIMAL_EXPONENT
-_EXPONENT = re.compile(r"[eE]([-+]?[0-9_]+)\s*\Z")
+# \d, as in Fraction's own pattern: it reads every script's decimal digits
+_EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\s*\Z")
 
 # Error messages quote at most this many characters of an offending value.
 ECHO_LIMIT = 60
