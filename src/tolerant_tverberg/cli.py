@@ -136,8 +136,11 @@ def _cmd_plot(args: argparse.Namespace) -> int:
     return 0
 
 
-@functools.cache  # parse_args never writes to the parser, so one serves every call
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser.  ``parse_args`` never writes to it and
+    help is formatted at print time, so every call of ``main`` shares it;
+    change it and every later call sees the change."""
     parser = argparse.ArgumentParser(
         prog="tverberg",
         description="Tolerant Tverberg partitions with exact verification.",

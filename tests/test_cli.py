@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -349,6 +350,20 @@ def test_depth_huge_exponent_is_exit_2(tmp_path, capsys):
     assert "exponent" in capsys.readouterr().err
 
 
+def test_non_ascii_huge_exponent_is_exit_2(tmp_path, capsys):
+    # Arabic-Indic 10**6 in --point, full-width 10**5 in a JSON coordinate:
+    # the exponent bound refuses both before Fraction computes 10**exponent
+    huge = "1e\uff11" + "\uff10" * 5
+    for name, coord in (("p.json", 1), ("q.json", huge)):
+        (tmp_path / name).write_text(json.dumps(
+            {"dim": 2, "points": [{"id": 1, "coords": [0, 0]}, {"id": 2, "coords": [coord, 1]}]}))
+    assert main(["depth", "--input", str(tmp_path / "p.json"), "--point",
+                 "1e\u0661" + "\u0660" * 6 + ",0"]) == 2
+    assert main(["depth", "--input", str(tmp_path / "q.json"), "--point", "0,0"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all("decimal exponent beyond +-4300" in line for line in err)
+
+
 @pytest.mark.parametrize("kind", ["exponent", "digits", "letters"])
 def test_depth_huge_coordinate_is_cut_short(tmp_path, capsys, kind):
     coord = {"exponent": "1e" + "9" * 100_000, "digits": "7" * 100_000,
@@ -444,6 +459,89 @@ def test_value_flag_without_a_value_is_exit_2(tmp_path, capsys, argv):
         main([argv[0], "--input", str(pts), *argv[1:]])
     assert excinfo.value.code == 2
     assert "expected one argument" in capsys.readouterr().err
+
+
+# -- one parser per process --------------------------------------------------
+# main reuses the parser that build_parser caches; build_parser.__wrapped__
+# builds a fresh one, as every call did before the cache.
+
+def _outcome(argv):
+    """Exit code, from a return or a SystemExit, and stdout and stderr of main(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_cached_parser_answers_as_a_fresh_one(tmp_path, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    pts, part = tmp_path / "p.json", tmp_path / "t.json"
+    pts.write_text(dumps(point_set_to_obj(random_point_set(6, 2, seed=0))))
+    part.write_text(json.dumps({"parts": [[1, 2, 3], [4, 5, 6]]}))
+    calls = [
+        ["verify", "--input", str(pts), "--partition", str(part), "--t", "0"],
+        ["verify", "--input", str(pts), "--partition", str(part), "--t", "x"],
+        ["--help"],
+        ["depth", "--help"],
+        [],
+        ["depth", "--input", str(pts), "--point", "-1,2"],
+        ["depth", "--input", str(pts), "--point", "1,2,3"],
+    ]
+    with monkeypatch.context() as m:
+        m.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        expected = [_outcome(argv) for argv in calls]
+    assert [code for code, _, _ in expected] == [1, 2, 0, 0, 2, 0, 2]
+    assert expected[1][2].startswith("usage: tverberg verify ")
+    assert expected[2][1].startswith("usage: tverberg ") and expected[2][2] == ""
+    assert expected[4][2].endswith("the following arguments are required: command\n")
+    assert expected[6][2].startswith("error: ")
+    cli.build_parser()
+    assert [_outcome(argv) for argv in calls] == expected
+    assert [_outcome(argv) for argv in reversed(calls)] == expected[::-1]
+
+
+def test_main_builds_no_parser_after_the_first_call(tmp_path, monkeypatch):
+    pts = tmp_path / "p.json"
+    pts.write_text(dumps(point_set_to_obj(random_point_set(4, 2, seed=0))))
+    cli.build_parser()
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    for argv in (["depth", "--input", str(pts), "--point", "0,0"], ["gen", "--n", "3", "--dim", "2"],
+                 ["verify"], ["--help"]):
+        _outcome(argv)
+    assert built == []
+    cli.build_parser.__wrapped__()
+    assert len(built) == 8  # the counter sees a build: the parser and its 7 subparsers
+
+
+def test_usage_width_follows_columns_set_after_the_parser_is_built(monkeypatch):
+    cli.build_parser()
+    widths = {}
+    for columns in ("200", "40"):
+        monkeypatch.setenv("COLUMNS", columns)
+        code, out, err = _outcome(["verify"])
+        assert code == 2 and out == ""
+        widths[columns] = [len(line) for line in err.splitlines()[:-1]]  # the usage lines
+    assert len(widths["200"]) == 1
+    assert len(widths["40"]) > 1 and max(widths["40"]) <= 40
+
+
+def test_monkeypatched_library_name_is_reached_by_a_built_parser(tmp_path, monkeypatch):
+    pts = tmp_path / "p.json"
+    pts.write_text(dumps(point_set_to_obj(random_point_set(4, 2, seed=0))))
+    argv = ["depth", "--input", str(pts), "--point", "0,0"]
+    assert _outcome(argv)[0] == 0  # builds the parser, if no earlier test did
+    monkeypatch.setattr(cli, "tukey_depth", lambda *args, **kwargs: 7)
+    assert _outcome(argv) == (0, "depth=7 centerpoint=true\n", "")
 
 
 def test_plot_emits_wellformed_svg(tmp_path):

@@ -77,6 +77,13 @@ class TestScalar:
         for raw in ("1e999999999", "-2.5E-999999999", "1e4301"):
             with pytest.raises(TverbergError, match="exponent"):
                 to_scalar(raw)
+        # Fraction and int read every script's decimal digits, and so does
+        # the bound: Arabic-Indic 10**7 and full-width 10**4 + 1 and 10**8
+        for raw in ("1e\u0661" + "\u0660" * 7, "1E-\uff11\uff10\uff10\uff10\uff11",
+                    "2.5e\uff11" + "\uff10" * 8, "1e\u0664\u0663\u0660\u0661"):
+            with pytest.raises(TverbergError, match="exponent"):
+                to_scalar(raw)
+        assert to_scalar("1e\u0664\u0662\u0669\u0669") == 10**4299
         # an exponent within the bound may still give more digits than
         # "num/den" output can print
         with pytest.raises(TverbergError, match="4300 digits"):
