@@ -511,7 +511,7 @@ def test_main_builds_no_parser_after_the_first_call(tmp_path, monkeypatch):
     init = argparse.ArgumentParser.__init__
 
     def counting(self, *args, **kwargs):
-        built.append(kwargs.get("prog"))
+        built.append(self)
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)

@@ -78,7 +78,7 @@ class TestScalar:
             with pytest.raises(TverbergError, match="exponent"):
                 to_scalar(raw)
         # Fraction and int read every script's decimal digits, and so does
-        # the bound: Arabic-Indic 10**7 and full-width 10**4 + 1 and 10**8
+        # the bound: Arabic-Indic 10**7 and 4301, full-width -10001 and 10**8
         for raw in ("1e\u0661" + "\u0660" * 7, "1E-\uff11\uff10\uff10\uff10\uff11",
                     "2.5e\uff11" + "\uff10" * 8, "1e\u0664\u0663\u0660\u0661"):
             with pytest.raises(TverbergError, match="exponent"):
