@@ -78,7 +78,12 @@ def to_scalar(value: int | str | Fraction) -> int | Fraction:
 
 def short_repr(value: object) -> str:
     """``repr(value)``, cut to ``ECHO_LIMIT`` characters and ended with
-    "..." when longer."""
+    "..." when longer; a long int is cut from its leading digits alone,
+    even past the interpreter's limit on int digits."""
+    if type(value) is int and value.bit_length() > 4 * ECHO_LIMIT:
+        # 0.30103 exceeds log10(2) by 4.4e-9: ECHO_LIMIT + 1 or 2 digits stay
+        drop = (value.bit_length() - 1) * 30103 // 100000 - ECHO_LIMIT
+        value = value // 10**drop if value > 0 else -(-value // 10**drop)
     text = repr(value)
     return text if len(text) <= ECHO_LIMIT else text[:ECHO_LIMIT] + "..."
 
@@ -146,6 +151,12 @@ def check_partition(partition: Partition, ids: frozenset[int]) -> None:
         raise TverbergError("invalid partition: ids outside the point set")
     if len(seen) != len(ids):
         raise TverbergError("invalid partition: does not cover the point set")
+
+
+def check_query(c: Point, point_set: PointSet) -> None:
+    """Raise a ``dimension: ...`` TverbergError unless c has the point set's dimension."""
+    if c.dim != point_set.dim:
+        raise TverbergError(f"dimension: query has dim {c.dim}, point set has {point_set.dim}")
 
 
 def lex_key(p: Point) -> tuple:

@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
-from .core import Point, PointSet, TverbergError
+from .core import Point, PointSet, TverbergError, short_repr
 
 DEFAULT_GRID = 1000
 _MAX_REDRAWS = 10000
@@ -22,9 +22,10 @@ MAX_COORDS = 10**6  # n * dim; the largest bench input holds 3 * 10^4
 
 
 def random_point_set(n: int, dim: int, grid: int = DEFAULT_GRID, seed: int = 0) -> PointSet:
+    given = f"n={short_repr(n)}, dim={short_repr(dim)}, grid={short_repr(grid)}"
     if n < 1 or dim < 1 or grid < 1:
-        raise TverbergError(f"bad generator parameters: n={n}, dim={dim}, grid={grid}")
-    failed = f"could not reach general position for n={n}, dim={dim}, grid={grid}"
+        raise TverbergError(f"bad generator parameters: {given}")
+    failed = f"could not reach general position for {given}"
     # Pigeonhole: d = 1 needs n <= grid+1; in d >= 2 three points on one of the
     # (grid+1)^(d-1) axis-parallel lines and any d-2 others are dependent.
     cap, axes = (1, 1) if dim == 1 else (2, dim - 1)
@@ -33,7 +34,7 @@ def random_point_set(n: int, dim: int, grid: int = DEFAULT_GRID, seed: int = 0) 
     if cap < n:
         raise TverbergError(failed)
     if n * dim > MAX_COORDS:
-        raise TverbergError(f"too many coordinates: n*dim = {n * dim} > {MAX_COORDS}")
+        raise TverbergError(f"too many coordinates: n*dim = {short_repr(n * dim)} > {MAX_COORDS}")
     rng = random.Random(seed)
     coords = [[rng.randint(0, grid) for _ in range(dim)] for _ in range(n)]
 

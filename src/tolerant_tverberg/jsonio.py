@@ -11,6 +11,7 @@ exact and byte-stable.
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Any
@@ -115,3 +116,8 @@ def _load(path: str) -> Any:
             return json.load(fh)
         except RecursionError as exc:
             raise TverbergError("JSON nested too deeply") from exc
+        except ValueError as exc:
+            if type(exc) is not ValueError:  # a decode error keeps its own text
+                raise
+            # json's one plain ValueError: an int past the interpreter's digit limit
+            raise TverbergError(f"JSON integer beyond {sys.get_int_max_str_digits()} digits") from exc

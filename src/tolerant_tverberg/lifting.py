@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .core import Partition, Point, PointSet, TverbergError, lex_key
+from .core import Partition, Point, PointSet, TverbergError, lex_key, short_repr
 from .one_d import tolerant_tverberg_1d
 
 _HALF = Fraction(1, 2)
@@ -98,7 +98,7 @@ def tolerant_tverberg_lifted(point_set: PointSet, m: int, t: int) -> Partition:
     need = lifted_points_needed(d, m, t)
     if len(point_set) < need:
         raise TverbergError(
-            f"too few points: need 2^(d-1)(m(t+2)-1) = {need}, got {len(point_set)}"
+            f"too few points: need 2^(d-1)(m(t+2)-1) = {short_repr(need)}, got {len(point_set)}"
         )
     if d == 1:
         return tolerant_tverberg_1d(point_set, m)

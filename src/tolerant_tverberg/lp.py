@@ -90,8 +90,7 @@ def _phase1(rows: Sequence[Sequence[int | Fraction]], rhs: Sequence[int | Fracti
     # a_ij on structural columns; last entry tracks -objective
     lcm = math.lcm(*dens)
     weights = [lcm // den for den in dens]
-    cost = [-sum(w * line[j] for w, line in zip(weights, tab)) for j in range(ncols)]
-    cost.append(-sum(w * line[-1] for w, line in zip(weights, tab)))
+    cost = [-sum(w * line[j] for w, line in zip(weights, tab)) for j in range(ncols + 1)]
     d = 1
 
     while True:

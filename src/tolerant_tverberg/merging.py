@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Partition, PointSet, TverbergError, check_partition
+from .core import Partition, PointSet, TverbergError, check_partition, short_repr
 from .solvers import SolverContract
 
 
@@ -70,7 +70,7 @@ def chunk_and_merge(
     n = len(point_set)
     if n < per_block:
         raise TverbergError(
-            f"too few points for one block: need {per_block}, got {n}"
+            f"too few points for one block: need {short_repr(per_block)}, got {n}"
         )
 
     k = n // per_block

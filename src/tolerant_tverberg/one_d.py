@@ -12,7 +12,7 @@ so rank r simply goes to part r mod m.
 
 from __future__ import annotations
 
-from .core import Partition, PointSet, TverbergError, lex_key
+from .core import Partition, PointSet, TverbergError, lex_key, short_repr
 
 
 def max_tolerance_1d(n: int, m: int) -> int | None:
@@ -39,7 +39,7 @@ def tolerant_tverberg_1d(point_set: PointSet, m: int) -> Partition:
     n = len(point_set)
     t = max_tolerance_1d(n, m)
     if t is None:
-        raise TverbergError(f"too few points: need {2 * m - 1}, got {n}")
+        raise TverbergError(f"too few points: need {short_repr(2 * m - 1)}, got {n}")
     core_size = m * (t + 2) - 1
 
     ordered = sorted(point_set.points, key=lex_key)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Partition, Point, PointSet, TverbergError
+from .core import Partition, Point, PointSet, TverbergError, check_query
 from .verification import centerpoint_depth
 
 
@@ -28,42 +28,25 @@ class ReducedInstance:
 def center_to_tolerant_instance(point_set: PointSet, c: Point) -> ReducedInstance:
     """Build the lifted instance whose tolerance encodes "c is a centerpoint".
 
-    Tower points sit at integer offsets -1..-(t+1) and +1..+(t+1) on the
-    vertical line through c; any strictly signed placement works, and
-    integers keep coordinates small.  Tower ids continue after the
-    largest id in P.
+    Tower points sit at integer offsets -1..-(t+1) and then +1..+(t+1) on
+    the vertical line through c; any strictly signed placement works, and
+    integers keep coordinates small.  Tower ids count on from the largest
+    id in P, the minus side first.
     """
-    d = point_set.dim
-    if c.dim != d:
-        raise TverbergError(
-            f"dimension: query has dim {c.dim}, point set has {d}"
-        )
-    n = len(point_set)
-    if n < 1:
+    check_query(c, point_set)
+    if not point_set.points:
         raise TverbergError("too few points: empty point set")
-
-    t = centerpoint_depth(n, d) - 1
-
+    t = centerpoint_depth(len(point_set), point_set.dim) - 1
+    top = max(p.id for p in point_set.points)
+    minus_ids = frozenset(range(top + 1, top + t + 2))
+    plus_ids = frozenset(range(top + t + 2, top + 2 * t + 3))
+    offsets = [*range(-1, -t - 2, -1), *range(1, t + 2)]
     embedded = [Point(p.id, p.coords + (0,)) for p in point_set.points]
-
-    next_id = max(p.id for p in point_set.points) + 1
-    minus_ids: list[int] = []
-    plus_ids: list[int] = []
-    gadget: list[Point] = []
-    for off in range(1, t + 2):
-        gadget.append(Point(next_id, c.coords + (-off,)))
-        minus_ids.append(next_id)
-        next_id += 1
-    for off in range(1, t + 2):
-        gadget.append(Point(next_id, c.coords + (off,)))
-        plus_ids.append(next_id)
-        next_id += 1
-
-    lifted = PointSet(d + 1, tuple(embedded + gadget))
+    tower = [Point(top + 1 + i, c.coords + (off,)) for i, off in enumerate(offsets)]
     return ReducedInstance(
-        lifted_points=lifted,
-        partition=(point_set.ids(), frozenset(minus_ids + plus_ids)),
+        lifted_points=PointSet(point_set.dim + 1, tuple(embedded + tower)),
+        partition=(point_set.ids(), minus_ids | plus_ids),
         t=t,
-        gadget_minus_ids=frozenset(minus_ids),
-        gadget_plus_ids=frozenset(plus_ids),
+        gadget_minus_ids=minus_ids,
+        gadget_plus_ids=plus_ids,
     )

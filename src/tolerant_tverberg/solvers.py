@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .core import Partition, PointSet, TverbergError
+from .core import Partition, PointSet, TverbergError, short_repr
 from .lifting import lifted_points_needed, tolerant_tverberg_lifted
 from .lp import common_intersection
 
@@ -51,9 +51,8 @@ def restricted_growth_strings(n: int, blocks: int):
     a = [0] * n
 
     def rec(i: int, mx: int):
-        if i == n:
-            if mx + 1 == blocks:
-                yield tuple(a)
+        if i == n:  # the pruning below has opened every block by now
+            yield tuple(a)
             return
         top = min(mx + 1, blocks - 1)
         for v in range(top + 1):
@@ -125,7 +124,7 @@ def _brute_points_needed(dim: int, m: int) -> int:
     n = (dim + 1) * (m - 1) + 1
     if n > BRUTE_FORCE_CAP:
         raise TverbergError(
-            f"instance too large for brute force: blocks of {n} points > cap {BRUTE_FORCE_CAP}"
+            f"instance too large for brute force: blocks of {short_repr(n)} points > cap {BRUTE_FORCE_CAP}"
         )
     return n
 

@@ -29,7 +29,7 @@ from functools import cmp_to_key
 from itertools import combinations
 from typing import Callable
 
-from .core import Partition, Point, PointSet, RemovalSet, TverbergError, check_partition
+from .core import Partition, Point, PointSet, RemovalSet, TverbergError, check_partition, check_query
 from .lp import common_intersection, hull_support
 
 DEFAULT_BUDGET = 10**6
@@ -120,10 +120,7 @@ def tukey_depth(c: Point, point_set: PointSet, budget: int = DEFAULT_BUDGET) -> 
     sets of all sizes together.
     """
     _check_budget(budget)
-    if c.dim != point_set.dim:
-        raise TverbergError(
-            f"dimension: query has dim {c.dim}, point set has {point_set.dim}"
-        )
+    check_query(c, point_set)
     if c.dim == 1:  # the closed half-lines at c: the points on either side
         x = c.coords[0]
         values = [p.coords[0] for p in point_set.points]

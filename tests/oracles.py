@@ -141,10 +141,6 @@ def stirling2(n, k):
     return k * stirling2(n - 1, k) + stirling2(n - 1, k - 1)
 
 
-def frac(value) -> Fraction:
-    return Fraction(value)
-
-
 def lex_key_plain(p):
     """The symbolic order as a plain tuple: coordinates from the last
     axis down to the first, then the id."""

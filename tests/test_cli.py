@@ -106,6 +106,40 @@ def test_reduce_center(tmp_path):
     assert len(reduced["gadget_minus_ids"]) == 3
 
 
+@pytest.mark.parametrize("dim,rows,point,lifted,parts,t,minus,plus", [
+    (1, [(10, [4]), (3, [-1]), (7, ["1/2"]), (42, [9]), (5, [2])], "3/2",
+     [(10, ["4/1", "0/1"]), (3, ["-1/1", "0/1"]), (7, ["1/2", "0/1"]),
+      (42, ["9/1", "0/1"]), (5, ["2/1", "0/1"]),
+      (43, ["3/2", "-1/1"]), (44, ["3/2", "-2/1"]), (45, ["3/2", "-3/1"]),
+      (46, ["3/2", "1/1"]), (47, ["3/2", "2/1"]), (48, ["3/2", "3/1"])],
+     [[3, 5, 7, 10, 42], [43, 44, 45, 46, 47, 48]], 2, [43, 44, 45], [46, 47, 48]),
+    (2, [(8, [0, 0]), (2, [6, "1/3"]), (31, ["5/2", 4]), (17, [-3, 1]), (4, [1, -2]),
+         (9, [2, 2])], "1/3,1",
+     [(8, ["0/1", "0/1", "0/1"]), (2, ["6/1", "1/3", "0/1"]), (31, ["5/2", "4/1", "0/1"]),
+      (17, ["-3/1", "1/1", "0/1"]), (4, ["1/1", "-2/1", "0/1"]), (9, ["2/1", "2/1", "0/1"]),
+      (32, ["1/3", "1/1", "-1/1"]), (33, ["1/3", "1/1", "-2/1"]),
+      (34, ["1/3", "1/1", "1/1"]), (35, ["1/3", "1/1", "2/1"])],
+     [[2, 4, 8, 9, 17, 31], [32, 33, 34, 35]], 1, [32, 33], [34, 35]),
+])
+def test_reduce_center_output_bytes(tmp_path, capsys, dim, rows, point, lifted, parts, t,
+                                    minus, plus):
+    # input order kept, then the minus tower downward and the plus tower
+    # upward, with ids counting on from the largest input id
+    pts = tmp_path / "pts.json"
+    pts.write_text(json.dumps(
+        {"dim": dim, "points": [{"id": i, "coords": c} for i, c in rows]}))
+    assert main(["reduce-center", "--input", str(pts), "--point", point]) == 0
+    expected = {
+        "dim": dim + 1,
+        "points": [{"id": i, "coords": c} for i, c in lifted],
+        "parts": parts,
+        "t": t,
+        "gadget_minus_ids": minus,
+        "gadget_plus_ids": plus,
+    }
+    assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
+
+
 def test_gen_is_seed_deterministic(tmp_path):
     a, b, c = (tmp_path / name for name in ("a.json", "b.json", "c.json"))
     for path in (a, b):
@@ -264,6 +298,61 @@ def test_each_error_kind_is_one_exact_line(tmp_path, capsys, argv, message):
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
     assert not (tmp_path / "o.svg").exists()
+
+
+TEN_4000 = "1" + "0" * 4000  # printable, but a product of two is not
+NINES_4300 = "9" * 4300  # the longest int argparse reads
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["depth", "--input", "big_coord.json", "--point", "0"], "JSON integer beyond 4300 digits"),
+    (["depth", "--input", "big_id.json", "--point", "0"], "JSON integer beyond 4300 digits"),
+    (["depth", "--input", "cut.json", "--point", "0"],
+     "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    (["depth", "--input", "latin1.json", "--point", "0"],
+     "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    (["gen", "--n", TEN_4000, "--dim", TEN_4000],
+     "too many coordinates: n*dim = 1" + "0" * 59 + "... > 1000000"),
+    (["gen", "--n", "5", "--dim", TEN_4000],
+     "too many coordinates: n*dim = 5" + "0" * 59 + "... > 1000000"),
+    (["gen", "--n", TEN_4000, "--dim", "2"],
+     "could not reach general position for n=1" + "0" * 59 + "..., dim=2, grid=1000"),
+    (["gen", "--n", "-" + TEN_4000, "--dim", "2"],
+     "bad generator parameters: n=-1" + "0" * 58 + "..., dim=2, grid=1000"),
+    (["compute", "--input", "tall.json", "--algorithm", "lift", "--m", "2", "--t", "0"],
+     "too few points: need 2^(d-1)(m(t+2)-1) = "
+     "597041526050694988853146080928680368055715917073863890807014..., got 2"),
+    (["compute", "--input", "tall.json", "--algorithm", "chunk_merge", "--solver", "lift",
+      "--m", "2"],
+     "too few points for one block: need "
+     "597041526050694988853146080928680368055715917073863890807014..., got 2"),
+    (["compute", "--input", "line.json", "--algorithm", "lift", "--m", NINES_4300,
+      "--t", NINES_4300], "too few points: need 2^(d-1)(m(t+2)-1) = 9" + "9" * 59 + "..., got 3"),
+    (["compute", "--input", "line.json", "--algorithm", "one_d", "--m", NINES_4300],
+     "too few points: need 1" + "9" * 59 + "..., got 3"),
+    (["compute", "--input", "line.json", "--algorithm", "chunk_merge", "--solver", "brute",
+      "--m", NINES_4300], "instance too large for brute force: blocks of 1" + "9" * 59
+     + "... points > cap 12"),
+])
+def test_oversized_integers_are_one_exact_line(tmp_path, capsys, argv, message):
+    # integers past the interpreter's 4300-digit limit for str() and int()
+    texts = {
+        "big_coord.json": '{"dim": 1, "points": [{"id": 1, "coords": [%s]}]}' % ("9" * 5000),
+        "big_id.json": '{"dim": 1, "points": [{"id": %s, "coords": [1]}]}' % ("9" * 5000),
+        "cut.json": "{",
+        "tall.json": json.dumps({"dim": 20000, "points": [
+            {"id": i, "coords": [0] * 19999 + [i]} for i in (1, 2)]}),
+        "line.json": json.dumps({"dim": 1, "points": [
+            {"id": i, "coords": [i]} for i in (1, 2, 3)]}),
+    }
+    for name, text in texts.items():
+        (tmp_path / name).write_text(text)
+    (tmp_path / "latin1.json").write_bytes(b"\xff")
+    argv = [str(tmp_path / arg) if arg.endswith(".json") else arg for arg in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("n,dim", [(2003, 2), (1002, 1)])

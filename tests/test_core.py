@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from tolerant_tverberg import (
     lex_key,
     to_scalar,
 )
+from tolerant_tverberg.core import ECHO_LIMIT, short_repr
 
 
 def test_export_list_resolves_without_duplicates():
@@ -90,6 +92,23 @@ class TestScalar:
             to_scalar("1e4300")
         assert to_scalar("1e4299") == 10**4299
         assert to_scalar("25e-2") == Fraction(1, 4)
+
+    def test_short_repr_cuts_ints_like_their_repr(self):
+        # around the 4 * ECHO_LIMIT-bit switch to leading digits, at powers
+        # of 2 and 10 and their neighbours, and past the digit limit
+        tens = (58, 59, 60, 61, 72, 73, 4300, 6021, 30000)
+        values = [10**k + e for k in tens for e in (-1, 0)]
+        values += [2**b + e for b in (199, 200, 239, 240, 241, 14284, 99999) for e in (-1, 0)]
+        got = [(short_repr(v), short_repr(-v)) for v in values]
+        previous = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(0)
+            for v, (pos, neg) in zip(values, got):
+                for text, value in ((pos, v), (neg, -v)):
+                    full = repr(value)
+                    assert text == (full if len(full) <= ECHO_LIMIT else full[:ECHO_LIMIT] + "...")
+        finally:
+            sys.set_int_max_str_digits(previous)
 
     @given(
         st.fractions(max_denominator=10**6),

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from oracles import degenerate_index_exhaustive, det_by_fractions
 from tolerant_tverberg import TverbergError, generate, jsonio, random_point_set
+from tolerant_tverberg.cli import main
 from tolerant_tverberg.generate import _degenerate_index, _det
 
 
@@ -24,6 +25,18 @@ def test_coordinate_cap_is_on_n_times_dim(monkeypatch):
     for n, dim in [(13, 1), (5, 3), (1, 13)]:
         with pytest.raises(TverbergError, match=rf"^too many coordinates: n\*dim = {n * dim} > 12$"):
             random_point_set(n, dim)
+
+
+def test_running_out_of_redraws_is_refused(monkeypatch, capsys):
+    # a scan that always finds an offender uses up every redraw
+    monkeypatch.setattr(generate, "_degenerate_index", lambda coords, dim: 0)
+    with pytest.raises(TverbergError) as info:
+        random_point_set(5, 2, grid=10, seed=3)
+    assert str(info.value) == "could not reach general position for n=5, dim=2, grid=10"
+    assert main(["gen", "--n", "5", "--dim", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: could not reach general position for n=5, dim=2, grid=1000\n"
 
 
 @pytest.mark.parametrize("size", [2, 3, 4])
