@@ -65,7 +65,7 @@ def _cmd_compute(args: argparse.Namespace) -> int:
     elif args.algorithm == "brute":
         maybe = brute_force_tverberg(points, args.m)
         if maybe is None:
-            raise TverbergError(f"no Tverberg {args.m}-partition exists")
+            raise TverbergError(f"no Tverberg {short_repr(args.m)}-partition exists")
         partition, tolerance = maybe, 0
 
     out = {

@@ -30,6 +30,10 @@ MAX_DECIMAL_EXPONENT = 4300
 _DIGIT_BOUND = 10**MAX_DECIMAL_EXPONENT
 # \d, as in Fraction's own pattern: it reads every script's decimal digits
 _EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\s*\Z")
+# The "num/den" form the library writes, in ASCII digits that stay inside the
+# digit bound; it is read with int alone, and every other string by Fraction.
+_DIGITS = rf"[0-9]{{1,{MAX_DECIMAL_EXPONENT}}}"
+_RATIO = re.compile(rf"(-?{_DIGITS})/({_DIGITS})")
 
 # Error messages quote at most this many characters of an offending value.
 ECHO_LIMIT = 60
@@ -57,23 +61,32 @@ def to_scalar(value: int | str | Fraction) -> int | Fraction:
     if isinstance(value, Fraction):
         return value.numerator if value.denominator == 1 else value
     if isinstance(value, str):
-        try:
-            exponent = _EXPONENT.search(value)
-            if exponent and abs(int(exponent.group(1))) > MAX_DECIMAL_EXPONENT:
-                raise TverbergError(
-                    f"decimal exponent beyond +-{MAX_DECIMAL_EXPONENT}: {short_repr(value)}"
-                )
-            scalar = Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise TverbergError(f"not an exact scalar: {short_repr(value)}") from exc
-        if abs(scalar.numerator) >= _DIGIT_BOUND or scalar.denominator >= _DIGIT_BOUND:
-            raise TverbergError(
-                f"scalar beyond {MAX_DECIMAL_EXPONENT} digits: {short_repr(value)}"
-            )
-        return scalar.numerator if scalar.denominator == 1 else scalar
+        ratio = _RATIO.fullmatch(value)
+        if ratio and (den := int(ratio[2])):
+            if den == 1:
+                return int(ratio[1])
+            scalar = Fraction(int(ratio[1]), den)
+            return scalar.numerator if scalar.denominator == 1 else scalar
+        return _parse_text(value)
     raise TverbergError(
         f"not an exact scalar: {short_repr(value)} (floats are not accepted)"
     )
+
+
+def _parse_text(value: str) -> int | Fraction:
+    """``to_scalar`` of any string, through ``Fraction``'s own parser."""
+    try:
+        exponent = _EXPONENT.search(value)
+        if exponent and abs(int(exponent.group(1))) > MAX_DECIMAL_EXPONENT:
+            raise TverbergError(
+                f"decimal exponent beyond +-{MAX_DECIMAL_EXPONENT}: {short_repr(value)}"
+            )
+        scalar = Fraction(value)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise TverbergError(f"not an exact scalar: {short_repr(value)}") from exc
+    if abs(scalar.numerator) >= _DIGIT_BOUND or scalar.denominator >= _DIGIT_BOUND:
+        raise TverbergError(f"scalar beyond {MAX_DECIMAL_EXPONENT} digits: {short_repr(value)}")
+    return scalar.numerator if scalar.denominator == 1 else scalar
 
 
 def short_repr(value: object) -> str:
@@ -118,10 +131,10 @@ class PointSet:
         for p in self.points:
             if len(p.coords) != self.dim:
                 raise TverbergError(
-                    f"point {p.id} has {len(p.coords)} coords, expected {self.dim}"
+                    f"point {short_repr(p.id)} has {len(p.coords)} coords, expected {self.dim}"
                 )
             if p.id in seen:
-                raise TverbergError(f"duplicate point id {p.id}")
+                raise TverbergError(f"duplicate point id {short_repr(p.id)}")
             seen.add(p.id)
 
     def __len__(self) -> int:
@@ -145,7 +158,8 @@ def check_partition(partition: Partition, ids: frozenset[int]) -> None:
         if not part:
             raise TverbergError("invalid partition: empty part")
         if not seen.isdisjoint(part):
-            raise TverbergError(f"invalid partition: id {min(seen & part)} in two parts")
+            twice = short_repr(min(seen & part))
+            raise TverbergError(f"invalid partition: id {twice} in two parts")
         seen |= part
     if not seen <= ids:
         raise TverbergError("invalid partition: ids outside the point set")

@@ -54,7 +54,7 @@ def point_set_from_obj(obj: Any) -> PointSet:
             raise TverbergError(f"point id must be an integer, got {short_repr(pid)}")
         coords = entry["coords"]
         if not isinstance(coords, list):
-            raise TverbergError(f"coords of point {pid} must be a list")
+            raise TverbergError(f"coords of point {short_repr(pid)} must be a list")
         exact = set(map(type, coords)) <= {int}  # ints, which to_scalar keeps as they are
         points.append(Point(pid, tuple(coords) if exact else tuple(map(to_scalar, coords))))
     return PointSet(dim, tuple(points))

@@ -91,9 +91,9 @@ def tolerant_tverberg_lifted(point_set: PointSet, m: int, t: int) -> Partition:
     hull.
     """
     if m < 1:
-        raise TverbergError(f"m must be at least 1, got m={m}")
+        raise TverbergError(f"m must be at least 1, got m={short_repr(m)}")
     if t < 0:
-        raise TverbergError(f"t must be nonnegative, got t={t}")
+        raise TverbergError(f"t must be nonnegative, got t={short_repr(t)}")
     d = point_set.dim
     need = lifted_points_needed(d, m, t)
     if len(point_set) < need:

@@ -65,7 +65,7 @@ def chunk_and_merge(
     extra points only grow hulls.
     """
     if m < 1:
-        raise TverbergError(f"m must be at least 1, got m={m}")
+        raise TverbergError(f"m must be at least 1, got m={short_repr(m)}")
     per_block = solver.points_needed(m)
     n = len(point_set)
     if n < per_block:

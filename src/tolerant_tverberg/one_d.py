@@ -19,9 +19,9 @@ def max_tolerance_1d(n: int, m: int) -> int | None:
     """Largest t >= 0 with m(t+2)-1 <= n, or None when no tolerance is
     achievable (n < 2m-1)."""
     if m < 1:
-        raise TverbergError(f"m must be at least 1, got m={m}")
+        raise TverbergError(f"m must be at least 1, got m={short_repr(m)}")
     if n < 1:
-        raise TverbergError(f"too few points: n={n}, m={m}")
+        raise TverbergError(f"too few points: n={short_repr(n)}, m={short_repr(m)}")
     t = (n + 1) // m - 2
     return t if t >= 0 else None
 

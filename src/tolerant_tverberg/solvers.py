@@ -101,7 +101,7 @@ def brute_force_tverberg(point_set: PointSet, m: int) -> Partition | None:
     Bell-number sized, hence the fixed cap of ``BRUTE_FORCE_CAP`` points.
     """
     if m < 1:
-        raise TverbergError(f"m must be at least 1, got m={m}")
+        raise TverbergError(f"m must be at least 1, got m={short_repr(m)}")
     n = len(point_set)
     if n > BRUTE_FORCE_CAP:
         raise TverbergError(f"instance too large for brute force: {n} > cap {BRUTE_FORCE_CAP}")
@@ -137,7 +137,7 @@ def _solve_brute(point_set: PointSet, m: int) -> Partition:
     partition = brute_force_tverberg(PointSet(point_set.dim, head), m)
     if partition is None:
         raise TverbergError(
-            f"no Tverberg {m}-partition exists for this {len(point_set)}-point set"
+            f"no Tverberg {short_repr(m)}-partition exists for this {len(point_set)}-point set"
         )
     rest = frozenset(p.id for p in point_set.points[len(head) :])
     return (partition[0] | rest, *partition[1:])

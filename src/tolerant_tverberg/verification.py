@@ -1,15 +1,20 @@
 """Exact checking of tolerance, Tukey depth and centerpoints.
 
-Tolerance testing is coNP-complete in general, so ``verify_tolerance``
-and ``exact_tolerance`` run a budgeted exhaustive search: every removal
-set of the critical size is enumerated in lexicographic id order, and
-each one that could refute is judged by one exact LP: a simplex on a
-fraction-free integer tableau, whose witnesses re-check by exact
-substitution.  That makes them oracles for desk-scale instances rather
-than scalable algorithms, which is exactly their job here.  Tukey depth
-takes the same ascent from d = 3 on; in the line and the plane it is
-counted directly, by an exact O(n log n) angular sweep in integers that
-enumerates no removal set and solves no LP.
+Tolerance testing is coNP-complete when d is part of the input, so
+``verify_tolerance`` and ``exact_tolerance`` run a budgeted exhaustive
+search: every removal set of the critical size is enumerated in
+lexicographic id order, and each one that could refute is judged by one
+exact LP: a simplex on a fraction-free integer tableau, whose witnesses
+re-check by exact substitution.  That makes them oracles for desk-scale
+instances rather than scalable algorithms.  In the line (any number of
+parts m) and in the plane with m = 2, the fewest deletions that refute
+are instead counted over separating lines in O(n^3) integer steps, with
+no LP and no removal set: ``exact_tolerance`` is that count minus 1,
+and ``verify_tolerance`` answers None when the count exceeds t; only a
+refutation, whose witness is the enumeration's, is still enumerated.
+Tukey depth takes the ascent from d = 3 on; in the line and the plane
+it is counted directly, by an exact O(n log n) angular sweep in
+integers that enumerates no removal set and solves no LP.
 
 Every feasible LP reports its witness's support, the points with
 nonzero weight; a basic witness has at most one per LP row (Carathéodory).
@@ -19,7 +24,8 @@ found so far are judged.  Skipped sets never refute, so the reported
 refutation is still the lexicographically first: ``verify_tolerance``
 returns that removal itself, or None when the partition is tolerant.
 The budget is charged for every removal set of a level, judged or not,
-and bounds only enumerated removal sets: the planar sweep is not charged.
+and bounds only enumerated removal sets: the separating-line count and
+the planar sweep are not charged.
 """
 
 from __future__ import annotations
@@ -27,9 +33,11 @@ from __future__ import annotations
 import math
 from functools import cmp_to_key
 from itertools import combinations
-from typing import Callable
+from typing import Callable, Sequence
 
-from .core import Partition, Point, PointSet, RemovalSet, TverbergError, check_partition, check_query
+from .core import (
+    Partition, Point, PointSet, RemovalSet, TverbergError, check_partition, check_query, short_repr,
+)
 from .lp import common_intersection, hull_support
 
 DEFAULT_BUDGET = 10**6
@@ -54,12 +62,16 @@ def verify_tolerance(
     most t points — then deleting that whole part is an immediate
     refutation and is returned padded to full size.  It is checkable
     independently: deleting it leaves the parts' hulls with empty common
-    intersection.  ``budget`` bounds the C(n, min(t, n)) removal sets.
+    intersection.  ``budget`` bounds the C(n, min(t, n)) removal sets;
+    a tolerant verdict counted over separating lines charges nothing.
     """
     _check_budget(budget)
     if t < 0:
-        raise TverbergError(f"invalid partition query: t={t}")
+        raise TverbergError(f"invalid partition query: t={short_repr(t)}")
     ids, smallest, judge = _partition_judge(point_set, partition)
+    fewest = _fewest_refuting(point_set, partition)
+    if fewest is not None and fewest > t:
+        return None
     n = len(ids)
     size = min(t, n)
     _charge(n, size, budget)
@@ -83,11 +95,15 @@ def exact_tolerance(
     always refutes (removing that part empties its hull), so it is
     charged but not judged.  ``budget`` bounds the removal sets of all
     levels together, and the witness supports found at one level prune
-    the next.
+    the next.  In the line, and in the plane for two parts, no level is
+    enumerated and nothing is charged.
     """
     _check_budget(budget)
     ids, smallest, judge = _partition_judge(point_set, partition)
-    return _first_refuted_size(ids, len(smallest), judge, budget) - 1
+    fewest = _fewest_refuting(point_set, partition)
+    if fewest is None:
+        fewest = _first_refuted_size(ids, len(smallest), judge, budget)
+    return fewest - 1
 
 
 def _partition_judge(
@@ -105,6 +121,90 @@ def _partition_judge(
         return common_intersection(sets, point_set.dim)
 
     return sorted(by_id), min(partition, key=len), judge
+
+
+def _fewest_refuting(point_set: PointSet, partition: Partition) -> int | None:
+    """The fewest deletions that refute ``partition``, counted with no LP
+    and no removal set in the line (any m) and in the plane for m = 2;
+    None elsewhere.
+
+    In the line, intervals share a point exactly when every two of them
+    do (Helly), so the fewest is the least over the pairs of parts; a
+    single part goes only when all of it is deleted.
+    """
+    m = len(partition)
+    if not (point_set.dim == 1 or (point_set.dim == 2 and m == 2)):
+        return None
+    points = point_set.points
+    coords = dict(zip([p.id for p in points], _scaled(points)))
+    parts = [[coords[pid] for pid in part] for part in partition]
+    pairs = combinations(parts, 2)
+    return min((_fewest_deletions(a, b) for a, b in pairs), default=len(parts[0]))
+
+
+def _fewest_deletions(a: list[tuple[int, ...]], b: list[tuple[int, ...]]) -> int:
+    """The fewest points to delete from a and b, integer points in the
+    line or the plane, so that their hulls miss or one of them is empty.
+
+    Disjoint hulls have a strictly separating line, and the open cell of
+    separators that keep a given pattern has a vertex in its closure: a
+    line H through two distinct input points.  Lines near H keep every
+    point off H on its side, and put the points on H on either side of a
+    cut along H or all on one side.  So the answer is the least, over
+    every H and both orientations, of the a points strictly on the + side
+    and the b points strictly on the - side, plus the 1-D rule for the
+    points on H, ordered by their projection on H's direction; and
+    min(|a|, |b|), which also covers every point at one place.  O(n^3).
+    """
+    if len(a[0]) == 1:
+        return _fewest_on_line([(x, 1, 0) for x, in a] + [(x, 0, 1) for x, in b])
+    weights: dict[tuple[int, ...], list[int]] = {}
+    for p in a:
+        weights.setdefault(p, [0, 0])[0] += 1
+    for p in b:
+        weights.setdefault(p, [0, 0])[1] += 1
+    points = [(x, y, na, nb) for (x, y), (na, nb) in weights.items()]
+    best = min(len(a), len(b))
+    for j, (qx, qy, _, _) in enumerate(points):
+        for i in range(j):
+            px, py = points[i][:2]
+            dx, dy = qx - px, qy - py
+            a_plus = a_minus = b_plus = b_minus = 0
+            on_h = []
+            for k, (x, y, na, nb) in enumerate(points):
+                side = dx * (y - py) - dy * (x - px)
+                if side > 0:
+                    a_plus += na
+                    b_plus += nb
+                elif side < 0:
+                    a_minus += na
+                    b_minus += nb
+                elif k < j and k != i:
+                    break  # H was counted at its first two points
+                else:
+                    on_h.append((dx * x + dy * y, na, nb))
+            else:
+                cost = min(a_plus + b_minus, a_minus + b_plus)
+                if cost < best:
+                    best = min(best, cost + _fewest_on_line(on_h))
+    return best
+
+
+def _fewest_on_line(points: list[tuple[int, int, int]]) -> int:
+    """The 1-D rule on (value, #a, #b) entries: the least, over every cut
+    strictly between two consecutive distinct values, of #a right + #b
+    left and #a left + #b right, and min(|a|, |b|)."""
+    points.sort()
+    total_a = sum(na for _, na, _ in points)
+    total_b = sum(nb for _, _, nb in points)
+    best = min(total_a, total_b)
+    left_a = left_b = 0
+    for (x, na, nb), (nxt, _, _) in zip(points, points[1:]):
+        left_a += na
+        left_b += nb
+        if x != nxt:
+            best = min(best, total_a - left_a + left_b, left_a + total_b - left_b)
+    return best
 
 
 def tukey_depth(c: Point, point_set: PointSet, budget: int = DEFAULT_BUDGET) -> int:
@@ -148,11 +248,9 @@ def _planar_depth(c: Point, points: tuple[Point, ...]) -> int:
     counter-clockwise by half-plane and cross product; the arc's far end
     only moves forward.
     """
-    scale = math.lcm(*(x.denominator for p in (c, *points) for x in p.coords))
-    cx, cy = (x.numerator * (scale // x.denominator) for x in c.coords)
+    (cx, cy), *scaled = _scaled((c, *points))
     weights: dict[tuple[int, int], int] = {}
-    for p in points:
-        x, y = (v.numerator * (scale // v.denominator) for v in p.coords)
+    for x, y in scaled:
         x, y = x - cx, y - cy
         if x or y:
             g = math.gcd(x, y)
@@ -176,6 +274,13 @@ def _planar_depth(c: Point, points: tuple[Point, ...]) -> int:
         if end > i + 1:
             inside -= weights[dirs[(i + 1) % k]]
     return len(points) - best
+
+
+def _scaled(points: Sequence[Point]) -> list[tuple[int, ...]]:
+    """The points' coordinates times the lcm of all their denominators:
+    integers in the same order and on the same lines."""
+    scale = math.lcm(*(x.denominator for p in points for x in p.coords))
+    return [tuple(x.numerator * (scale // x.denominator) for x in p.coords) for p in points]
 
 
 def _ccw_cmp(u: tuple[int, int], v: tuple[int, int]) -> int:
@@ -224,7 +329,7 @@ def _first_refutation(
 def _check_budget(budget: int) -> None:
     """Refuse a negative budget before any work, wherever it would be read."""
     if budget < 0:
-        raise TverbergError(f"invalid budget: {budget}")
+        raise TverbergError(f"invalid budget: {short_repr(budget)}")
 
 
 def _charge(n: int, size: int, budget: int) -> int:
@@ -233,7 +338,8 @@ def _charge(n: int, size: int, budget: int) -> int:
     sets = math.comb(n, size)
     if sets > budget:
         raise TverbergError(
-            f"instance too large: C({n},{size}) removal sets exceed the budget left, {budget}"
+            f"instance too large: C({n},{size}) removal sets exceed the budget left, "
+            f"{short_repr(budget)}"
         )
     return sets
 

@@ -204,6 +204,10 @@ def test_bad_m_or_t_is_exit_2(tmp_path, capsys, flags, message):
     assert captured.err == f"error: {message}\n"
 
 
+TEN_4000 = "1" + "0" * 4000  # printable, but a product of two is not
+NINES_4300 = "9" * 4300  # the longest int argparse reads
+
+
 @pytest.mark.parametrize("argv,message", [
     (["compute", "--input", "planar.json", "--algorithm", "one_d", "--m", "2"],
      "dimension: expected 1-D input, got 2-D"),
@@ -267,19 +271,37 @@ def test_bad_m_or_t_is_exit_2(tmp_path, capsys, flags, message):
      "invalid budget: -1"),
     (["depth", "--input", "planar.json", "--point", "0,0", "--budget", "-5"],
      "invalid budget: -5"),
-    (["verify", "--input", "planar.json", "--partition", "split.json", "--t", "0",
+    (["verify", "--input", "planar.json", "--partition", "split3.json", "--t", "0",
       "--budget", "0"], "instance too large: C(7,0) removal sets exceed the budget left, 0"),
+    (["verify", "--input", "planar.json", "--partition", "split.json", "--t", "0",
+      "--budget", "-" + NINES_4300], "invalid budget: -" + "9" * 59 + "..."),
+    (["tolerance", "--input", "planar.json", "--partition", "split3.json",
+      "--budget", "-" + NINES_4300], "invalid budget: -" + "9" * 59 + "..."),
+    (["verify", "--input", "planar.json", "--partition", "split.json", "--t",
+      "-" + NINES_4300], "invalid partition query: t=-" + "9" * 59 + "..."),
+    (["compute", "--input", "planar.json", "--algorithm", "lift", "--m", "-" + NINES_4300,
+      "--t", "0"], "m must be at least 1, got m=-" + "9" * 59 + "..."),
+    (["compute", "--input", "planar.json", "--algorithm", "lift", "--m", "2",
+      "--t", "-" + NINES_4300], "t must be nonnegative, got t=-" + "9" * 59 + "..."),
+    (["compute", "--input", "planar.json", "--algorithm", "brute", "--m", NINES_4300],
+     "no Tverberg " + "9" * 60 + "...-partition exists"),
+    (["compute", "--input", "line.json", "--algorithm", "one_d", "--m", "-" + NINES_4300],
+     "m must be at least 1, got m=-" + "9" * 59 + "..."),
+    (["compute", "--input", "planar.json", "--algorithm", "chunk_merge", "--solver", "brute",
+      "--m", "-" + NINES_4300], "m must be at least 1, got m=-" + "9" * 59 + "..."),
 ])
 def test_each_error_kind_is_one_exact_line(tmp_path, capsys, argv, message):
     docs = {
         "planar.json": point_set_to_obj(random_point_set(7, 2, seed=0)),
         "short.json": {"dim": 2, "points": [{"id": 1, "coords": [0]}]},
+        "line.json": {"dim": 1, "points": [{"id": i, "coords": [i]} for i in (1, 2, 3)]},
         "points_not_list.json": {"dim": 1, "points": {}},
         "text_id.json": {"dim": 1, "points": [{"id": "x", "coords": [0]}]},
         "coords_not_list.json": {"dim": 1, "points": [{"id": 1, "coords": 0}]},
         "dim_0.json": {"dim": 0, "points": [{"id": 1, "coords": []}]},
         "partial.json": {"parts": [[1, 2], [3]]},
         "split.json": {"parts": [[1, 2, 3], [4, 5, 6, 7]]},
+        "split3.json": {"parts": [[1, 2], [3, 4, 5], [6, 7]]},
         "overlap.json": {"parts": [[1, 2, 3, 4], [4, 5, 6, 7]]},
         "empty_part.json": {"parts": [[1, 2, 3, 4, 5, 6, 7], []]},
         "no_parts.json": {"parts": []},
@@ -298,10 +320,6 @@ def test_each_error_kind_is_one_exact_line(tmp_path, capsys, argv, message):
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
     assert not (tmp_path / "o.svg").exists()
-
-
-TEN_4000 = "1" + "0" * 4000  # printable, but a product of two is not
-NINES_4300 = "9" * 4300  # the longest int argparse reads
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -418,13 +436,16 @@ def test_budget_exceeded_is_exit_2(tmp_path, capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("budget,code,out", [("231", 2, ""), ("232", 0, "2\n")])
-def test_tolerance_budget_is_a_total_over_levels(line11, tmp_path, capsys, budget, code, out):
-    # levels t = 0..3 enumerate 1 + 11 + 55 + 165 = 232 removal sets
+@pytest.mark.parametrize("budget,code,out", [("66", 2, ""), ("67", 0, "1\n")])
+def test_tolerance_budget_is_a_total_over_levels(tmp_path, capsys, budget, code, out):
+    # a planar 3-partition is enumerated: levels t = 0..2 take
+    # 1 + 11 + 55 = 67 removal sets, and level 2 refutes
+    pts = tmp_path / "zigzag.json"
+    pts.write_text(json.dumps(
+        {"dim": 2, "points": [{"id": i, "coords": [i, i % 2]} for i in range(1, 12)]}))
     part = tmp_path / "part.json"
-    assert main(["compute", "--input", line11, "--algorithm", "one_d",
-                 "--m", "3", "--output", str(part)]) == 0
-    assert main(["tolerance", "--input", line11, "--partition", str(part),
+    part.write_text(json.dumps({"parts": [[3, 6, 9], [1, 4, 7, 10], [2, 5, 8, 11]]}))
+    assert main(["tolerance", "--input", str(pts), "--partition", str(part),
                  "--budget", budget]) == code
     captured = capsys.readouterr()
     assert captured.out == out

@@ -17,6 +17,7 @@ from tolerant_tverberg import (
     lex_key,
     to_scalar,
 )
+from tolerant_tverberg import core
 from tolerant_tverberg.core import ECHO_LIMIT, short_repr
 
 
@@ -92,6 +93,37 @@ class TestScalar:
             to_scalar("1e4300")
         assert to_scalar("1e4299") == 10**4299
         assert to_scalar("25e-2") == Fraction(1, 4)
+
+    # ASCII digits with leading zeros, zero itself, and other scripts' digits
+    # (Arabic-Indic, full-width), which only Fraction's parser reads
+    _digits = st.one_of(
+        st.builds(str.__add__, st.text("0", max_size=3), st.text("0123456789", max_size=12)),
+        st.text("0123456789\u0660\u0663\uff10\uff17_ ", max_size=6),
+    )
+
+    @given(st.builds(
+        lambda *parts: "".join(parts),
+        st.sampled_from(["", "-", "+", " ", "--"]),
+        _digits,
+        st.sampled_from(["/", "/", "", "//", " / ", "."]),
+        _digits,
+        st.sampled_from(["", "", " ", "\n", "e2", "/1"]),
+    ))
+    @example("9" * 4300 + "/" + "9" * 4300)
+    @example("-" + "9" * 4301 + "/1")
+    @example("1/" + "0" * 4301)
+    @example("-0012/0034")
+    @example("-5/000")
+    @example("-0/7")
+    def test_ratio_form_reads_as_fractions_parser_does(self, text):
+        def outcome(parse):
+            try:
+                value = parse(text)
+            except TverbergError as exc:
+                return "error", str(exc)
+            return type(value), value
+
+        assert outcome(to_scalar) == outcome(core._parse_text)
 
     def test_short_repr_cuts_ints_like_their_repr(self):
         # around the 4 * ECHO_LIMIT-bit switch to leading digits, at powers

@@ -235,3 +235,27 @@ def test_lifted_partition_is_tolerant_on_degenerate_inputs(instance):
     T = tolerant_tverberg_lifted(P, m, t)
     check_partition(T, P.ids())
     assert verify_tolerance(P, T, t) is None
+
+
+@st.composite
+def lifted_planar_pairs(draw):
+    """A planar 2-partition target t <= 8 and 4t + 6 points for it, up to
+    38: seeded general position, or a half-integer grid of radius at most
+    4 with ties, duplicate points and collinear runs."""
+    t = draw(st.integers(0, 8))
+    n = 2 * (2 * (t + 2) - 1)
+    if draw(st.booleans()):
+        return random_point_set(n, 2, seed=draw(st.integers(0, 10**6))), t
+    radius = draw(st.integers(1, 8))
+    coord = st.integers(-radius, radius).map(lambda k: Fraction(k, 2))
+    rows = draw(st.lists(st.lists(coord, min_size=2, max_size=2), min_size=n, max_size=n))
+    return from_coords(rows), t
+
+
+@settings(max_examples=60, deadline=None)
+@given(lifted_planar_pairs())
+def test_lifted_planar_pairs_reach_their_t(instance):
+    # exact planar 2-partition tolerance counts separating lines, so the
+    # paper's guarantee is checked up to t = 8, where enumeration took minutes
+    P, t = instance
+    assert exact_tolerance(P, tolerant_tverberg_lifted(P, 2, t)) >= t

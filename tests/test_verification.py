@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from helpers import from_coords, from_iterables, integer_line, line, query
+from helpers import from_coords, from_iterables, integer_line, line, pt, query
 from tolerant_tverberg import (
     PointSet,
     TverbergError,
@@ -17,6 +17,7 @@ from tolerant_tverberg import (
     lp,
     random_point_set,
     tolerant_tverberg_1d,
+    tolerant_tverberg_lifted,
     tukey_depth,
     verify_tolerance,
 )
@@ -444,3 +445,65 @@ class TestVerdictsRecheck:
             sets = [[by_id[pid] for pid in sorted(part) if pid not in removed]
                     for part in T]
             assert not oracles.hulls_intersect_fraction(sets, P.dim)
+
+
+@st.composite
+def line_and_plane_partitions(draw):
+    """2..4 parts in the line or 2 in the plane, over at most 8 points
+    with distinct, non-contiguous ids; coordinates in thirds and halves
+    on a narrow grid (duplicates are common), and in the plane sometimes
+    a collinear run or every point on one line."""
+    dim = draw(st.sampled_from([1, 2]))
+    n = draw(st.integers(2, 8))
+    m = draw(st.integers(2, min(4, n))) if dim == 1 else 2
+    coord = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 2, 3]))
+    rows = draw(st.lists(st.lists(coord, min_size=dim, max_size=dim), min_size=n, max_size=n))
+    if dim == 2 and draw(st.booleans()):
+        (ax, ay), (ux, uy) = draw(st.lists(st.tuples(coord, coord), min_size=2, max_size=2))
+        on_line = draw(st.integers(3, n)) if n > 3 else n
+        for i in range(on_line):
+            s = draw(st.integers(-3, 3))
+            rows[i] = [ax + s * ux, ay + s * uy]
+    ids = draw(st.lists(st.integers(-40, 40), min_size=n, max_size=n, unique=True))
+    labels = list(range(m)) + draw(
+        st.lists(st.integers(0, m - 1), min_size=n - m, max_size=n - m))
+    labels = draw(st.permutations(labels))
+    P = PointSet(dim, tuple(pt(pid, *row) for pid, row in zip(ids, rows)))
+    T = from_iterables([[pid for pid, b in zip(ids, labels) if b == j] for j in range(m)])
+    return P, T
+
+
+class TestSeparatingLines:
+    """In the line (any m) and the plane (m = 2) the fewest deletions
+    that refute a partition are counted over separating lines, with no
+    LP and no budget; exit-1 witnesses still come from the enumeration."""
+
+    @given(line_and_plane_partitions())
+    @settings(max_examples=150, deadline=None)
+    def test_agrees_with_the_unpruned_enumeration(self, instance):
+        P, T = instance
+        exact = exact_tolerance(P, T)
+        assert exact == oracles.exact_tolerance_exhaustive(P, T)
+        for t in range(max(exact - 1, 0), exact + 3):  # tolerant, then refuted
+            assert verify_tolerance(P, T, t) == oracles.verify_tolerance_exhaustive(P, T, t)
+
+    def test_tolerant_verdicts_solve_no_lp_and_charge_no_budget(self, monkeypatch):
+        solved = []
+        feasible = lp.lp_feasible
+        monkeypatch.setattr(lp, "lp_feasible",
+                            lambda rows, rhs: solved.append(1) or feasible(rows, rhs))
+        P = random_point_set(22, 2, seed=0)
+        T = tolerant_tverberg_lifted(P, 2, 4)
+        L = integer_line(11)
+        S = tolerant_tverberg_1d(L, 3)
+        assert exact_tolerance(L, S, budget=0) == 2
+        assert verify_tolerance(L, S, 2, budget=0) is None
+        exact = exact_tolerance(P, T, budget=0)
+        assert exact >= 4
+        assert verify_tolerance(P, T, exact, budget=0) is None
+        # a single part survives until all of it goes
+        assert exact_tolerance(L, from_iterables([L.ids()]), budget=0) == 10
+        assert solved == []
+        # a refutation is the enumeration's lexicographically first
+        assert verify_tolerance(P, T, exact + 1) is not None
+        assert solved
