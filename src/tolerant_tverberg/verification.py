@@ -6,12 +6,13 @@ search: every removal set of the critical size is enumerated in
 lexicographic id order, and each one that could refute is judged by one
 exact LP: a simplex on a fraction-free integer tableau, whose witnesses
 re-check by exact substitution.  That makes them oracles for desk-scale
-instances rather than scalable algorithms.  In the line (any number of
-parts m) and in the plane with m = 2, the fewest deletions that refute
-are instead counted over separating lines in O(n^3) integer steps, with
-no LP and no removal set: ``exact_tolerance`` is that count minus 1,
-and ``verify_tolerance`` answers None when the count exceeds t; only a
-refutation, whose witness is the enumeration's, is still enumerated.
+instances rather than scalable algorithms.  Both first ask a count of
+the fewest refuting deletions, with no LP and no removal set, for one
+part (m = 1) in any dimension, any m in the line, and m = 2 in the
+plane (over separating lines, O(n^3) integer steps): ``exact_tolerance``
+is that count minus 1, and ``verify_tolerance`` answers None when the
+count exceeds t; only a refutation, whose witness is the enumeration's,
+is still enumerated.
 Tukey depth takes the ascent from d = 3 on; in the line and the plane
 it is counted directly, by an exact O(n log n) angular sweep in
 integers that enumerates no removal set and solves no LP.
@@ -24,8 +25,8 @@ found so far are judged.  Skipped sets never refute, so the reported
 refutation is still the lexicographically first: ``verify_tolerance``
 returns that removal itself, or None when the partition is tolerant.
 The budget is charged for every removal set of a level, judged or not,
-and bounds only enumerated removal sets: the separating-line count and
-the planar sweep are not charged.
+and bounds only enumerated removal sets: the counted shapes and the
+planar sweep are not charged.
 """
 
 from __future__ import annotations
@@ -62,24 +63,24 @@ def verify_tolerance(
     most t points — then deleting that whole part is an immediate
     refutation and is returned padded to full size.  It is checkable
     independently: deleting it leaves the parts' hulls with empty common
-    intersection.  ``budget`` bounds the C(n, min(t, n)) removal sets;
-    a tolerant verdict counted over separating lines charges nothing.
+    intersection.  ``budget`` bounds the C(n, min(t, n)) removal sets; it is
+    not charged for a tolerant verdict when m = 1, d = 1, or d = 2 and m = 2.
     """
     _check_budget(budget)
     if t < 0:
-        raise TverbergError(f"invalid partition query: t={short_repr(t)}")
-    ids, smallest, judge = _partition_judge(point_set, partition)
+        raise TverbergError(f"t must be nonnegative, got t={short_repr(t)}")
     fewest = _fewest_refuting(point_set, partition)
     if fewest is not None and fewest > t:
         return None
-    n = len(ids)
-    size = min(t, n)
-    _charge(n, size, budget)
+    ids = sorted(point_set.ids())
+    size = min(t, len(ids))
+    _charge(len(ids), size, budget)
+    smallest = min(partition, key=len)
     if t >= len(smallest):
         rest = [pid for pid in ids if pid not in smallest]
         return smallest | frozenset(rest[: size - len(smallest)])
     # size < min part size here, so no part is ever emptied
-    return _first_refutation(ids, size, [], judge)
+    return _first_refutation(ids, size, [], _partition_judge(point_set, partition))
 
 
 def exact_tolerance(
@@ -95,24 +96,20 @@ def exact_tolerance(
     always refutes (removing that part empties its hull), so it is
     charged but not judged.  ``budget`` bounds the removal sets of all
     levels together, and the witness supports found at one level prune
-    the next.  In the line, and in the plane for two parts, no level is
-    enumerated and nothing is charged.
+    the next.  For one part in any dimension, any m in the line and two
+    parts in the plane, no level is enumerated and nothing is charged.
     """
     _check_budget(budget)
-    ids, smallest, judge = _partition_judge(point_set, partition)
     fewest = _fewest_refuting(point_set, partition)
     if fewest is None:
-        fewest = _first_refuted_size(ids, len(smallest), judge, budget)
+        ids, judge = sorted(point_set.ids()), _partition_judge(point_set, partition)
+        fewest = _first_refuted_size(ids, min(map(len, partition)), judge, budget)
     return fewest - 1
 
 
-def _partition_judge(
-    point_set: PointSet, partition: Partition
-) -> tuple[list[int], RemovalSet, Judge]:
-    """The sorted ids, the ids of the smallest part, and a judge that
-    returns the support of the parts' common point after a removal, or
-    None when their hulls no longer meet."""
-    check_partition(partition, point_set.ids())
+def _partition_judge(point_set: PointSet, partition: Partition) -> Judge:
+    """A judge that returns the support of the parts' common point after
+    a removal, or None when their hulls no longer meet."""
     by_id = point_set.by_id()
     parts = [[by_id[pid] for pid in sorted(part)] for part in partition]
 
@@ -120,26 +117,28 @@ def _partition_judge(
         sets = [[p for p in part if p.id not in removed] for part in parts]
         return common_intersection(sets, point_set.dim)
 
-    return sorted(by_id), min(partition, key=len), judge
+    return judge
 
 
 def _fewest_refuting(point_set: PointSet, partition: Partition) -> int | None:
-    """The fewest deletions that refute ``partition``, counted with no LP
-    and no removal set in the line (any m) and in the plane for m = 2;
-    None elsewhere.
+    """The fewest deletions that refute ``partition``, after checking it,
+    counted with no LP and no removal set for one part in any dimension
+    (a nonempty hull meets itself, so all of it must go), in the line for
+    any m and in the plane for m = 2; None elsewhere.
 
     In the line, intervals share a point exactly when every two of them
-    do (Helly), so the fewest is the least over the pairs of parts; a
-    single part goes only when all of it is deleted.
+    do (Helly), so the fewest is the least over the pairs of parts.
     """
+    check_partition(partition, point_set.ids())
     m = len(partition)
+    if m == 1:
+        return len(partition[0])
     if not (point_set.dim == 1 or (point_set.dim == 2 and m == 2)):
         return None
     points = point_set.points
     coords = dict(zip([p.id for p in points], _scaled(points)))
     parts = [[coords[pid] for pid in part] for part in partition]
-    pairs = combinations(parts, 2)
-    return min((_fewest_deletions(a, b) for a, b in pairs), default=len(parts[0]))
+    return min(_fewest_deletions(a, b) for a, b in combinations(parts, 2))
 
 
 def _fewest_deletions(a: list[tuple[int, ...]], b: list[tuple[int, ...]]) -> int:

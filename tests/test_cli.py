@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tolerant_tverberg import (
-    cli, centerpoint_depth, generate, random_point_set, render_svg, tukey_depth,
+    cli, centerpoint_depth, generate, lp, random_point_set, render_svg, tukey_depth,
 )
 from tolerant_tverberg.cli import main
 from tolerant_tverberg.jsonio import dumps, load_point_set, point_set_to_obj
@@ -79,6 +79,17 @@ def test_tolerance_prints_exact_value(line4, tmp_path, capsys):
     part.write_text(json.dumps({"parts": [[1, 3], [2, 4]]}))
     assert main(["tolerance", "--input", line4, "--partition", str(part)]) == 0
     assert capsys.readouterr().out.strip() == "0"
+
+
+def test_single_part_tolerance_is_counted(tmp_path, capsys, monkeypatch):
+    """One 3-D part of 22 points: n - 1 with no LP and no budget."""
+    monkeypatch.setattr(lp, "lp_feasible", lambda rows, rhs: pytest.fail("an LP was solved"))
+    pts, part = tmp_path / "pts.json", tmp_path / "part.json"
+    pts.write_text(dumps(point_set_to_obj(random_point_set(22, 3, seed=0))))
+    part.write_text(json.dumps({"parts": [list(range(1, 23))]}))
+    argv = ["tolerance", "--input", str(pts), "--partition", str(part), "--budget", "0"]
+    assert main(argv) == 0
+    assert capsys.readouterr() == ("21\n", "")
 
 
 def test_depth_output_format(tmp_path, capsys):
@@ -278,7 +289,7 @@ NINES_4300 = "9" * 4300  # the longest int argparse reads
     (["tolerance", "--input", "planar.json", "--partition", "split3.json",
       "--budget", "-" + NINES_4300], "invalid budget: -" + "9" * 59 + "..."),
     (["verify", "--input", "planar.json", "--partition", "split.json", "--t",
-      "-" + NINES_4300], "invalid partition query: t=-" + "9" * 59 + "..."),
+      "-" + NINES_4300], "t must be nonnegative, got t=-" + "9" * 59 + "..."),
     (["compute", "--input", "planar.json", "--algorithm", "lift", "--m", "-" + NINES_4300,
       "--t", "0"], "m must be at least 1, got m=-" + "9" * 59 + "..."),
     (["compute", "--input", "planar.json", "--algorithm", "lift", "--m", "2",
@@ -289,6 +300,8 @@ NINES_4300 = "9" * 4300  # the longest int argparse reads
      "m must be at least 1, got m=-" + "9" * 59 + "..."),
     (["compute", "--input", "planar.json", "--algorithm", "chunk_merge", "--solver", "brute",
       "--m", "-" + NINES_4300], "m must be at least 1, got m=-" + "9" * 59 + "..."),
+    (["depth", "--input", "dim_text.json", "--point", "0,0"], "'dim' must be an integer"),
+    (["depth", "--input", "dim_bool.json", "--point", "0"], "'dim' must be an integer"),
 ])
 def test_each_error_kind_is_one_exact_line(tmp_path, capsys, argv, message):
     docs = {
@@ -299,6 +312,8 @@ def test_each_error_kind_is_one_exact_line(tmp_path, capsys, argv, message):
         "text_id.json": {"dim": 1, "points": [{"id": "x", "coords": [0]}]},
         "coords_not_list.json": {"dim": 1, "points": [{"id": 1, "coords": 0}]},
         "dim_0.json": {"dim": 0, "points": [{"id": 1, "coords": []}]},
+        "dim_text.json": {"dim": "2", "points": [{"id": 1, "coords": [0, 0]}]},
+        "dim_bool.json": {"dim": True, "points": [{"id": 1, "coords": [0]}]},
         "partial.json": {"parts": [[1, 2], [3]]},
         "split.json": {"parts": [[1, 2, 3], [4, 5, 6, 7]]},
         "split3.json": {"parts": [[1, 2], [3, 4, 5], [6, 7]]},

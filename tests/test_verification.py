@@ -74,7 +74,7 @@ class TestVerifyTolerance:
             verify_tolerance(FOUR, from_iterables([{1, 2}, {2, 3, 4}]), 0)
         with pytest.raises(TverbergError, match="^invalid partition: empty part$"):
             exact_tolerance(FOUR, from_iterables([{1, 2, 3, 4}, set()]))
-        with pytest.raises(TverbergError, match="^invalid partition query: t=-1$"):
+        with pytest.raises(TverbergError, match="^t must be nonnegative, got t=-1$"):
             verify_tolerance(FOUR, SPLIT, -1)
         empty = PointSet(1, ())
         with pytest.raises(TverbergError, match="invalid partition: no parts"):
@@ -471,6 +471,39 @@ def line_and_plane_partitions(draw):
     P = PointSet(dim, tuple(pt(pid, *row) for pid, row in zip(ids, rows)))
     T = from_iterables([[pid for pid, b in zip(ids, labels) if b == j] for j in range(m)])
     return P, T
+
+
+@st.composite
+def single_parts(draw):
+    """Up to 7 points in 1..4 dimensions on a narrow grid (duplicates are
+    common), sometimes with a collinear or coplanar run, as one part."""
+    dim = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 7))
+    coord = st.integers(-2, 2)
+    rows = draw(st.lists(st.lists(coord, min_size=dim, max_size=dim), min_size=n, max_size=n))
+    if dim >= 2 and draw(st.booleans()):
+        base, *spans = draw(st.lists(st.lists(coord, min_size=dim, max_size=dim),
+                                     min_size=2, max_size=min(dim, 3)))
+        for i in range(draw(st.integers(1, n))):
+            steps = draw(st.lists(st.integers(-2, 2), min_size=len(spans), max_size=len(spans)))
+            rows[i] = [x + sum(k * u[j] for k, u in zip(steps, spans)) for j, x in enumerate(base)]
+    P = from_coords(rows)
+    return P, (P.ids(),)
+
+
+class TestSinglePart:
+    """One part survives until all of it goes, in every dimension: it is
+    counted with no removal set enumerated and no budget charged."""
+
+    @given(single_parts())
+    @settings(max_examples=40, deadline=None)
+    def test_agrees_with_the_unpruned_enumeration(self, instance):
+        P, T = instance
+        n = len(P)
+        assert exact_tolerance(P, T, budget=0) == oracles.exact_tolerance_exhaustive(P, T)
+        for t in range(n + 2):
+            got = verify_tolerance(P, T, t, budget=0 if t < n else 1)
+            assert got == oracles.verify_tolerance_exhaustive(P, T, t)
 
 
 class TestSeparatingLines:
