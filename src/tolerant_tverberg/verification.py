@@ -5,8 +5,12 @@ Tolerance testing is coNP-complete when d is part of the input, so
 search: every removal set of the critical size is enumerated in
 lexicographic id order, and each one that could refute is judged by one
 exact LP: a simplex on a fraction-free integer tableau, whose witnesses
-re-check by exact substitution.  That makes them oracles for desk-scale
-instances rather than scalable algorithms.  Both first ask a count of
+re-check by exact substitution.  The LP over every point is built once
+per call, and each judged removal deletes its points' columns and
+starts from the basis the last one left (``lp.Tableau``); the d >= 3
+depth ascent does the same on the hull-membership LP.  That makes them
+oracles for desk-scale instances rather than scalable algorithms.  Both
+first ask a count of
 the fewest refuting deletions, with no LP and no removal set, for one
 part (m = 1) in any dimension, any m in the line, and m = 2 in the
 plane (over separating lines, O(n^3) integer steps): ``exact_tolerance``
@@ -25,8 +29,8 @@ found so far are judged.  Skipped sets never refute, so the reported
 refutation is still the lexicographically first: ``verify_tolerance``
 returns that removal itself, or None when the partition is tolerant.
 The budget is charged for every removal set of a level, judged or not,
-and bounds only enumerated removal sets: the counted shapes and the
-planar sweep are not charged.
+and bounds only enumerated removal sets: the counted shapes, the
+smallest-part refutation and the planar sweep are not charged.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from typing import Callable, Sequence
 from .core import (
     Partition, Point, PointSet, RemovalSet, TverbergError, check_partition, check_query, short_repr,
 )
-from .lp import common_intersection, hull_support
+from .lp import LP, Tableau, hull_lp, intersection_lp
 
 DEFAULT_BUDGET = 10**6
 
@@ -64,7 +68,8 @@ def verify_tolerance(
     refutation and is returned padded to full size.  It is checkable
     independently: deleting it leaves the parts' hulls with empty common
     intersection.  ``budget`` bounds the C(n, min(t, n)) removal sets; it is
-    not charged for a tolerant verdict when m = 1, d = 1, or d = 2 and m = 2.
+    not charged for that immediate refutation, nor for a tolerant verdict
+    when m = 1, d = 1, or d = 2 and m = 2.
     """
     _check_budget(budget)
     if t < 0:
@@ -74,11 +79,11 @@ def verify_tolerance(
         return None
     ids = sorted(point_set.ids())
     size = min(t, len(ids))
-    _charge(len(ids), size, budget)
     smallest = min(partition, key=len)
     if t >= len(smallest):
         rest = [pid for pid in ids if pid not in smallest]
         return smallest | frozenset(rest[: size - len(smallest)])
+    _charge(len(ids), size, budget)
     # size < min part size here, so no part is ever emptied
     return _first_refutation(ids, size, [], _partition_judge(point_set, partition))
 
@@ -109,13 +114,23 @@ def exact_tolerance(
 
 def _partition_judge(point_set: PointSet, partition: Partition) -> Judge:
     """A judge that returns the support of the parts' common point after
-    a removal, or None when their hulls no longer meet."""
+    a removal, or None when their hulls no longer meet, on one warm
+    tableau of the parts' intersection LP."""
     by_id = point_set.by_id()
     parts = [[by_id[pid] for pid in sorted(part)] for part in partition]
+    points = [p for part in parts for p in part]
+    return _warm_judge(points, intersection_lp(parts, point_set.dim))
+
+
+def _warm_judge(points: list[Point], lp: LP) -> Judge:
+    """A judge on one ``Tableau`` of ``lp``, whose columns are ``points``:
+    it deletes the removed points' columns and maps the support to ids."""
+    tableau = Tableau(*lp)
+    column = {p.id: j for j, p in enumerate(points)}
 
     def judge(removed: frozenset[int]) -> frozenset[int] | None:
-        sets = [[p for p in part if p.id not in removed] for part in parts]
-        return common_intersection(sets, point_set.dim)
+        support = tableau.solve({column[pid] for pid in removed})
+        return None if support is None else frozenset(points[j].id for j in support)
 
     return judge
 
@@ -228,11 +243,8 @@ def tukey_depth(c: Point, point_set: PointSet, budget: int = DEFAULT_BUDGET) -> 
         return _planar_depth(c, point_set.points)
     ids = sorted(point_set.ids())
     by_id = point_set.by_id()
-
-    def judge(removed: frozenset[int]) -> frozenset[int] | None:
-        return hull_support(c, [by_id[pid] for pid in ids if pid not in removed])
-
-    return _first_refuted_size(ids, len(ids), judge, budget)
+    points = [by_id[pid] for pid in ids]
+    return _first_refuted_size(ids, len(ids), _warm_judge(points, hull_lp(c, points)), budget)
 
 
 def _planar_depth(c: Point, points: tuple[Point, ...]) -> int:

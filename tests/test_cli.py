@@ -83,7 +83,7 @@ def test_tolerance_prints_exact_value(line4, tmp_path, capsys):
 
 def test_single_part_tolerance_is_counted(tmp_path, capsys, monkeypatch):
     """One 3-D part of 22 points: n - 1 with no LP and no budget."""
-    monkeypatch.setattr(lp, "lp_feasible", lambda rows, rhs: pytest.fail("an LP was solved"))
+    monkeypatch.setattr(lp.Tableau, "solve", lambda *args: pytest.fail("an LP was solved"))
     pts, part = tmp_path / "pts.json", tmp_path / "part.json"
     pts.write_text(dumps(point_set_to_obj(random_point_set(22, 3, seed=0))))
     part.write_text(json.dumps({"parts": [list(range(1, 23))]}))
@@ -226,9 +226,9 @@ NINES_4300 = "9" * 4300  # the longest int argparse reads
      "too few points: need 2^(d-1)(m(t+2)-1) = 34, got 7"),
     (["verify", "--input", "planar.json", "--partition", "partial.json", "--t", "0"],
      "invalid partition: does not cover the point set"),
-    (["verify", "--input", "planar.json", "--partition", "split.json", "--t", "3",
+    (["verify", "--input", "planar.json", "--partition", "split.json", "--t", "2",
       "--budget", "5"],
-     "instance too large: C(7,3) removal sets exceed the budget left, 5"),
+     "instance too large: C(7,2) removal sets exceed the budget left, 5"),
     (["depth", "--input", "short.json", "--point", "0,0"],
      "point 1 has 1 coords, expected 2"),
     (["plot", "--input", "planar.json", "--removal", "99", "--output", "o.svg"],
@@ -449,6 +449,18 @@ def test_budget_exceeded_is_exit_2(tmp_path, capsys):
     code = main(["verify", "--input", str(pts), "--partition", str(part),
                  "--t", "10", "--budget", "100"])
     assert code == 2
+
+
+def test_smallest_part_refutation_charges_no_budget(tmp_path, capsys):
+    """Deleting the 3-point part refutes t = 3 with no removal set
+    enumerated, so it is the exit-1 witness under a budget of 5."""
+    pts, part, witness = tmp_path / "p.json", tmp_path / "t.json", tmp_path / "w.json"
+    pts.write_text(dumps(point_set_to_obj(random_point_set(7, 2, seed=0))))
+    part.write_text(json.dumps({"parts": [[1, 2, 3], [4, 5, 6, 7]]}))
+    code = main(["verify", "--input", str(pts), "--partition", str(part), "--t", "3",
+                 "--budget", "5", "--output", str(witness)])
+    assert code == 1
+    assert json.loads(witness.read_text())["removal_ids"] == [1, 2, 3]
 
 
 @pytest.mark.parametrize("budget,code,out", [("66", 2, ""), ("67", 0, "1\n")])

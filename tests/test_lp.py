@@ -35,9 +35,15 @@ def pts_1d(values, start_id=0):
 
 
 def witness(rows, rhs):
-    """The phase-1 witness as Fractions, or None when infeasible."""
-    found = lp._phase1(rows, rhs, len(rows[0]))
-    return None if found is None else [F(x, found[1]) for x in found[0]]
+    """A new tableau's first witness as Fractions, or None when infeasible."""
+    tableau = lp.Tableau(rows, rhs)
+    if tableau.solve() is None:
+        return None
+    found = [F(0)] * tableau.ncols
+    for col, line in zip(tableau.basis, tableau.tab):
+        if col < tableau.ncols:
+            found[col] = F(line[-1], tableau.d)
+    return found
 
 
 class TestLpFeasible:
@@ -78,19 +84,23 @@ class TestLpFeasible:
         assert lp_feasible(rows, [F(2), F(4), F(6)]) == [j for j in (0, 1) if w[j]]
 
     def test_wrong_witness_rejected_under_optimize(self):
-        # A solver bug that returns a wrong witness must still be caught
-        # when asserts are stripped: run the check under ``python -O``.
-        # c = 1 gets w = 0, which breaks every equality; c = 3 gets
-        # w = (-1/2, 3/2), which meets them but is negative.
-        script = textwrap.dedent("""
-            import sys
+        # A solver bug that leaves a wrong witness in the tableau must
+        # still be caught when asserts are stripped: run the check under
+        # ``python -O``.  Each stub hands the first solve a basis of both
+        # columns with nothing left to pivot.  c = 1 gets w = 0, which
+        # breaks every equality; c = 3 gets w = (-1/2, 3/2), which meets
+        # them but is negative.
+        out = _run_optimized("""
             from fractions import Fraction
             from tolerant_tverberg import Point, lp
             hull = [Point(1, (Fraction(0),)), Point(2, (Fraction(2),))]
-            print("optimize", sys.flags.optimize)
-            for c, stub in ((1, lambda rows, rhs, ncols: ([0] * ncols, 1)),
-                            (3, lambda rows, rhs, ncols: ([-1, 3], 2))):
-                lp._phase1 = stub
+            init = lp.Tableau.__init__
+            for c, tab, d in ((1, [[1, 0, 0], [0, 1, 0]], 1),
+                              (3, [[2, 0, -1], [0, 2, 3]], 2)):
+                def stub(self, rows, rhs, tab=tab, d=d):
+                    init(self, rows, rhs)
+                    self.tab, self.basis, self.d = tab, [0, 1], d
+                lp.Tableau.__init__ = stub
                 try:
                     lp.hull_support(Point(0, (Fraction(c),)), hull)
                 except AssertionError as exc:
@@ -98,15 +108,48 @@ class TestLpFeasible:
                 else:
                     print("accepted")
         """)
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-O", "-c", script],
-                              capture_output=True, text=True, env=env)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines() == [
-            "optimize 1", "raised witness failed exact re-substitution",
-            "raised witness violates nonnegativity"]
+        assert out == ["raised witness failed exact re-substitution",
+                       "raised witness violates nonnegativity"]
+
+    def test_corrupted_warm_tableau_rejected_under_optimize(self):
+        # A warm solve reads its witness from the tableau the last solve
+        # left; one wrong entry there must fail the re-substitution, with
+        # asserts stripped.  The removal misses the basis, so the second
+        # solve pivots nothing and reports the corrupted value.
+        out = _run_optimized("""
+            from tolerant_tverberg import lp
+            rows, rhs = [[1, 1, 1, 1], [0, 1, 2, 3]], [1, 1]
+            tableau = lp.Tableau(rows, rhs)
+            support = tableau.solve()
+            print("support", support)
+            removed = {j for j in range(4) if j not in tableau.basis}
+            print("removed", sorted(removed))
+            print("solve", tableau.solve(removed))
+            tableau.tab[0][-1] += tableau.d
+            try:
+                tableau.solve(removed)
+            except AssertionError as exc:
+                print("raised", exc)
+            else:
+                print("accepted")
+        """)
+        assert out == ["support [1]", "removed [0, 3]", "solve [1]",
+                       "raised witness failed exact re-substitution"]
+
+
+def _run_optimized(script):
+    """stdout lines of ``script`` run under ``python -O``, after checking
+    that asserts are really stripped there."""
+    script = "import sys\nprint('optimize', sys.flags.optimize)\n" + textwrap.dedent(script)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    first, *rest = proc.stdout.splitlines()
+    assert first == "optimize 1"
+    return rest
 
 
 # zero, small and negative integers, small fractions, and huge coprime
@@ -202,23 +245,46 @@ class TestSamePivotsAsFractionEngine:
 
 
 def _recorded_systems(run):
-    """The (rows, rhs) of every LP that ``run()`` hands to ``lp_feasible``."""
-    systems = []
-    real = lp.lp_feasible
+    """The (rows, rhs) of every LP that ``run()`` hands to ``lp_feasible``,
+    and the (rows, rhs, removed, support) of every tableau solve, cold or
+    warm."""
+    systems, solves = [], []
+    feasible, solve = lp.lp_feasible, lp.Tableau.solve
 
-    def spy(rows, rhs):
+    def feasible_spy(rows, rhs):
         systems.append((rows, rhs))
-        return real(rows, rhs)
+        return feasible(rows, rhs)
+
+    def solve_spy(tableau, removed=()):
+        support = solve(tableau, removed)
+        solves.append((tableau.rows, tableau.rhs, frozenset(removed), support))
+        return support
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(lp, "lp_feasible", spy)
+        mp.setattr(lp, "lp_feasible", feasible_spy)
+        mp.setattr(lp.Tableau, "solve", solve_spy)
         run()
-    return systems
+    return systems, solves
+
+
+def _columns(rows, kept):
+    return [[row[j] for j in kept] for row in rows]
+
+
+def _check_against_reduced_system(rows, rhs, removed, support):
+    """A solve with ``removed`` columns deleted has the Fraction engine's
+    verdict on the reduced system, and its support alone is feasible."""
+    kept = [j for j in range(len(rows[0])) if j not in removed]
+    assert (support is None) == (oracles.fraction_lp_feasible(_columns(rows, kept), rhs) is None)
+    if support is not None:
+        assert removed.isdisjoint(support)
+        assert oracles.fraction_lp_feasible(_columns(rows, support), rhs) is not None
 
 
 class TestCallersLpShapes:
     """The prefix-and-witness check on the LPs the callers really build:
-    up to 7 rows by 20 columns, which ``_lp_systems`` never draws."""
+    up to 7 rows by 20 columns, which ``_lp_systems`` never draws; and
+    every warm solve of a judge, checked on the system it reduces to."""
 
     def test_prefix_of_fraction_engine_on_recorded_systems(self):
         def run():
@@ -232,28 +298,34 @@ class TestCallersLpShapes:
                       [1, 1, 1], [2, 2, 2], [3, 3, 3], [4, 0, 0], ["1/2", 3, "5/2"]]
             tukey_depth(query(1, 1, 1), from_coords(coords))
 
-        systems = _recorded_systems(run)
-        assert max(len(rows) for rows, _ in systems) == 7
-        assert max(len(rows[0]) for rows, _ in systems) >= 20
+        systems, solves = _recorded_systems(run)
+        shapes = [(len(rows), len(rows[0])) for rows, *_ in [*systems, *solves]]
+        assert max(rows for rows, _ in shapes) == 7
+        assert max(cols for _, cols in shapes) >= 20
         witnesses = [_check_prefix_of_fraction_engine(*system)[2] for system in systems]
         assert None in witnesses and witnesses.count(None) < len(witnesses)
+        for solve in solves:
+            _check_against_reduced_system(*solve)
+        warm = [support for _, _, removed, support in solves if removed]
+        assert None in warm and warm.count(None) < len(warm)
 
 
 class TestWorkCounters:
-    """Deterministic work: LPs solved (``_phase1`` calls) and pivots
-    (``_pivot`` calls) on two fixed instances, and every tableau row the
-    pivot rewrites holds the structural columns and the rhs, nothing
-    else.  An empty part or hull is refuted by exactly one LP."""
+    """Deterministic work: LPs solved (``Tableau.solve`` calls, cold or
+    warm) and pivots (``_pivot`` calls) on two fixed instances, and every
+    tableau row the pivot rewrites holds the structural columns and the
+    rhs, nothing else.  An empty part or hull is refuted by exactly one
+    LP."""
 
     def _count(self, run):
         counts = {"lps": 0, "pivots": 0}
         widths = set()
-        real_phase1, real_pivot = lp._phase1, lp._pivot
+        real_solve, real_pivot = lp.Tableau.solve, lp._pivot
 
-        def phase1(rows, rhs, ncols):
+        def solve(tableau, removed=()):
             counts["lps"] += 1
-            counts["ncols"] = ncols
-            return real_phase1(rows, rhs, ncols)
+            counts["ncols"] = tableau.ncols
+            return real_solve(tableau, removed)
 
         def pivot(tab, cost, *rest):
             counts["pivots"] += 1
@@ -261,7 +333,7 @@ class TestWorkCounters:
             return real_pivot(tab, cost, *rest)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(lp, "_phase1", phase1)
+            mp.setattr(lp.Tableau, "solve", solve)
             mp.setattr(lp, "_pivot", pivot)
             result = run()
         assert widths == {1}
@@ -270,7 +342,9 @@ class TestWorkCounters:
     def test_lifted_planar_verify(self):
         ps = random_point_set(22, 2, seed=0)
         partition = tolerant_tverberg_lifted(ps, 3, 2)
-        assert self._count(lambda: verify_tolerance(ps, partition, 2)) == (None, 11, 144)
+        # one warm tableau: 12 solves of 49 pivots (cold, each LP from the
+        # artificials: 11 of 144)
+        assert self._count(lambda: verify_tolerance(ps, partition, 2)) == (None, 12, 49)
 
     def test_brute_force(self):
         ps = random_point_set(7, 2, seed=0)
@@ -284,10 +358,93 @@ class TestWorkCounters:
     ])
     def test_an_empty_hull_is_one_lp_verdict(self, monkeypatch, run):
         solved = []
-        real = lp._phase1
-        monkeypatch.setattr(lp, "_phase1", lambda *args: solved.append(1) or real(*args))
+        real = lp.Tableau.solve
+        monkeypatch.setattr(lp.Tableau, "solve", lambda *args: solved.append(1) or real(*args))
         assert run() is None
         assert len(solved) == 1
+
+
+@st.composite
+def _warm_instances(draw):
+    """(points, dim, removals): 3-D or planar points in half-integers, with
+    duplicates, runs on the line of two earlier points and, in 3-D, points
+    in the plane of three; and a sequence of removal id sets, some of which
+    empty a whole set."""
+    dim = draw(st.sampled_from([2, 3]))
+    half = st.integers(-4, 6).map(lambda k: F(k, 2))
+    coords = []
+    for _ in range(draw(st.integers(3, 9))):
+        kind = draw(st.sampled_from(["fresh", "fresh", "duplicate", "line", "plane"]))
+        if kind == "fresh" or len(coords) < 3:
+            coords.append(tuple(draw(half) for _ in range(dim)))
+        elif kind == "duplicate":
+            coords.append(draw(st.sampled_from(coords)))
+        else:
+            a, b, c = (draw(st.sampled_from(coords)) for _ in range(3))
+            r, q = draw(half), draw(half) if kind == "plane" else 0
+            coords.append(tuple(x + r * (y - x) + q * (z - x) for x, y, z in zip(a, b, c)))
+    points = [Point(i + 1, c) for i, c in enumerate(coords)]
+    ids = [p.id for p in points]
+    removals = draw(st.lists(st.sets(st.sampled_from(ids), max_size=len(ids)),
+                             min_size=1, max_size=8))
+    return points, dim, removals
+
+
+def _solve_warm(tableau, points, removed):
+    """``tableau.solve`` with the removed points' columns deleted, as ids."""
+    support = tableau.solve({j for j, p in enumerate(points) if p.id in removed})
+    return None if support is None else {points[j].id for j in support}
+
+
+class TestWarmTableau:
+    """One tableau judges a sequence of removals, each from the basis the
+    last one left: every verdict is the cold LP's on the reduced sets, and
+    every support still carries the common point on its own."""
+
+    @given(_warm_instances(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_removals_match_cold_common_intersection(self, instance, data):
+        points, dim, removals = instance
+        m = 3 if dim == 2 else 2
+        owner = data.draw(st.lists(st.integers(0, m - 1), min_size=len(points),
+                                   max_size=len(points)))
+        sets = [[p for p, k in zip(points, owner) if k == i] for i in range(m)]
+        order = [p for s in sets for p in s]
+        tableau = lp.Tableau(*lp.intersection_lp(sets, dim))
+        for removed in removals:
+            support = _solve_warm(tableau, order, removed)
+            reduced = [[p for p in s if p.id not in removed] for s in sets]
+            assert (support is None) == (common_intersection(reduced, dim) is None)
+            if support is not None:
+                assert support.isdisjoint(removed)
+                kept = [[p for p in s if p.id in support] for s in sets]
+                assert oracles.hulls_intersect_fraction(kept, dim)
+
+    @given(_warm_instances(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_removals_match_cold_hull_support(self, instance, data):
+        # the LP of tukey_depth's ascent from d = 3 on
+        points, dim, removals = instance
+        c = data.draw(st.sampled_from([*points, Point(0, tuple(
+            sum((p.coords[k] for p in points), F(0)) / len(points) for k in range(dim)))]))
+        c = Point(0, c.coords)
+        tableau = lp.Tableau(*lp.hull_lp(c, points))
+        for removed in removals:
+            support = _solve_warm(tableau, points, removed)
+            rest = [p for p in points if p.id not in removed]
+            assert (support is None) == (hull_support(c, rest) is None)
+            if support is not None:
+                kept = [p for p in rest if p.id in support]
+                assert oracles.hulls_intersect_fraction([[c], kept], dim)
+
+    def test_depth_ascent_in_3d(self):
+        # a cube's corners, its centre twice and a coplanar run through it:
+        # the warm ascent gives the exhaustive oracle's depth at every query
+        coords = [[x, y, z] for x in (-2, 2) for y in (-2, 2) for z in (-2, 2)]
+        coords += [[0, 0, 0], [0, 0, 0], [1, 1, 0], ["-1/2", "-1/2", 0]]
+        P = from_coords(coords)
+        for c in (query(0, 0, 0), query("1/2", "1/2", 0), query(2, 2, 2), query(3, 0, 0)):
+            assert tukey_depth(c, P) == oracles.tukey_depth_exhaustive(c, P)
 
 
 def _values_in(sets, support):

@@ -67,6 +67,16 @@ class TestVerifyTolerance:
         assert 3 in removal
         assert removal_separates(P, T, removal)
 
+    def test_small_part_shortcut_charges_no_budget(self):
+        # deleting the smallest part refutes at once and enumerates no
+        # removal set, so no budget is charged for it
+        P = random_point_set(30, 3, seed=0)
+        T = from_iterables([{1, 2, 3}, set(range(4, 31))])
+        assert verify_tolerance(P, T, 10) == frozenset(range(1, 11))  # C(30,10) > 10^6
+        single = from_iterables([P.ids()])
+        for t in (30, 31):
+            assert verify_tolerance(P, single, t, budget=0) == P.ids()
+
     def test_invalid_partition_rejected(self):
         with pytest.raises(TverbergError, match="^invalid partition: does not cover the point set$"):
             verify_tolerance(FOUR, from_iterables([{1, 2}]), 0)
@@ -219,9 +229,8 @@ class TestTukeyDepth:
 
     def test_line_and_plane_solve_no_lp(self, monkeypatch):
         solved = []
-        feasible = lp.lp_feasible
-        monkeypatch.setattr(lp, "lp_feasible",
-                            lambda rows, rhs: solved.append(1) or feasible(rows, rhs))
+        solve = lp.Tableau.solve
+        monkeypatch.setattr(lp.Tableau, "solve", lambda *args: solved.append(1) or solve(*args))
         assert tukey_depth(query(3), integer_line(5)) == 3
         P = random_point_set(12, 2, seed=0)
         for c in [query(0, 0), query("1/2", "-1/3"), P.points[0]._replace(id=0)]:
@@ -522,9 +531,8 @@ class TestSeparatingLines:
 
     def test_tolerant_verdicts_solve_no_lp_and_charge_no_budget(self, monkeypatch):
         solved = []
-        feasible = lp.lp_feasible
-        monkeypatch.setattr(lp, "lp_feasible",
-                            lambda rows, rhs: solved.append(1) or feasible(rows, rhs))
+        solve = lp.Tableau.solve
+        monkeypatch.setattr(lp.Tableau, "solve", lambda *args: solved.append(1) or solve(*args))
         P = random_point_set(22, 2, seed=0)
         T = tolerant_tverberg_lifted(P, 2, 4)
         L = integer_line(11)
