@@ -15,17 +15,18 @@ The tableau is kept between solves.  ``solve(removed)`` decides the LP
 with the ``removed`` columns deleted: they may not enter, and the
 phase-1 objective is the weighted sum of the bad basic variables, an
 artificial of row i weighing L/den_i (L = lcm(den_i)) and a removed
-column L, so every cost entry stays an integer times d.  Each pivot
+column L, so the cost row, d times the reduced costs, stays integer
+like the tableau.  Each pivot
 keeps the rhs nonnegative, so every basis on the way is a feasible
 basis of the full LP with its artificials, and the last one is the next
 solve's start: the verifier builds the LP of every point once and
 judges each removal set from where the previous one ended, in a few
 pivots.  A removed column or an artificial that leaves cannot come
 back, so within a solve the LP only shrinks and Bland's rule cannot
-cycle.  When no allowed
-column has a negative reduced cost, the basis is optimal for the LP
-restricted to the allowed columns and the bad basic variables, which is
-feasible at 0 exactly when the LP without the removed columns is.
+cycle.  When no allowed column has a negative reduced cost, the basis
+is optimal for the LP restricted to the allowed columns and the bad
+basic variables, which is feasible at 0 exactly when the LP without the
+removed columns is.
 
 The first solve starts from the artificials with every row bad, so it
 minimizes their sum weighted by L/den_i: ``lp_feasible`` is that solve,
@@ -34,8 +35,8 @@ one that would enter an artificial column, and stops there.  Bland's
 rule does that only when no structural reduced cost is negative: the
 basis then decides feasibility with the departed artificials held at 0,
 and at optimum 0 each further pivot is degenerate (a positive step
-would push the objective below 0), so verdict and witness are the same.
-Then
+would push the objective below 0), so verdict and witness are the
+same.  Then
 
   * a feasible answer comes with an integer witness w = numerators / d
     that re-checks by exact substitution into the caller's rows, and

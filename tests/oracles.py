@@ -17,11 +17,12 @@ per coordinate.
 
 ``_phase1``/``_pivot`` are the reference LP engine: the phase-1 simplex
 under Bland's rule on a plain Fraction tableau, on a sign-flipped copy
-of the rows, with one artificial column per row.  The library's
-fraction-free integer tableau, which has no artificial columns, must
-take the same pivots up to the first one that enters an artificial
-column, and its integer witness, numerators over d, must equal this
-engine's Fraction witness.  ``hulls_intersect_fraction`` re-decides
+of the rows, with one artificial column per row.  On its first, cold
+solve the library's fraction-free integer tableau, which has no
+artificial columns, must take the same pivots up to the first one that
+enters an artificial column, and its integer witness, numerators over
+d, must equal this engine's Fraction witness; a warm solve must reach
+this engine's verdict on the system with the removed columns deleted.  ``hulls_intersect_fraction`` re-decides
 hull intersection on it with a differently chained formulation; the
 tests use it to check that a support returned by the library still
 carries a common point.
