@@ -1,42 +1,41 @@
 """Exact LP feasibility over the rationals, and the hull queries built on it.
 
-Both hull questions the package asks (do the parts' hulls share a
-point? does c lie in a hull?) are feasibility questions of one form:
-is there a w with rows . w = rhs and w >= 0?  A ``Tableau`` answers it
-with a phase-1 simplex under Bland's anti-cycling rule on an integer
-tableau: row i is scaled by +-den_i, the lcm of its denominators signed
-so that its rhs is nonnegative, and every pivot is fraction-free,
+Both hull questions the package asks (do the parts' hulls share a point?
+does c lie in a hull?) are feasibility questions of one form: is there a
+w with rows . w = rhs and w >= 0?  ``lp_feasible`` answers it with a
+phase-1 simplex under Bland's anti-cycling rule on an integer tableau, a
+``Tableau``: row i is scaled by +-den_i, the lcm of its denominators
+signed so that its rhs is nonnegative, and every pivot is fraction-free,
 (a*p - f*b) // d with d the previous pivot, as in Edmonds-Bareiss
 elimination.  Every reduced-cost sign and ratio comparison is the one a
-Fraction tableau would see.  The artificials are only basis labels,
-with no columns, so one that leaves never re-enters.
+Fraction tableau would see.  The artificials are only basis labels, with
+no columns, so one that leaves never re-enters.
 
-The tableau is kept between solves.  ``solve(removed)`` decides the LP
-with the ``removed`` columns deleted: they may not enter, and the
-phase-1 objective is the weighted sum of the bad basic variables, an
-artificial of row i weighing L/den_i (L = lcm(den_i)) and a removed
-column L, so the cost row, d times the reduced costs, stays integer
-like the tableau.  Each pivot
-keeps the rhs nonnegative, so every basis on the way is a feasible
-basis of the full LP with its artificials, and the last one is the next
-solve's start: the verifier builds the LP of every point once and
-judges each removal set from where the previous one ended, in a few
-pivots.  A removed column or an artificial that leaves cannot come
-back, so within a solve the LP only shrinks and Bland's rule cannot
-cycle.  When no allowed column has a negative reduced cost, the basis
-is optimal for the LP restricted to the allowed columns and the bad
-basic variables, which is feasible at 0 exactly when the LP without the
-removed columns is.
+The tableau is kept between solves.  ``lp_feasible(tableau, removed)``
+decides the LP with the ``removed`` columns deleted: they may not enter,
+and the phase-1 objective is the weighted sum of the bad basic
+variables, an artificial of row i weighing L/den_i (L = lcm(den_i)) and
+a removed column L, so the cost row, d times the reduced costs, stays
+integer like the tableau.  Each pivot keeps the rhs nonnegative, so
+every basis on the way is a feasible basis of the full LP with its
+artificials, and the last one is the next solve's start: the verifier
+builds the LP of every point once and judges each removal set from where
+the previous one ended, in a few pivots.  A removed column or an
+artificial that leaves cannot come back, so within a solve the LP only
+shrinks and Bland's rule cannot cycle.  When no allowed column has a
+negative reduced cost, the basis is optimal for the LP restricted to the
+allowed columns and the bad basic variables, which is feasible at 0
+exactly when the LP without the removed columns is.
 
 The first solve starts from the artificials with every row bad, so it
-minimizes their sum weighted by L/den_i: ``lp_feasible`` is that solve,
-the cold one.  It takes the Fraction tableau's pivots up to the first
-one that would enter an artificial column, and stops there.  Bland's
-rule does that only when no structural reduced cost is negative: the
-basis then decides feasibility with the departed artificials held at 0,
-and at optimum 0 each further pivot is degenerate (a positive step
-would push the objective below 0), so verdict and witness are the
-same.  Then
+minimizes their sum weighted by L/den_i: ``lp_feasible`` on a new
+``Tableau`` is the cold solve.  It takes the Fraction tableau's pivots
+up to the first one that would enter an artificial column, and stops
+there.  Bland's rule does that only when no structural reduced cost is
+negative: the basis then decides feasibility with the departed
+artificials held at 0, and at optimum 0 each further pivot is degenerate
+(a positive step would push the objective below 0), so verdict and
+witness are the same.  Then
 
   * a feasible answer comes with an integer witness w = numerators / d
     that re-checks by exact substitution into the caller's rows, and
@@ -64,20 +63,9 @@ from .core import Point, TverbergError
 LP = tuple[list[list[int | Fraction]], list[int | Fraction]]
 
 
-def lp_feasible(
-    rows: Sequence[Sequence[int | Fraction]], rhs: Sequence[int | Fraction]
-) -> list[int] | None:
-    """The columns j with w_j > 0 in an exact w >= 0 with rows . w = rhs,
-    or None when there is no such w: the first solve of a new tableau.
-
-    ``rows`` is a nonempty list of coefficient rows of equal length.
-    """
-    return Tableau(rows, rhs).solve()
-
-
 class Tableau:
     """The integer phase-1 tableau of rows . w = rhs, w >= 0, kept from
-    one solve to the next.  Row i is scaled by +-den_i and has an
+    one ``lp_feasible`` call to the next.  Row i is scaled by +-den_i and has an
     artificial with coefficient 1, kept only as the basis label ncols + i:
     a row holds its ncols structural entries and the rhs.  Every tableau
     entry is d times its true value, d the last pivot.
@@ -98,67 +86,73 @@ class Tableau:
         self.weights = [self.lcm // den for den in dens]
         self.d = 1
 
-    def solve(self, removed: Collection[int] = ()) -> list[int] | None:
-        """The columns j with w_j > 0 in an exact w >= 0 with rows . w = rhs
-        and w = 0 on the ``removed`` columns, or None when there is none;
-        from the last solve's basis, minimizing the weighted sum of the bad
-        basic variables (an artificial L/den_i, a removed column L)."""
-        tab, basis, ncols = self.tab, self.basis, self.ncols
-        bad = [
-            (self.weights[i] if col >= ncols else self.lcm, line)
-            for i, (col, line) in enumerate(zip(basis, tab))
-            if col >= ncols or col in removed
-        ]
-        # reduced costs -sum(weight * row) over the bad rows, exact on every
-        # column that may enter; the last entry tracks -d * objective
-        cost = [-sum(w * line[j] for w, line in bad) for j in range(ncols + 1)]
-        columns = [j for j in range(ncols) if j not in removed]
-        d = self.d
 
-        while True:
-            enter = -1
-            for j in columns:
-                if cost[j] < 0:
-                    enter = j  # Bland: lowest eligible structural index
-                    break
-            if enter < 0:
+def lp_feasible(tableau: Tableau, removed: Collection[int] = ()) -> list[int] | None:
+    """The columns j with w_j > 0 in an exact w >= 0 with rows . w = rhs
+    and w = 0 on the ``removed`` columns, or None when there is none.
+
+    Solved from the basis the tableau's last solve left, or from the
+    artificials on a new tableau, minimizing the weighted sum of the bad
+    basic variables (an artificial L/den_i, a removed column L); the
+    final basis stays in ``tableau`` for the next solve.  Every LP the
+    package decides, cold or warm, is one call of this function.
+    """
+    tab, basis, ncols = tableau.tab, tableau.basis, tableau.ncols
+    bad = [
+        (tableau.weights[i] if col >= ncols else tableau.lcm, line)
+        for i, (col, line) in enumerate(zip(basis, tab))
+        if col >= ncols or col in removed
+    ]
+    # reduced costs -sum(weight * row) over the bad rows, exact on every
+    # column that may enter; the last entry tracks -d * objective
+    cost = [-sum(w * line[j] for w, line in bad) for j in range(ncols + 1)]
+    columns = [j for j in range(ncols) if j not in removed]
+    d = tableau.d
+
+    while True:
+        enter = -1
+        for j in columns:
+            if cost[j] < 0:
+                enter = j  # Bland: lowest eligible structural index
                 break
+        if enter < 0:
+            break
 
-            # least ratio rhs_i / a_i over a_i > 0, compared cross-multiplied
-            leave = -1
-            for i in range(len(tab)):
-                a = tab[i][enter]
-                if a > 0:
-                    if leave < 0:
-                        leave = i
-                        continue
-                    lhs, best = tab[i][-1] * tab[leave][enter], tab[leave][-1] * a
-                    if lhs < best or (lhs == best and basis[i] < basis[leave]):
-                        leave = i
-            if leave < 0:
-                raise AssertionError("phase-1 unbounded, but its objective is bounded below by 0")
+        # least ratio rhs_i / a_i over a_i > 0, compared cross-multiplied
+        leave = -1
+        for i in range(len(tab)):
+            a = tab[i][enter]
+            if a > 0:
+                if leave < 0:
+                    leave = i
+                    continue
+                lhs, best = tab[i][-1] * tab[leave][enter], tab[leave][-1] * a
+                if lhs < best or (lhs == best and basis[i] < basis[leave]):
+                    leave = i
+        if leave < 0:
+            raise AssertionError("phase-1 unbounded, but its objective is bounded below by 0")
 
-            d = _pivot(tab, cost, leave, enter, d)
-            basis[leave] = enter
-        self.d = d
+        d = _pivot(tab, cost, leave, enter, d)
+        basis[leave] = enter
+    tableau.d = d
 
-        if cost[-1] != 0:  # the optimum is positive
-            return None
-        values = {col: line[-1] for col, line in zip(basis, tab) if line[-1] != 0}
-        support = sorted(values)
-        # A failure below would be a solver bug, never an input problem.
-        # Explicit raises, not asserts, so the checks also run under
-        # ``python -O``.  At optimum 0 every bad variable is 0.
-        if any(col >= ncols or col in removed for col in support):
-            raise AssertionError("a removed or artificial variable is nonzero at optimum 0")
-        # Exact re-substitution of every constraint, scaled by d; columns
-        # outside the support add exactly 0.
-        for row, b in zip(self.rows, self.rhs):
-            if sum(row[j] * values[j] for j in support) != b * d:
-                raise AssertionError("witness failed exact re-substitution")
-        if d <= 0 or any(values[j] < 0 for j in support):
-            raise AssertionError("witness violates nonnegativity")
-        return support
+    if cost[-1] != 0:  # the optimum is positive
+        return None
+    values = {col: line[-1] for col, line in zip(basis, tab) if line[-1] != 0}
+    support = sorted(values)
+    # A failure below would be a solver bug, never an input problem.
+    # Explicit raises, not asserts, so the checks also run under
+    # ``python -O``.  At optimum 0 every bad variable is 0.
+    if any(col >= ncols or col in removed for col in support):
+        raise AssertionError("a removed or artificial variable is nonzero at optimum 0")
+    # Exact re-substitution of every constraint, scaled by d; columns
+    # outside the support add exactly 0.
+    for row, b in zip(tableau.rows, tableau.rhs):
+        if sum(row[j] * values[j] for j in support) != b * d:
+            raise AssertionError("witness failed exact re-substitution")
+    if d <= 0 or any(values[j] < 0 for j in support):
+        raise AssertionError("witness violates nonnegativity")
+    return support
 
 
 def _pivot(tab: list[list[int]], cost: list[int], leave: int, enter: int, d: int) -> int:
@@ -197,7 +191,7 @@ def common_intersection(sets: Sequence[Sequence[Point]], dim: int) -> frozenset[
     """
     if not sets:
         return frozenset()
-    support = lp_feasible(*intersection_lp(sets, dim))
+    support = lp_feasible(Tableau(*intersection_lp(sets, dim)))
     points = [p for s in sets for p in s]
     return None if support is None else frozenset(points[j].id for j in support)
 
@@ -237,7 +231,7 @@ def hull_support(c: Point, hull_points: Sequence[Point]) -> frozenset[int] | Non
     """Ids of hull points that carry c as a convex combination, or None
     when c is outside the hull of ``hull_points``.  Every None is the LP's
     verdict: with no hull points the convexity row reads 0 = 1."""
-    support = lp_feasible(*hull_lp(c, hull_points))
+    support = lp_feasible(Tableau(*hull_lp(c, hull_points)))
     return None if support is None else frozenset(hull_points[j].id for j in support)
 
 

@@ -6,17 +6,17 @@ search: every removal set of the critical size is enumerated in
 lexicographic id order, and each one that could refute is judged by one
 exact LP: a simplex on a fraction-free integer tableau, whose witnesses
 re-check by exact substitution.  The LP over every point is built once
-per call, and each judged removal deletes its points' columns and
-starts from the basis the last one left (``lp.Tableau``); the d >= 3
-depth ascent does the same on the hull-membership LP.  That makes them
-oracles for desk-scale instances rather than scalable algorithms.  Both
-first ask a count of
-the fewest refuting deletions, with no LP and no removal set, for one
-part (m = 1) in any dimension, any m in the line, and m = 2 in the
-plane (over separating lines, O(n^3) integer steps): ``exact_tolerance``
-is that count minus 1, and ``verify_tolerance`` answers None when the
-count exceeds t; only a refutation, whose witness is the enumeration's,
-is still enumerated.
+per call, and each judged removal deletes its points' columns and starts
+from the basis the last one left (``lp.lp_feasible`` on one
+``lp.Tableau``); the d >= 3 depth ascent does the same on the
+hull-membership LP.  That makes them oracles for desk-scale instances
+rather than scalable algorithms.  Both first ask a count of the fewest
+refuting deletions, with no LP and no removal set, for one part (m = 1)
+in any dimension, any m in the line, and m = 2 in the plane (over
+separating lines, O(n^3) integer steps): ``exact_tolerance`` is that
+count minus 1, and ``verify_tolerance`` answers None when the count
+exceeds t; only a refutation, whose witness is the enumeration's, is
+still enumerated.
 Tukey depth takes the ascent from d = 3 on; in the line and the plane
 it is counted directly, by an exact O(n log n) angular sweep in
 integers that enumerates no removal set and solves no LP.
@@ -43,6 +43,7 @@ from typing import Callable, Sequence
 from .core import (
     Partition, Point, PointSet, RemovalSet, TverbergError, check_partition, check_query, short_repr,
 )
+from . import lp
 from .lp import LP, Tableau, hull_lp, intersection_lp
 
 DEFAULT_BUDGET = 10**6
@@ -122,14 +123,17 @@ def _partition_judge(point_set: PointSet, partition: Partition) -> Judge:
     return _warm_judge(points, intersection_lp(parts, point_set.dim))
 
 
-def _warm_judge(points: list[Point], lp: LP) -> Judge:
-    """A judge on one ``Tableau`` of ``lp``, whose columns are ``points``:
-    it deletes the removed points' columns and maps the support to ids."""
-    tableau = Tableau(*lp)
+def _warm_judge(points: list[Point], system: LP) -> Judge:
+    """A judge on one ``Tableau`` of ``system``, whose columns are
+    ``points``: it deletes the removed points' columns and maps the
+    support to ids."""
+    tableau = Tableau(*system)
     column = {p.id: j for j, p in enumerate(points)}
 
     def judge(removed: frozenset[int]) -> frozenset[int] | None:
-        support = tableau.solve({column[pid] for pid in removed})
+        # looked up on the module, like the hull queries' cold solves, so
+        # a wrapper of lp.lp_feasible sees every LP
+        support = lp.lp_feasible(tableau, {column[pid] for pid in removed})
         return None if support is None else frozenset(points[j].id for j in support)
 
     return judge

@@ -285,9 +285,10 @@ def tukey_depth_exhaustive(c, point_set):
 
 
 def fraction_lp_feasible(rows, rhs):
-    """``lp.lp_feasible`` on the reference engine, without its re-check:
-    an exact w >= 0 with rows . w = rhs, or None.  Entries may be ints;
-    they become Fractions, so the ratio test's ``/`` stays exact."""
+    """``lp.lp_feasible`` of a new tableau, on the reference engine and
+    without its re-check: an exact w >= 0 with rows . w = rhs, or None.
+    Entries may be ints; they become Fractions, so the ratio test's ``/``
+    stays exact."""
     signed = [
         [Fraction(c) if b >= 0 else -Fraction(c) for c in row] for row, b in zip(rows, rhs)
     ]

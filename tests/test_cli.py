@@ -83,7 +83,7 @@ def test_tolerance_prints_exact_value(line4, tmp_path, capsys):
 
 def test_single_part_tolerance_is_counted(tmp_path, capsys, monkeypatch):
     """One 3-D part of 22 points: n - 1 with no LP and no budget."""
-    monkeypatch.setattr(lp.Tableau, "solve", lambda *args: pytest.fail("an LP was solved"))
+    monkeypatch.setattr(lp, "lp_feasible", lambda *args: pytest.fail("an LP was solved"))
     pts, part = tmp_path / "pts.json", tmp_path / "part.json"
     pts.write_text(dumps(point_set_to_obj(random_point_set(22, 3, seed=0))))
     part.write_text(json.dumps({"parts": [list(range(1, 23))]}))

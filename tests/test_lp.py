@@ -34,10 +34,15 @@ def pts_1d(values, start_id=0):
     return [pt(start_id + i, v) for i, v in enumerate(values)]
 
 
+def cold(rows, rhs):
+    """``lp_feasible`` on a new tableau of rows . w = rhs, w >= 0."""
+    return lp_feasible(lp.Tableau(rows, rhs))
+
+
 def witness(rows, rhs):
     """A new tableau's first witness as Fractions, or None when infeasible."""
     tableau = lp.Tableau(rows, rhs)
-    if tableau.solve() is None:
+    if lp_feasible(tableau) is None:
         return None
     found = [F(0)] * tableau.ncols
     for col, line in zip(tableau.basis, tableau.tab):
@@ -48,22 +53,22 @@ def witness(rows, rhs):
 
 class TestLpFeasible:
     def test_sign_conflict_infeasible(self):
-        assert lp_feasible([[F(1)]], [F(-1)]) is None
+        assert cold([[F(1)]], [F(-1)]) is None
 
     def test_symmetric_split(self):
         rows = [[F(1), F(1)], [F(1), F(-1)]]
         assert witness(rows, [F(1), F(0)]) == [F(1, 2), F(1, 2)]
-        assert lp_feasible(rows, [F(1), F(0)]) == [0, 1]
+        assert cold(rows, [F(1), F(0)]) == [0, 1]
 
     def test_negative_rhs_row_is_negated(self):
         assert witness([[F(-2)]], [F(-3)]) == [F(3, 2)]
-        assert lp_feasible([[F(-2)]], [F(-3)]) == [0]
+        assert cold([[F(-2)]], [F(-3)]) == [0]
 
     def test_zero_row_consistent(self):
-        assert lp_feasible([[F(0)]], [F(0)]) == []
+        assert cold([[F(0)]], [F(0)]) == []
 
     def test_zero_row_inconsistent(self):
-        assert lp_feasible([[F(0)]], [F(5)]) is None
+        assert cold([[F(0)]], [F(5)]) is None
 
     def test_degenerate_suite_terminates(self):
         # redundant rows, duplicated columns, zero rhs everywhere:
@@ -75,13 +80,13 @@ class TestLpFeasible:
             [F(3), F(1), F(0), F(0)],
         ]
         assert witness(rows, [F(0)] * 4) == [F(0)] * 4
-        assert lp_feasible(rows, [F(0)] * 4) == []
+        assert cold(rows, [F(0)] * 4) == []
 
     def test_redundant_equalities(self):
         rows = [[F(1), F(1)], [F(2), F(2)], [F(3), F(3)]]
         w = witness(rows, [F(2), F(4), F(6)])
         assert w is not None and w[0] + w[1] == 2 and min(w) >= 0
-        assert lp_feasible(rows, [F(2), F(4), F(6)]) == [j for j in (0, 1) if w[j]]
+        assert cold(rows, [F(2), F(4), F(6)]) == [j for j in (0, 1) if w[j]]
 
     def test_wrong_witness_rejected_under_optimize(self):
         # A solver bug that leaves a wrong witness in the tableau must
@@ -120,14 +125,14 @@ class TestLpFeasible:
             from tolerant_tverberg import lp
             rows, rhs = [[1, 1, 1, 1], [0, 1, 2, 3]], [1, 1]
             tableau = lp.Tableau(rows, rhs)
-            support = tableau.solve()
+            support = lp.lp_feasible(tableau)
             print("support", support)
             removed = {j for j in range(4) if j not in tableau.basis}
             print("removed", sorted(removed))
-            print("solve", tableau.solve(removed))
+            print("solve", lp.lp_feasible(tableau, removed))
             tableau.tab[0][-1] += tableau.d
             try:
-                tableau.solve(removed)
+                lp.lp_feasible(tableau, removed)
             except AssertionError as exc:
                 print("raised", exc)
             else:
@@ -215,7 +220,7 @@ def _check_prefix_of_fraction_engine(rows, rhs):
     assert len(ref_pivots) == len(pivots) or ref_pivots[len(pivots)][1] >= ncols
     assert got == (None if want is None else list(want))
     support = None if want is None else [j for j, x in enumerate(want) if x != 0]
-    assert lp_feasible(rows, rhs) == support
+    assert cold(rows, rhs) == support
     return pivots, ref_pivots, want
 
 
@@ -245,24 +250,22 @@ class TestSamePivotsAsFractionEngine:
 
 
 def _recorded_systems(run):
-    """The (rows, rhs) of every LP that ``run()`` hands to ``lp_feasible``,
-    and the (rows, rhs, removed, support) of every tableau solve, cold or
-    warm."""
-    systems, solves = [], []
-    feasible, solve = lp.lp_feasible, lp.Tableau.solve
+    """The (rows, rhs) of every tableau that ``run()`` hands to
+    ``lp_feasible``, once each, and the (rows, rhs, removed, support) of
+    every solve, cold or warm."""
+    systems, solves, tableaus = [], [], []
+    feasible = lp.lp_feasible
 
-    def feasible_spy(rows, rhs):
-        systems.append((rows, rhs))
-        return feasible(rows, rhs)
-
-    def solve_spy(tableau, removed=()):
-        support = solve(tableau, removed)
+    def spy(tableau, removed=()):
+        if not any(t is tableau for t in tableaus):
+            tableaus.append(tableau)
+            systems.append((tableau.rows, tableau.rhs))
+        support = feasible(tableau, removed)
         solves.append((tableau.rows, tableau.rhs, frozenset(removed), support))
         return support
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(lp, "lp_feasible", feasible_spy)
-        mp.setattr(lp.Tableau, "solve", solve_spy)
+        mp.setattr(lp, "lp_feasible", spy)
         run()
     return systems, solves
 
@@ -311,7 +314,7 @@ class TestCallersLpShapes:
 
 
 class TestWorkCounters:
-    """Deterministic work: LPs solved (``Tableau.solve`` calls, cold or
+    """Deterministic work: LPs solved (``lp_feasible`` calls, cold or
     warm) and pivots (``_pivot`` calls) on two fixed instances, and every
     tableau row the pivot rewrites holds the structural columns and the
     rhs, nothing else.  An empty part or hull is refuted by exactly one
@@ -320,7 +323,7 @@ class TestWorkCounters:
     def _count(self, run):
         counts = {"lps": 0, "pivots": 0}
         widths = set()
-        real_solve, real_pivot = lp.Tableau.solve, lp._pivot
+        real_solve, real_pivot = lp.lp_feasible, lp._pivot
 
         def solve(tableau, removed=()):
             counts["lps"] += 1
@@ -333,7 +336,7 @@ class TestWorkCounters:
             return real_pivot(tab, cost, *rest)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(lp.Tableau, "solve", solve)
+            mp.setattr(lp, "lp_feasible", solve)
             mp.setattr(lp, "_pivot", pivot)
             result = run()
         assert widths == {1}
@@ -358,8 +361,8 @@ class TestWorkCounters:
     ])
     def test_an_empty_hull_is_one_lp_verdict(self, monkeypatch, run):
         solved = []
-        real = lp.Tableau.solve
-        monkeypatch.setattr(lp.Tableau, "solve", lambda *args: solved.append(1) or real(*args))
+        real = lp.lp_feasible
+        monkeypatch.setattr(lp, "lp_feasible", lambda *args: solved.append(1) or real(*args))
         assert run() is None
         assert len(solved) == 1
 
@@ -391,8 +394,8 @@ def _warm_instances(draw):
 
 
 def _solve_warm(tableau, points, removed):
-    """``tableau.solve`` with the removed points' columns deleted, as ids."""
-    support = tableau.solve({j for j, p in enumerate(points) if p.id in removed})
+    """``lp_feasible`` with the removed points' columns deleted, as ids."""
+    support = lp_feasible(tableau, {j for j, p in enumerate(points) if p.id in removed})
     return None if support is None else {points[j].id for j in support}
 
 

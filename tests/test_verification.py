@@ -229,8 +229,8 @@ class TestTukeyDepth:
 
     def test_line_and_plane_solve_no_lp(self, monkeypatch):
         solved = []
-        solve = lp.Tableau.solve
-        monkeypatch.setattr(lp.Tableau, "solve", lambda *args: solved.append(1) or solve(*args))
+        solve = lp.lp_feasible
+        monkeypatch.setattr(lp, "lp_feasible", lambda *args: solved.append(1) or solve(*args))
         assert tukey_depth(query(3), integer_line(5)) == 3
         P = random_point_set(12, 2, seed=0)
         for c in [query(0, 0), query("1/2", "-1/3"), P.points[0]._replace(id=0)]:
@@ -531,8 +531,8 @@ class TestSeparatingLines:
 
     def test_tolerant_verdicts_solve_no_lp_and_charge_no_budget(self, monkeypatch):
         solved = []
-        solve = lp.Tableau.solve
-        monkeypatch.setattr(lp.Tableau, "solve", lambda *args: solved.append(1) or solve(*args))
+        solve = lp.lp_feasible
+        monkeypatch.setattr(lp, "lp_feasible", lambda *args: solved.append(1) or solve(*args))
         P = random_point_set(22, 2, seed=0)
         T = tolerant_tverberg_lifted(P, 2, 4)
         L = integer_line(11)
