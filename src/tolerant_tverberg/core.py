@@ -126,12 +126,13 @@ class PointSet:
 
     def __post_init__(self) -> None:
         if self.dim < 1:
-            raise TverbergError(f"dimension must be positive, got {self.dim}")
+            raise TverbergError(f"dimension must be positive, got {short_repr(self.dim)}")
         seen: set[int] = set()
         for p in self.points:
             if len(p.coords) != self.dim:
                 raise TverbergError(
-                    f"point {short_repr(p.id)} has {len(p.coords)} coords, expected {self.dim}"
+                    f"point {short_repr(p.id)} has {len(p.coords)} coords, "
+                    f"expected {short_repr(self.dim)}"
                 )
             if p.id in seen:
                 raise TverbergError(f"duplicate point id {short_repr(p.id)}")

@@ -44,23 +44,27 @@ witness are the same.  Then
 
 No floating point is involved anywhere, which is what makes the hull
 intersection and hull membership predicates below exact decisions.
-What the callers read is the witness's support: the columns, and for
-the hull queries the ids of the points, with nonzero weight.  A basic
-witness has at most one per row, and deleting only points outside it
-leaves the witness valid.  Only feasibility is supported; there is no
-objective to optimize.
+Only feasibility is supported; there is no objective to optimize.
+
+The callers speak point ids, never columns.  ``intersection_judge`` and
+``hull_judge`` build a hull query's LP and one ``Tableau`` and return a
+judge, which maps the removed ids to deleted columns and the witness's
+support, the points with nonzero weight, back to ids; ``_judge`` holds
+that map alone.  Deleting only points outside a support leaves its
+witness valid.  ``common_intersection`` and ``hull_support`` are each
+judge's first call, with nothing removed: the cold solve.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Collection, Sequence
+from typing import Callable, Collection, Sequence
 
 from .core import Point, TverbergError
 
-# (rows, rhs) of rows . w = rhs, w >= 0
-LP = tuple[list[list[int | Fraction]], list[int | Fraction]]
+# removed ids -> the ids of the surviving witness's support, or None
+Judge = Callable[[Collection[int]], frozenset[int] | None]
 
 
 class Tableau:
@@ -176,29 +180,40 @@ def _check_dims(points: Sequence[Point], dim: int) -> None:
             )
 
 
+def _judge(points: Sequence[Point], rows: list[list[int | Fraction]],
+           rhs: list[int | Fraction]) -> Judge:
+    """A judge on one ``Tableau`` of rows . w = rhs, whose column j is
+    ``points[j]``: the only map between point ids and LP columns."""
+    tableau = Tableau(rows, rhs)
+    column = {p.id: j for j, p in enumerate(points)}
+
+    def judge(removed: Collection[int]) -> frozenset[int] | None:
+        support = lp_feasible(tableau, {column[pid] for pid in removed})
+        return None if support is None else frozenset(points[j].id for j in support)
+
+    return judge
+
+
 def common_intersection(sets: Sequence[Sequence[Point]], dim: int) -> frozenset[int] | None:
     """The ids of points that carry a common point of the sets' convex
-    hulls, or None when the hulls do not meet.
+    hulls, or None when the hulls do not meet: ``intersection_judge``'s
+    cold solve.  An empty list of sets constrains nothing, needs no
+    points and solves no LP.
+    """
+    return intersection_judge(sets, dim)(()) if sets else frozenset()
+
+
+def intersection_judge(sets: Sequence[Sequence[Point]], dim: int) -> Judge:
+    """The judge of a nonempty list of sets: do the hulls of the sets,
+    less the removed ids, share a point?
 
     For each set i with points p_{i,1..n_i} the LP carries barycentric
     weights a_{i,j} >= 0 with sum_j a_{i,j} = 1, and every set's
     combination sum_j a_{i,j} p_{i,j} equals set 0's, axis by axis.  The
-    ids returned are the witness's support, the points with nonzero
-    weight, so the same point stays common to the hulls of any subsets
-    that keep the support.  Every None is the LP's verdict: an empty set's
-    convexity row reads 0 = 1.  An empty list of sets constrains nothing,
-    needs no points and solves no LP.
+    support is the points with nonzero weight, so the same point stays
+    common to the hulls of any subsets that keep it.  Every None is the
+    LP's verdict: an emptied set's convexity row reads 0 = 1.
     """
-    if not sets:
-        return frozenset()
-    support = lp_feasible(Tableau(*intersection_lp(sets, dim)))
-    points = [p for s in sets for p in s]
-    return None if support is None else frozenset(points[j].id for j in support)
-
-
-def intersection_lp(sets: Sequence[Sequence[Point]], dim: int) -> LP:
-    """The (rows, rhs) of ``common_intersection``'s LP on a nonempty list
-    of sets, one column per point, in the sets' order."""
     for s in sets:
         _check_dims(s, dim)
 
@@ -224,21 +239,21 @@ def intersection_lp(sets: Sequence[Sequence[Point]], dim: int) -> LP:
         rows.append(row)
         rhs.append(1)
         offset += n
-    return rows, rhs
+    return _judge([p for s in sets for p in s], rows, rhs)
 
 
 def hull_support(c: Point, hull_points: Sequence[Point]) -> frozenset[int] | None:
     """Ids of hull points that carry c as a convex combination, or None
-    when c is outside the hull of ``hull_points``.  Every None is the LP's
-    verdict: with no hull points the convexity row reads 0 = 1."""
-    support = lp_feasible(Tableau(*hull_lp(c, hull_points)))
-    return None if support is None else frozenset(hull_points[j].id for j in support)
+    when c is outside the hull of ``hull_points``: ``hull_judge``'s cold
+    solve."""
+    return hull_judge(c, hull_points)(())
 
 
-def hull_lp(c: Point, hull_points: Sequence[Point]) -> LP:
-    """The (rows, rhs) of ``hull_support``'s LP, one column per hull point,
-    in order."""
+def hull_judge(c: Point, hull_points: Sequence[Point]) -> Judge:
+    """The judge of c's membership in the hull of ``hull_points`` less
+    the removed ids.  Every None is the LP's verdict: with no hull points
+    left the convexity row reads 0 = 1."""
     _check_dims(hull_points, c.dim)
     rows = [[p.coords[k] for p in hull_points] for k in range(c.dim)]
     rows.append([1] * len(hull_points))
-    return rows, [*c.coords, 1]
+    return _judge(hull_points, rows, [*c.coords, 1])

@@ -154,4 +154,4 @@ def get_solver(name: str, dim: int) -> SolverContract:
             lambda m: lifted_points_needed(dim, m, 0),
             lambda point_set, m: tolerant_tverberg_lifted(point_set, m, 0),
         )
-    raise TverbergError(f"unknown solver {name!r} (choose from: brute, 1d, lift)")
+    raise TverbergError(f"unknown solver {short_repr(name)} (choose from: brute, 1d, lift)")

@@ -4,13 +4,13 @@ Tolerance testing is coNP-complete when d is part of the input, so
 ``verify_tolerance`` and ``exact_tolerance`` run a budgeted exhaustive
 search: every removal set of the critical size is enumerated in
 lexicographic id order, and each one that could refute is judged by one
-exact LP: a simplex on a fraction-free integer tableau, whose witnesses
-re-check by exact substitution.  The LP over every point is built once
-per call, and each judged removal deletes its points' columns and starts
-from the basis the last one left (``lp.lp_feasible`` on one
-``lp.Tableau``); the d >= 3 depth ascent does the same on the
-hull-membership LP.  That makes them oracles for desk-scale instances
-rather than scalable algorithms.  Both first ask a count of the fewest
+exact LP, whose witnesses re-check by exact substitution.  Each call
+builds one judge from ``lp``, ``intersection_judge`` over the parts or,
+for the d >= 3 depth ascent, ``hull_judge`` over the points, and speaks
+point ids to it: a removal in, the ids of the surviving witness's
+support or None out, each solve starting where the last one ended.
+That makes them oracles for desk-scale instances rather than scalable
+algorithms.  Both first ask a count of the fewest
 refuting deletions, with no LP and no removal set, for one part (m = 1)
 in any dimension, any m in the line, and m = 2 in the plane (over
 separating lines, O(n^3) integer steps): ``exact_tolerance`` is that
@@ -22,15 +22,16 @@ it is counted directly, by an exact O(n log n) angular sweep in
 integers that enumerates no removal set and solves no LP.
 
 Every feasible LP reports its witness's support, the points with
-nonzero weight; a basic witness has at most one per LP row (Carathéodory).
+nonzero weight; a basic witness has at most one per LP equality (Carathéodory).
 A removal that misses some known support leaves that witness intact, so
 it cannot refute and is skipped; only removals that hit every support
 found so far are judged.  Skipped sets never refute, so the reported
 refutation is still the lexicographically first: ``verify_tolerance``
 returns that removal itself, or None when the partition is tolerant.
-The budget is charged for every removal set of a level, judged or not,
-and bounds only enumerated removal sets: the counted shapes, the
-smallest-part refutation and the planar sweep are not charged.
+The budget is charged for every removal set of a level that is
+enumerated, judged or not, and for nothing else: the counted shapes,
+the planar sweep and a level known to refute without a judge (a whole
+part, or all n points) are not charged.
 """
 
 from __future__ import annotations
@@ -38,18 +39,14 @@ from __future__ import annotations
 import math
 from functools import cmp_to_key
 from itertools import combinations
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .core import (
     Partition, Point, PointSet, RemovalSet, TverbergError, check_partition, check_query, short_repr,
 )
-from . import lp
-from .lp import LP, Tableau, hull_lp, intersection_lp
+from .lp import Judge, hull_judge, intersection_judge
 
 DEFAULT_BUDGET = 10**6
-
-# The support of the witness that survives a removal, or None to refute.
-Judge = Callable[[RemovalSet], RemovalSet | None]
 
 
 def verify_tolerance(
@@ -100,7 +97,7 @@ def exact_tolerance(
     Tolerance at t implies tolerance at every smaller t, so the first
     refuted level ends the ascent.  The level of the smallest part
     always refutes (removing that part empties its hull), so it is
-    charged but not judged.  ``budget`` bounds the removal sets of all
+    neither judged nor charged.  ``budget`` bounds the removal sets of all
     levels together, and the witness supports found at one level prune
     the next.  For one part in any dimension, any m in the line and two
     parts in the plane, no level is enumerated and nothing is charged.
@@ -114,29 +111,10 @@ def exact_tolerance(
 
 
 def _partition_judge(point_set: PointSet, partition: Partition) -> Judge:
-    """A judge that returns the support of the parts' common point after
-    a removal, or None when their hulls no longer meet, on one warm
-    tableau of the parts' intersection LP."""
+    """The judge of the parts' common point, each part's points in id order."""
     by_id = point_set.by_id()
-    parts = [[by_id[pid] for pid in sorted(part)] for part in partition]
-    points = [p for part in parts for p in part]
-    return _warm_judge(points, intersection_lp(parts, point_set.dim))
-
-
-def _warm_judge(points: list[Point], system: LP) -> Judge:
-    """A judge on one ``Tableau`` of ``system``, whose columns are
-    ``points``: it deletes the removed points' columns and maps the
-    support to ids."""
-    tableau = Tableau(*system)
-    column = {p.id: j for j, p in enumerate(points)}
-
-    def judge(removed: frozenset[int]) -> frozenset[int] | None:
-        # looked up on the module, like the hull queries' cold solves, so
-        # a wrapper of lp.lp_feasible sees every LP
-        support = lp.lp_feasible(tableau, {column[pid] for pid in removed})
-        return None if support is None else frozenset(points[j].id for j in support)
-
-    return judge
+    return intersection_judge([[by_id[pid] for pid in sorted(part)] for part in partition],
+                              point_set.dim)
 
 
 def _fewest_refuting(point_set: PointSet, partition: Partition) -> int | None:
@@ -234,7 +212,7 @@ def tukey_depth(c: Point, point_set: PointSet, budget: int = DEFAULT_BUDGET) -> 
     searched by ascending removal size; each candidate removal is judged
     by an exact hull-membership LP, and the supports found at one size
     prune every later size.  Removing all n points always evicts c, so
-    size n is charged but not judged.  ``budget`` bounds the removal
+    size n is neither judged nor charged.  ``budget`` bounds the removal
     sets of all sizes together.
     """
     _check_budget(budget)
@@ -247,8 +225,8 @@ def tukey_depth(c: Point, point_set: PointSet, budget: int = DEFAULT_BUDGET) -> 
         return _planar_depth(c, point_set.points)
     ids = sorted(point_set.ids())
     by_id = point_set.by_id()
-    points = [by_id[pid] for pid in ids]
-    return _first_refuted_size(ids, len(ids), _warm_judge(points, hull_lp(c, points)), budget)
+    judge = hull_judge(c, [by_id[pid] for pid in ids])
+    return _first_refuted_size(ids, len(ids), judge, budget)
 
 
 def _planar_depth(c: Point, points: tuple[Point, ...]) -> int:
@@ -305,10 +283,11 @@ def _ccw_cmp(u: tuple[int, int], v: tuple[int, int]) -> int:
 
 def _first_refuted_size(ids: list[int], stop: int, judge: Judge, budget: int) -> int:
     """The smallest removal size below ``stop`` that ``judge`` refutes,
-    else ``stop``, which the caller knows refutes and is not judged.
+    else ``stop``, which the caller knows refutes and is neither judged
+    nor charged.
 
-    Every size up to the answer is charged against one ``budget``, and
-    the supports found at one size prune the next.
+    Every size judged is charged against one ``budget``, and the
+    supports found at one size prune the next.
     """
     n = len(ids)
     supports: list[frozenset[int]] = []
@@ -316,7 +295,6 @@ def _first_refuted_size(ids: list[int], stop: int, judge: Judge, budget: int) ->
         budget -= _charge(n, size, budget)
         if _first_refutation(ids, size, supports, judge) is not None:
             return size
-    _charge(n, stop, budget)
     return stop
 
 

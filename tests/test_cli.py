@@ -302,6 +302,12 @@ NINES_4300 = "9" * 4300  # the longest int argparse reads
       "--m", "-" + NINES_4300], "m must be at least 1, got m=-" + "9" * 59 + "..."),
     (["depth", "--input", "dim_text.json", "--point", "0,0"], "'dim' must be an integer"),
     (["depth", "--input", "dim_bool.json", "--point", "0"], "'dim' must be an integer"),
+    (["depth", "--input", "dim_big.json", "--point", "0"],
+     "point 1 has 1 coords, expected " + "9" * 60 + "..."),
+    (["depth", "--input", "dim_neg.json", "--point", "0"],
+     "dimension must be positive, got -" + "9" * 59 + "..."),
+    (["compute", "--input", "planar.json", "--algorithm", "chunk_merge", "--solver", "x" * 5000,
+      "--m", "2"], "unknown solver '" + "x" * 59 + "... (choose from: brute, 1d, lift)"),
 ])
 def test_each_error_kind_is_one_exact_line(tmp_path, capsys, argv, message):
     docs = {
@@ -314,6 +320,8 @@ def test_each_error_kind_is_one_exact_line(tmp_path, capsys, argv, message):
         "dim_0.json": {"dim": 0, "points": [{"id": 1, "coords": []}]},
         "dim_text.json": {"dim": "2", "points": [{"id": 1, "coords": [0, 0]}]},
         "dim_bool.json": {"dim": True, "points": [{"id": 1, "coords": [0]}]},
+        "dim_big.json": {"dim": int("9" * 4000), "points": [{"id": 1, "coords": [0]}]},
+        "dim_neg.json": {"dim": -int("9" * 4000), "points": [{"id": 1, "coords": [0]}]},
         "partial.json": {"parts": [[1, 2], [3]]},
         "split.json": {"parts": [[1, 2, 3], [4, 5, 6, 7]]},
         "split3.json": {"parts": [[1, 2], [3, 4, 5], [6, 7]]},

@@ -393,16 +393,11 @@ def _warm_instances(draw):
     return points, dim, removals
 
 
-def _solve_warm(tableau, points, removed):
-    """``lp_feasible`` with the removed points' columns deleted, as ids."""
-    support = lp_feasible(tableau, {j for j, p in enumerate(points) if p.id in removed})
-    return None if support is None else {points[j].id for j in support}
-
-
 class TestWarmTableau:
-    """One tableau judges a sequence of removals, each from the basis the
-    last one left: every verdict is the cold LP's on the reduced sets, and
-    every support still carries the common point on its own."""
+    """One judge, on one tableau, judges a sequence of removals, each from
+    the basis the last one left: every verdict is the cold LP's on the
+    reduced sets, and every support still carries the common point on its
+    own."""
 
     @given(_warm_instances(), st.data())
     @settings(max_examples=150, deadline=None)
@@ -412,10 +407,9 @@ class TestWarmTableau:
         owner = data.draw(st.lists(st.integers(0, m - 1), min_size=len(points),
                                    max_size=len(points)))
         sets = [[p for p, k in zip(points, owner) if k == i] for i in range(m)]
-        order = [p for s in sets for p in s]
-        tableau = lp.Tableau(*lp.intersection_lp(sets, dim))
+        judge = lp.intersection_judge(sets, dim)
         for removed in removals:
-            support = _solve_warm(tableau, order, removed)
+            support = judge(removed)
             reduced = [[p for p in s if p.id not in removed] for s in sets]
             assert (support is None) == (common_intersection(reduced, dim) is None)
             if support is not None:
@@ -431,9 +425,9 @@ class TestWarmTableau:
         c = data.draw(st.sampled_from([*points, Point(0, tuple(
             sum((p.coords[k] for p in points), F(0)) / len(points) for k in range(dim)))]))
         c = Point(0, c.coords)
-        tableau = lp.Tableau(*lp.hull_lp(c, points))
+        judge = lp.hull_judge(c, points)
         for removed in removals:
-            support = _solve_warm(tableau, points, removed)
+            support = judge(removed)
             rest = [p for p in points if p.id not in removed]
             assert (support is None) == (hull_support(c, rest) is None)
             if support is not None:

@@ -157,6 +157,16 @@ class TestExactTolerance:
         T = from_iterables([{1, 2}, {3, 4}])
         assert exact_tolerance(P, T) == -1
 
+    def test_smallest_part_level_is_not_charged(self):
+        # a one-point part at the centroid of 20 points in 3-D: level 0
+        # is judged (one LP) and tolerant, and level 1, which deletes the
+        # part, refutes unjudged and uncharged
+        P = random_point_set(20, 3, seed=0)
+        centroid = tuple(sum((p.coords[k] for p in P.points), Fraction(0)) / len(P)
+                         for k in range(3))
+        Q = PointSet(3, (*P.points, pt(99, *centroid)))
+        assert exact_tolerance(Q, from_iterables([{99}, P.ids()]), budget=1) == 0
+
     def test_agrees_with_interval_oracle(self):
         rng = random.Random(2718)
         for _ in range(30):
@@ -206,11 +216,12 @@ class TestTukeyDepth:
         assert tukey_depth(query(0, 0, 0), cube, budget=163) == 4
         with pytest.raises(TverbergError, match="instance too large"):
             tukey_depth(query(0, 0, 0), cube, budget=162)
-        # n copies of c: depth n, and size n itself is charged, 2^n in all
+        # n copies of c: depth n, and size n itself, never judged, is not
+        # charged: sizes 0..n-1 take 2^n - 1 removal sets
         P = from_coords([[7, 7, 7]] * 5)
-        assert tukey_depth(query(7, 7, 7), P, budget=2**5) == 5
+        assert tukey_depth(query(7, 7, 7), P, budget=2**5 - 1) == 5
         with pytest.raises(TverbergError, match="instance too large"):
-            tukey_depth(query(7, 7, 7), P, budget=2**5 - 1)
+            tukey_depth(query(7, 7, 7), P, budget=2**5 - 2)
 
     def test_negative_budget_refused_before_any_other_work(self):
         # each call is also malformed otherwise: the budget is checked first
