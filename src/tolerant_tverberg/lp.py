@@ -12,7 +12,7 @@ Fraction tableau would see.  The artificials are only basis labels, with
 no columns, so one that leaves never re-enters.
 
 The tableau is kept between solves.  ``lp_feasible(tableau, removed)``
-decides the LP with the ``removed`` columns deleted: they may not enter,
+decides the LP with the removed ids' columns deleted: they may not enter,
 and the phase-1 objective is the weighted sum of the bad basic
 variables, an artificial of row i weighing L/den_i (L = lcm(den_i)) and
 a removed column L, so the cost row, d times the reduced costs, stays
@@ -46,13 +46,16 @@ No floating point is involved anywhere, which is what makes the hull
 intersection and hull membership predicates below exact decisions.
 Only feasibility is supported; there is no objective to optimize.
 
-The callers speak point ids, never columns.  ``intersection_judge`` and
-``hull_judge`` build a hull query's LP and one ``Tableau`` and return a
-judge, which maps the removed ids to deleted columns and the witness's
-support, the points with nonzero weight, back to ids; ``_judge`` holds
-that map alone.  Deleting only points outside a support leaves its
-witness valid.  ``common_intersection`` and ``hull_support`` are each
-judge's first call, with nothing removed: the cold solve.
+Every column carries the id of its point, and ``lp_feasible`` reads and
+returns ids, never columns: it deletes each column whose id is removed,
+so a removed point leaves every set it is in and an id outside the LP
+removes nothing, and it reports the witness's support as the ids of the
+points with nonzero weight.  ``intersection_judge`` and ``hull_judge``
+build a hull query's LP and one ``Tableau`` and return a judge, one
+``lp_feasible`` call per removal.  Deleting only points outside a
+support leaves its witness valid.  ``common_intersection`` and
+``hull_support`` are each judge's first call, with nothing removed: the
+cold solve.
 """
 
 from __future__ import annotations
@@ -69,15 +72,17 @@ Judge = Callable[[Collection[int]], frozenset[int] | None]
 
 class Tableau:
     """The integer phase-1 tableau of rows . w = rhs, w >= 0, kept from
-    one ``lp_feasible`` call to the next.  Row i is scaled by +-den_i and has an
-    artificial with coefficient 1, kept only as the basis label ncols + i:
-    a row holds its ncols structural entries and the rhs.  Every tableau
-    entry is d times its true value, d the last pivot.
+    one ``lp_feasible`` call to the next; column j is the weight of the
+    point with id ``ids[j]``, and an id may head several columns.  Row i
+    is scaled by +-den_i and has an artificial with coefficient 1, kept
+    only as the basis label ncols + i: a row holds its ncols structural
+    entries and the rhs.  Every tableau entry is d times its true value,
+    d the last pivot.
     """
 
-    def __init__(self, rows: Sequence[Sequence[int | Fraction]], rhs: Sequence[int | Fraction]):
-        self.rows, self.rhs = rows, rhs
-        self.ncols = ncols = len(rows[0])
+    def __init__(self, rows: Sequence[Sequence[int | Fraction]], rhs: Sequence[int | Fraction],
+                 ids: Sequence[int]):
+        self.rows, self.rhs, self.ids = rows, rhs, ids
         dens = [math.lcm(b.denominator, *(c.denominator for c in row)) for row, b in zip(rows, rhs)]
         self.tab: list[list[int]] = []
         for row, b, den in zip(rows, rhs, dens):
@@ -85,15 +90,16 @@ class Tableau:
             line = [c.numerator * (scale // c.denominator) for c in row]
             line.append(b.numerator * (scale // b.denominator))
             self.tab.append(line)
-        self.basis = [ncols + i for i in range(len(rows))]
+        self.basis = [len(ids) + i for i in range(len(rows))]
         self.lcm = math.lcm(*dens)
         self.weights = [self.lcm // den for den in dens]
         self.d = 1
 
 
-def lp_feasible(tableau: Tableau, removed: Collection[int] = ()) -> list[int] | None:
-    """The columns j with w_j > 0 in an exact w >= 0 with rows . w = rhs
-    and w = 0 on the ``removed`` columns, or None when there is none.
+def lp_feasible(tableau: Tableau, removed: Collection[int] = ()) -> frozenset[int] | None:
+    """The ids of the columns j with w_j > 0 in an exact w >= 0 with
+    rows . w = rhs and w = 0 on every column whose id is in ``removed``,
+    or None when there is none.
 
     Solved from the basis the tableau's last solve left, or from the
     artificials on a new tableau, minimizing the weighted sum of the bad
@@ -101,16 +107,17 @@ def lp_feasible(tableau: Tableau, removed: Collection[int] = ()) -> list[int] | 
     final basis stays in ``tableau`` for the next solve.  Every LP the
     package decides, cold or warm, is one call of this function.
     """
-    tab, basis, ncols = tableau.tab, tableau.basis, tableau.ncols
+    tab, basis, ids = tableau.tab, tableau.basis, tableau.ids
+    ncols = len(ids)
     bad = [
         (tableau.weights[i] if col >= ncols else tableau.lcm, line)
         for i, (col, line) in enumerate(zip(basis, tab))
-        if col >= ncols or col in removed
+        if col >= ncols or ids[col] in removed
     ]
     # reduced costs -sum(weight * row) over the bad rows, exact on every
     # column that may enter; the last entry tracks -d * objective
     cost = [-sum(w * line[j] for w, line in bad) for j in range(ncols + 1)]
-    columns = [j for j in range(ncols) if j not in removed]
+    columns = [j for j, pid in enumerate(ids) if pid not in removed]
     d = tableau.d
 
     while True:
@@ -143,20 +150,19 @@ def lp_feasible(tableau: Tableau, removed: Collection[int] = ()) -> list[int] | 
     if cost[-1] != 0:  # the optimum is positive
         return None
     values = {col: line[-1] for col, line in zip(basis, tab) if line[-1] != 0}
-    support = sorted(values)
     # A failure below would be a solver bug, never an input problem.
     # Explicit raises, not asserts, so the checks also run under
     # ``python -O``.  At optimum 0 every bad variable is 0.
-    if any(col >= ncols or col in removed for col in support):
+    if any(col >= ncols or ids[col] in removed for col in values):
         raise AssertionError("a removed or artificial variable is nonzero at optimum 0")
     # Exact re-substitution of every constraint, scaled by d; columns
     # outside the support add exactly 0.
     for row, b in zip(tableau.rows, tableau.rhs):
-        if sum(row[j] * values[j] for j in support) != b * d:
+        if sum(row[j] * w for j, w in values.items()) != b * d:
             raise AssertionError("witness failed exact re-substitution")
-    if d <= 0 or any(values[j] < 0 for j in support):
+    if d <= 0 or any(w < 0 for w in values.values()):
         raise AssertionError("witness violates nonnegativity")
-    return support
+    return frozenset(ids[j] for j in values)
 
 
 def _pivot(tab: list[list[int]], cost: list[int], leave: int, enter: int, d: int) -> int:
@@ -180,42 +186,30 @@ def _check_dims(points: Sequence[Point], dim: int) -> None:
             )
 
 
-def _judge(points: Sequence[Point], rows: list[list[int | Fraction]],
-           rhs: list[int | Fraction]) -> Judge:
-    """A judge on one ``Tableau`` of rows . w = rhs, whose column j is
-    ``points[j]``: the only map between point ids and LP columns."""
-    tableau = Tableau(rows, rhs)
-    column = {p.id: j for j, p in enumerate(points)}
-
-    def judge(removed: Collection[int]) -> frozenset[int] | None:
-        support = lp_feasible(tableau, {column[pid] for pid in removed})
-        return None if support is None else frozenset(points[j].id for j in support)
-
-    return judge
-
-
 def common_intersection(sets: Sequence[Sequence[Point]], dim: int) -> frozenset[int] | None:
     """The ids of points that carry a common point of the sets' convex
     hulls, or None when the hulls do not meet: ``intersection_judge``'s
-    cold solve.  An empty list of sets constrains nothing, needs no
-    points and solves no LP.
-    """
-    return intersection_judge(sets, dim)(()) if sets else frozenset()
+    cold solve."""
+    return intersection_judge(sets, dim)(())
 
 
 def intersection_judge(sets: Sequence[Sequence[Point]], dim: int) -> Judge:
-    """The judge of a nonempty list of sets: do the hulls of the sets,
-    less the removed ids, share a point?
+    """The judge of a list of sets: do the hulls of the sets, less the
+    removed ids, share a point?
 
     For each set i with points p_{i,1..n_i} the LP carries barycentric
     weights a_{i,j} >= 0 with sum_j a_{i,j} = 1, and every set's
     combination sum_j a_{i,j} p_{i,j} equals set 0's, axis by axis.  The
     support is the points with nonzero weight, so the same point stays
     common to the hulls of any subsets that keep it.  Every None is the
-    LP's verdict: an emptied set's convexity row reads 0 = 1.
+    LP's verdict: an emptied set's convexity row reads 0 = 1.  An empty
+    list of sets constrains nothing, needs no points and solves no LP:
+    its judge answers the empty support.
     """
     for s in sets:
         _check_dims(s, dim)
+    if not sets:
+        return lambda removed: frozenset()
 
     first = sets[0]
     ncols = sum(len(s) for s in sets)
@@ -239,7 +233,8 @@ def intersection_judge(sets: Sequence[Sequence[Point]], dim: int) -> Judge:
         rows.append(row)
         rhs.append(1)
         offset += n
-    return _judge([p for s in sets for p in s], rows, rhs)
+    tableau = Tableau(rows, rhs, [p.id for s in sets for p in s])
+    return lambda removed: lp_feasible(tableau, removed)
 
 
 def hull_support(c: Point, hull_points: Sequence[Point]) -> frozenset[int] | None:
@@ -256,4 +251,5 @@ def hull_judge(c: Point, hull_points: Sequence[Point]) -> Judge:
     _check_dims(hull_points, c.dim)
     rows = [[p.coords[k] for p in hull_points] for k in range(c.dim)]
     rows.append([1] * len(hull_points))
-    return _judge(hull_points, rows, [*c.coords, 1])
+    tableau = Tableau(rows, [*c.coords, 1], [p.id for p in hull_points])
+    return lambda removed: lp_feasible(tableau, removed)
