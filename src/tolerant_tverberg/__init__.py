@@ -19,7 +19,7 @@ from .core import (
 )
 from .generate import random_point_set
 from .lifting import halve_and_pair, tolerant_tverberg_lifted
-from .lp import common_intersection, hull_support
+from .lp import hull_judge, intersection_judge
 from .merging import MergeBlock, chunk_and_merge, merge_partitions
 from .one_d import max_tolerance_1d, tolerant_tverberg_1d
 from .reduction import ReducedInstance, center_to_tolerant_instance
@@ -56,11 +56,11 @@ __all__ = [
     "centerpoint_depth",
     "check_partition",
     "chunk_and_merge",
-    "common_intersection",
     "exact_tolerance",
     "get_solver",
     "halve_and_pair",
-    "hull_support",
+    "hull_judge",
+    "intersection_judge",
     "lex_key",
     "max_tolerance_1d",
     "merge_partitions",

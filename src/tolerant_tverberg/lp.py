@@ -53,9 +53,8 @@ removes nothing, and it reports the witness's support as the ids of the
 points with nonzero weight.  ``intersection_judge`` and ``hull_judge``
 build a hull query's LP and one ``Tableau`` and return a judge, one
 ``lp_feasible`` call per removal.  Deleting only points outside a
-support leaves its witness valid.  ``common_intersection`` and
-``hull_support`` are each judge's first call, with nothing removed: the
-cold solve.
+support leaves its witness valid.  A cold query is a judge's first call,
+``judge(())``, with nothing removed.
 """
 
 from __future__ import annotations
@@ -64,7 +63,7 @@ import math
 from fractions import Fraction
 from typing import Callable, Collection, Sequence
 
-from .core import Point, TverbergError
+from .core import Point, TverbergError, short_repr
 
 # removed ids -> the ids of the surviving witness's support, or None
 Judge = Callable[[Collection[int]], frozenset[int] | None]
@@ -182,15 +181,8 @@ def _check_dims(points: Sequence[Point], dim: int) -> None:
     for p in points:
         if p.dim != dim:
             raise TverbergError(
-                f"dimension: point {p.id} has dim {p.dim}, expected {dim}"
+                f"dimension: point {short_repr(p.id)} has dim {p.dim}, expected {dim}"
             )
-
-
-def common_intersection(sets: Sequence[Sequence[Point]], dim: int) -> frozenset[int] | None:
-    """The ids of points that carry a common point of the sets' convex
-    hulls, or None when the hulls do not meet: ``intersection_judge``'s
-    cold solve."""
-    return intersection_judge(sets, dim)(())
 
 
 def intersection_judge(sets: Sequence[Sequence[Point]], dim: int) -> Judge:
@@ -235,13 +227,6 @@ def intersection_judge(sets: Sequence[Sequence[Point]], dim: int) -> Judge:
         offset += n
     tableau = Tableau(rows, rhs, [p.id for s in sets for p in s])
     return lambda removed: lp_feasible(tableau, removed)
-
-
-def hull_support(c: Point, hull_points: Sequence[Point]) -> frozenset[int] | None:
-    """Ids of hull points that carry c as a convex combination, or None
-    when c is outside the hull of ``hull_points``: ``hull_judge``'s cold
-    solve."""
-    return hull_judge(c, hull_points)(())
 
 
 def hull_judge(c: Point, hull_points: Sequence[Point]) -> Judge:

@@ -25,7 +25,7 @@ from typing import Callable
 
 from .core import Partition, PointSet, TverbergError, short_repr
 from .lifting import lifted_points_needed, tolerant_tverberg_lifted
-from .lp import common_intersection
+from .lp import intersection_judge
 
 BRUTE_FORCE_CAP = 12
 
@@ -97,7 +97,7 @@ def brute_force_tverberg(point_set: PointSet, m: int) -> Partition | None:
 
     A partition whose part boxes miss on some axis is skipped without an
     LP; it is never Tverberg, so the answer is the same.  Every other
-    partition is judged by ``common_intersection``.  The enumeration is
+    partition is judged cold by ``intersection_judge``.  The enumeration is
     Bell-number sized, hence the fixed cap of ``BRUTE_FORCE_CAP`` points.
     """
     if m < 1:
@@ -113,7 +113,7 @@ def brute_force_tverberg(point_set: PointSet, m: int) -> Partition | None:
         sets: list[list] = [[] for _ in range(m)]
         for p, block in zip(points, rgs):
             sets[block].append(p)
-        if common_intersection(sets, point_set.dim) is not None:
+        if intersection_judge(sets, point_set.dim)(()) is not None:
             return tuple(frozenset(p.id for p in s) for s in sets)
     return None
 

@@ -28,8 +28,12 @@ it cannot refute and is skipped; only removals that hit every support
 found so far are judged.  Skipped sets never refute, so the reported
 refutation is still the lexicographically first: ``verify_tolerance``
 returns that removal itself, or None when the partition is tolerant.
-The budget is charged for every removal set of a level that is
-enumerated, judged or not, and for nothing else: the counted shapes,
+All three searches are one walk, ``_first_refutation``, over a list of
+levels: ``verify_tolerance`` gives it the one critical size, and
+``exact_tolerance`` and the depth ascent every size below the one known
+to refute; the supports found at one level prune the later ones.  The
+walk charges the budget for every removal set of a level as it reaches
+that level, judged or not, and for nothing else: the counted shapes,
 the planar sweep and a level known to refute without a judge (a whole
 part, or all n points) are not charged.
 """
@@ -39,7 +43,7 @@ from __future__ import annotations
 import math
 from functools import cmp_to_key
 from itertools import combinations
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .core import (
     Partition, Point, PointSet, RemovalSet, TverbergError, check_partition, check_query, short_repr,
@@ -81,9 +85,8 @@ def verify_tolerance(
     if t >= len(smallest):
         rest = [pid for pid in ids if pid not in smallest]
         return smallest | frozenset(rest[: size - len(smallest)])
-    _charge(len(ids), size, budget)
     # size < min part size here, so no part is ever emptied
-    return _first_refutation(ids, size, [], _partition_judge(point_set, partition))
+    return _first_refutation(ids, [size], _partition_judge(point_set, partition), budget)
 
 
 def exact_tolerance(
@@ -105,8 +108,10 @@ def exact_tolerance(
     _check_budget(budget)
     fewest = _fewest_refuting(point_set, partition)
     if fewest is None:
-        ids, judge = sorted(point_set.ids()), _partition_judge(point_set, partition)
-        fewest = _first_refuted_size(ids, min(map(len, partition)), judge, budget)
+        ids, stop = sorted(point_set.ids()), min(map(len, partition))
+        judge = _partition_judge(point_set, partition)
+        removal = _first_refutation(ids, range(stop), judge, budget)
+        fewest = stop if removal is None else len(removal)
     return fewest - 1
 
 
@@ -226,7 +231,8 @@ def tukey_depth(c: Point, point_set: PointSet, budget: int = DEFAULT_BUDGET) -> 
     ids = sorted(point_set.ids())
     by_id = point_set.by_id()
     judge = hull_judge(c, [by_id[pid] for pid in ids])
-    return _first_refuted_size(ids, len(ids), judge, budget)
+    removal = _first_refutation(ids, range(len(ids)), judge, budget)
+    return len(ids) if removal is None else len(removal)
 
 
 def _planar_depth(c: Point, points: tuple[Point, ...]) -> int:
@@ -281,41 +287,30 @@ def _ccw_cmp(u: tuple[int, int], v: tuple[int, int]) -> int:
     return u[1] * v[0] - u[0] * v[1]
 
 
-def _first_refuted_size(ids: list[int], stop: int, judge: Judge, budget: int) -> int:
-    """The smallest removal size below ``stop`` that ``judge`` refutes,
-    else ``stop``, which the caller knows refutes and is neither judged
-    nor charged.
+def _first_refutation(
+    ids: list[int], sizes: Iterable[int], judge: Judge, budget: int
+) -> frozenset[int] | None:
+    """The lexicographically first removal that ``judge`` refutes, of the
+    first of ``sizes`` that has one, or None.
 
-    Every size judged is charged against one ``budget``, and the
-    supports found at one size prune the next.
+    Each size is charged against one ``budget`` as the walk reaches it.
+    A removal disjoint from a known support leaves that witness valid, so
+    it is skipped unjudged, and the supports found at one size prune the
+    later ones.  ``judge`` returns the support of the witness that
+    survives a removal, or None to refute.
     """
     n = len(ids)
     supports: list[frozenset[int]] = []
-    for size in range(stop):
+    for size in sizes:
         budget -= _charge(n, size, budget)
-        if _first_refutation(ids, size, supports, judge) is not None:
-            return size
-    return stop
-
-
-def _first_refutation(
-    ids: list[int], size: int, supports: list[frozenset[int]], judge: Judge
-) -> frozenset[int] | None:
-    """The lexicographically first removal of ``size`` ids that ``judge``
-    refutes, or None.
-
-    A removal disjoint from a known support leaves that witness valid, so
-    it is skipped unjudged.  ``judge`` returns the support of the witness
-    that survives a removal, which joins ``supports``, or None to refute.
-    """
-    for combo in combinations(ids, size):
-        removed = frozenset(combo)
-        if any(removed.isdisjoint(s) for s in supports):
-            continue
-        support = judge(removed)
-        if support is None:
-            return removed
-        supports.append(support)
+        for combo in combinations(ids, size):
+            removed = frozenset(combo)
+            if any(removed.isdisjoint(s) for s in supports):
+                continue
+            support = judge(removed)
+            if support is None:
+                return removed
+            supports.append(support)
     return None
 
 

@@ -32,7 +32,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from tolerant_tverberg import (
-    Point, PointSet, TverbergError, check_partition, common_intersection, hull_support, to_scalar,
+    Point, PointSet, TverbergError, check_partition, hull_judge, intersection_judge, to_scalar,
 )
 from tolerant_tverberg.core import short_repr
 from tolerant_tverberg.solvers import restricted_growth_strings
@@ -227,7 +227,7 @@ def check_solver_output(point_set, partition) -> bool:
     check_partition(partition, point_set.ids())
     by_id = point_set.by_id()
     sets = [[by_id[pid] for pid in sorted(part)] for part in partition]
-    return common_intersection(sets, point_set.dim) is not None
+    return intersection_judge(sets, point_set.dim)(()) is not None
 
 
 def brute_force_tverberg_exhaustive(point_set, m):
@@ -236,7 +236,7 @@ def brute_force_tverberg_exhaustive(point_set, m):
     points = list(point_set.points)
     for rgs in restricted_growth_strings(len(points), m):
         sets = [[p for p, block in zip(points, rgs) if block == i] for i in range(m)]
-        if common_intersection(sets, point_set.dim) is not None:
+        if intersection_judge(sets, point_set.dim)(()) is not None:
             return tuple(frozenset(p.id for p in s) for s in sets)
     return None
 
@@ -260,7 +260,7 @@ def verify_tolerance_exhaustive(point_set, partition, t):
             [by_id[pid] for pid in sorted(part) if pid not in removal]
             for part in partition
         ]
-        if common_intersection(sets, point_set.dim) is None:
+        if intersection_judge(sets, point_set.dim)(()) is None:
             return frozenset(removal)
     return None
 
@@ -279,7 +279,7 @@ def tukey_depth_exhaustive(c, point_set):
     by_id = point_set.by_id()
     for r in range(len(ids) + 1):
         for removal in combinations(ids, r):
-            if hull_support(c, [by_id[pid] for pid in ids if pid not in removal]) is None:
+            if hull_judge(c, [by_id[pid] for pid in ids if pid not in removal])(()) is None:
                 return r
     return len(ids)
 

@@ -22,10 +22,10 @@ from tolerant_tverberg import (
     center_to_tolerant_instance,
     centerpoint_depth,
     chunk_and_merge,
-    common_intersection,
     exact_tolerance,
     get_solver,
-    hull_support,
+    hull_judge,
+    intersection_judge,
     max_tolerance_1d,
     merge_partitions,
     random_point_set,
@@ -243,7 +243,7 @@ def test_c09_depth_removal_lemma():
                 assert tukey_depth(c, P) == depth
                 for t in range(0, n + 1):
                     survives = all(
-                        hull_support(c, [p for p in pts if p.id not in set(R)]) is not None
+                        hull_judge(c, [p for p in pts if p.id not in set(R)])(()) is not None
                         for r in range(0, t + 1)
                         for R in combinations([p.id for p in pts], r)
                     )
@@ -276,7 +276,7 @@ def test_c10_lp_oracle_equivalence():
                     [Point(nid + i, (Fraction(v),)) for i, v in enumerate(vs)]
                 )
                 nid += len(vs)
-            got = common_intersection(sets, 1)
+            got = intersection_judge(sets, 1)(())
             assert (got is not None) == oracles.intervals_intersect(value_sets)
             if got is not None:
                 # the witness support alone must still carry a common point

@@ -471,6 +471,30 @@ def test_smallest_part_refutation_charges_no_budget(tmp_path, capsys):
     assert json.loads(witness.read_text())["removal_ids"] == [1, 2, 3]
 
 
+def test_verify_budget_is_charged_for_one_level(tmp_path, capsys):
+    # the zigzag below at t = 2: verify charges the C(11,2) = 55 removals
+    # of its one level, so 54 exits 2 and 55 gives the unbudgeted witness
+    pts, part = tmp_path / "zigzag.json", tmp_path / "part.json"
+    pts.write_text(json.dumps(
+        {"dim": 2, "points": [{"id": i, "coords": [i, i % 2]} for i in range(1, 12)]}))
+    part.write_text(json.dumps({"parts": [[3, 6, 9], [1, 4, 7, 10], [2, 5, 8, 11]]}))
+
+    def verify(*budget):
+        witness = tmp_path / "w.json"
+        witness.unlink(missing_ok=True)
+        code = main(["verify", "--input", str(pts), "--partition", str(part), "--t", "2",
+                     *budget, "--output", str(witness)])
+        out, err = capsys.readouterr()
+        return code, out, err, witness.read_bytes() if witness.exists() else None
+
+    code, out, err, witness = verify("--budget", "54")
+    assert (code, out, witness) == (2, "", None)
+    assert err.startswith("error: instance too large: C(11,2) removal sets")
+    refuted = verify("--budget", "55")
+    assert refuted[0] == 1 and refuted[3] is not None
+    assert refuted == verify()
+
+
 @pytest.mark.parametrize("budget,code,out", [("66", 2, ""), ("67", 0, "1\n")])
 def test_tolerance_budget_is_a_total_over_levels(tmp_path, capsys, budget, code, out):
     # a planar 3-partition is enumerated: levels t = 0..2 take

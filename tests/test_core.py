@@ -35,8 +35,8 @@ def test_public_names_are_pinned():
         "BRUTE_FORCE_CAP", "DEFAULT_BUDGET", "MergeBlock", "Partition", "Point",
         "PointSet", "ReducedInstance", "RemovalSet", "SolverContract", "TverbergError",
         "brute_force_tverberg", "center_to_tolerant_instance", "centerpoint_depth",
-        "check_partition", "chunk_and_merge", "common_intersection", "exact_tolerance",
-        "get_solver", "halve_and_pair", "hull_support", "lex_key", "max_tolerance_1d",
+        "check_partition", "chunk_and_merge", "exact_tolerance", "get_solver",
+        "halve_and_pair", "hull_judge", "intersection_judge", "lex_key", "max_tolerance_1d",
         "merge_partitions", "random_point_set", "render_svg", "to_scalar",
         "tolerant_tverberg_1d", "tolerant_tverberg_lifted", "tukey_depth",
         "verify_tolerance",

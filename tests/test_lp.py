@@ -15,8 +15,8 @@ from tolerant_tverberg import (
     Point,
     TverbergError,
     brute_force_tverberg,
-    common_intersection,
-    hull_support,
+    hull_judge,
+    intersection_judge,
     lp,
     random_point_set,
     tolerant_tverberg_lifted,
@@ -109,7 +109,7 @@ class TestLpFeasible:
                     self.tab, self.basis, self.d = tab, [0, 1], d
                 lp.Tableau.__init__ = stub
                 try:
-                    lp.hull_support(Point(0, (Fraction(c),)), hull)
+                    lp.hull_judge(Point(0, (Fraction(c),)), hull)(())
                 except AssertionError as exc:
                     print("raised", exc)
                 else:
@@ -363,9 +363,9 @@ class TestWorkCounters:
         assert partition is not None and (lps, pivots) == (21, 168)
 
     @pytest.mark.parametrize("run", [
-        lambda: common_intersection([[pt(1, 0)], []], 1),
-        lambda: common_intersection([[], []], 2),
-        lambda: hull_support(pt(0, 1, "1/2"), []),
+        lambda: intersection_judge([[pt(1, 0)], []], 1)(()),
+        lambda: intersection_judge([[], []], 2)(()),
+        lambda: hull_judge(pt(0, 1, "1/2"), [])(()),
     ])
     def test_an_empty_hull_is_one_lp_verdict(self, monkeypatch, run):
         solved = []
@@ -441,7 +441,7 @@ class TestWarmTableau:
         for removed in removals:
             support = judge(removed)
             reduced = [[p for p in s if p.id not in removed] for s in sets]
-            assert (support is None) == (common_intersection(reduced, dim) is None)
+            assert (support is None) == (intersection_judge(reduced, dim)(()) is None)
             assert (support is None) == (not oracles.hulls_intersect_fraction(reduced, dim))
             if support is not None:
                 assert support.isdisjoint(removed)
@@ -460,7 +460,7 @@ class TestWarmTableau:
         for removed in removals:
             support = judge(removed)
             rest = [p for p in points if p.id not in removed]
-            assert (support is None) == (hull_support(c, rest) is None)
+            assert (support is None) == (hull_judge(c, rest)(()) is None)
             if support is not None:
                 kept = [p for p in rest if p.id in support]
                 assert oracles.hulls_intersect_fraction([[c], kept], dim)
@@ -496,25 +496,28 @@ def _values_in(sets, support):
 class TestCommonIntersection:
     def test_identical_singletons(self):
         sets = [[pt(1, 0)], [pt(2, 0)]]
-        assert common_intersection(sets, 1) == frozenset({1, 2})
+        assert intersection_judge(sets, 1)(()) == frozenset({1, 2})
 
     def test_overlapping_intervals(self):
         sets = [pts_1d([1, 3]), pts_1d([2, 4], start_id=10)]
-        found = common_intersection(sets, 1)
+        found = intersection_judge(sets, 1)(())
         assert found is not None
         assert oracles.intervals_intersect(_values_in(sets, found))
 
     def test_disjoint_triangles_empty(self):
         a = [pt(1, 0, 0), pt(2, 1, 0), pt(3, 0, 1)]
         b = [pt(4, 5, 5), pt(5, 6, 5), pt(6, 5, 6)]
-        assert common_intersection([a, b], 2) is None
+        assert intersection_judge([a, b], 2)(()) is None
 
     def test_empty_set_forces_empty(self):
-        assert common_intersection([pts_1d([1, 2]), []], 1) is None
+        assert intersection_judge([pts_1d([1, 2]), []], 1)(()) is None
 
     def test_dimension_mismatch(self):
         with pytest.raises(TverbergError, match="dimension"):
-            common_intersection([[pt(1, 0, 0)], [pt(2, 1)]], 2)
+            intersection_judge([[pt(1, 0, 0)], [pt(2, 1)]], 2)(())
+        # an id past the interpreter's 4300-digit limit is echoed cut
+        with pytest.raises(TverbergError, match=r"dimension: point 1000+\.\.\. has dim 1"):
+            intersection_judge([[Point(10**5000, (1,))]], 2)
 
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
@@ -530,7 +533,7 @@ class TestCommonIntersection:
                  for j in range(2 * dim + 2)]
                 for i in range(m)
             ]
-            support = common_intersection(sets, dim)
+            support = intersection_judge(sets, dim)(())
             assert (support is not None) == oracles.hulls_intersect_fraction(sets, dim)
             if support is not None:
                 found += 1
@@ -551,7 +554,7 @@ class TestCommonIntersection:
                  for j in range(rng.randint(1, 2 * dim + 2))]
                 for i in range(m)
             ]
-            support = common_intersection(sets, dim)
+            support = intersection_judge(sets, dim)(())
             if support is None:
                 continue
             found += 1
@@ -565,7 +568,7 @@ class TestCommonIntersection:
 
     def test_no_sets_have_empty_support(self):
         for dim in (1, 2, 3):
-            assert common_intersection([], dim) == frozenset()
+            assert intersection_judge([], dim)(()) == frozenset()
 
     def test_no_sets_judge_has_empty_support(self):
         judge = lp.intersection_judge([], 2)
@@ -585,7 +588,7 @@ class TestCommonIntersection:
             for vs in value_sets:
                 sets.append(pts_1d(vs, start_id=nid))
                 nid += len(vs)
-            got = common_intersection(sets, 1)
+            got = intersection_judge(sets, 1)(())
             expect = oracles.intervals_intersect(value_sets)
             assert (got is not None) == expect
             if got is not None:
@@ -599,41 +602,43 @@ class TestCommonIntersection:
         b = [pt(4, 1, 1), pt(5, 3, 1), pt(6, 1, 3)]
         c = [pt(7, 6, 6), pt(8, 7, 6), pt(9, 6, 7)]
         for sets in ([a, b], [a, c], [a, b, c]):
-            plain = common_intersection(sets, 2) is not None
+            plain = intersection_judge(sets, 2)(()) is not None
             scaled_sets = [
                 [Point(p.id, tuple(scale * x for x in p.coords)) for p in s]
                 for s in sets
             ]
-            scaled = common_intersection(scaled_sets, 2) is not None
+            scaled = intersection_judge(scaled_sets, 2)(()) is not None
             assert plain == scaled
 
 
 class TestPointInHull:
     def test_interval_membership(self):
-        assert hull_support(pt(0, 1), pts_1d([0, 2])) is not None
-        assert hull_support(pt(0, 3), pts_1d([0, 2])) is None
+        assert hull_judge(pt(0, 1), pts_1d([0, 2]))(()) is not None
+        assert hull_judge(pt(0, 3), pts_1d([0, 2]))(()) is None
 
     def test_triangle_interior(self):
         tri = [pt(1, 0, 0), pt(2, 3, 0), pt(3, 0, 3)]
-        assert hull_support(pt(0, 1, 1), tri) is not None
-        assert hull_support(pt(0, 3, 3), tri) is None
+        assert hull_judge(pt(0, 1, 1), tri)(()) is not None
+        assert hull_judge(pt(0, 3, 3), tri)(()) is None
 
     def test_vertex_and_edge_membership(self):
         tri = [pt(1, 0, 0), pt(2, 2, 0), pt(3, 0, 2)]
-        assert hull_support(pt(0, 0, 0), tri) is not None
-        assert hull_support(pt(0, 1, 0), tri) is not None
+        assert hull_judge(pt(0, 0, 0), tri)(()) is not None
+        assert hull_judge(pt(0, 1, 0), tri)(()) is not None
 
     def test_empty_hull(self):
-        assert hull_support(pt(0, 1), []) is None
+        assert hull_judge(pt(0, 1), [])(()) is None
 
     def test_support_carries_the_point(self):
         square = [pt(1, 0, 0), pt(2, 2, 0), pt(3, 0, 2), pt(4, 2, 2), pt(5, 1, 1)]
-        assert hull_support(pt(0, 3, 3), square) is None
+        assert hull_judge(pt(0, 3, 3), square)(()) is None
         for c in (pt(0, 1, 1), pt(0, 0, 0), pt(0, 1, 0), pt(0, 1, "1/2")):
-            support = hull_support(c, square)
+            support = hull_judge(c, square)(())
             assert support is not None and 1 <= len(support) <= 3
-            assert hull_support(c, [p for p in square if p.id in support]) is not None
+            assert hull_judge(c, [p for p in square if p.id in support])(()) is not None
 
     def test_dimension_mismatch(self):
         with pytest.raises(TverbergError, match="dimension"):
-            hull_support(pt(0, 1, 2), pts_1d([0, 1]))
+            hull_judge(pt(0, 1, 2), pts_1d([0, 1]))(())
+        with pytest.raises(TverbergError, match=r"dimension: point -1000+\.\.\. has dim 1"):
+            hull_judge(Point(0, (1, 2)), [Point(-10**5000, (1,))])

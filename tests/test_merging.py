@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import from_iterables, line
+from helpers import from_coords, from_iterables, line
 from tolerant_tverberg import (
     MergeBlock,
     PointSet,
@@ -189,6 +189,39 @@ class TestChunkAndMerge:
     def test_too_few_points(self):
         with pytest.raises(TverbergError, match="too few points"):
             chunk_and_merge(line(1, 2), 2, get_solver("1d", 1))
+
+
+@st.composite
+def planar_inputs(draw):
+    """12-40 planar points: a generated set in general position, or points
+    on the 0..3 grid with duplicates and collinear runs."""
+    n = draw(st.integers(12, 40))
+    if draw(st.booleans()):
+        return random_point_set(n, 2, seed=draw(st.integers(0, 10**6)))
+    cell = st.integers(0, 3)
+    coords = []
+    while len(coords) < n:
+        kind = draw(st.sampled_from(["fresh", "duplicate", "run"]))
+        if kind == "duplicate" and coords:
+            coords.append(draw(st.sampled_from(coords)))
+        elif kind == "run":  # part of a row, a column or a diagonal of the grid
+            c = draw(cell)
+            lines = [[(k, c) for k in range(4)], [(c, k) for k in range(4)],
+                     [(k, k) for k in range(4)], [(k, 3 - k) for k in range(4)]]
+            run = draw(st.sampled_from(lines))
+            start = draw(st.integers(0, 2))
+            coords += run[start : draw(st.integers(start + 2, 4))]
+        else:
+            coords.append((draw(cell), draw(cell)))
+    return from_coords(coords[:n])
+
+
+@settings(max_examples=60, deadline=None)
+@given(planar_inputs(), st.sampled_from(["brute", "lift"]))
+def test_planar_chunk_and_merge_reaches_its_guarantee(P, solver):
+    # two parts in the plane: exact_tolerance counts over separating lines
+    merged = chunk_and_merge(P, 2, get_solver(solver, 2))
+    assert exact_tolerance(P, merged.partition) >= merged.tolerance
 
 
 class TestManualBlockSplit:

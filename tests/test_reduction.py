@@ -11,7 +11,7 @@ from tolerant_tverberg import (
     TverbergError,
     center_to_tolerant_instance,
     centerpoint_depth,
-    hull_support,
+    hull_judge,
     tukey_depth,
     verify_tolerance,
 )
@@ -73,10 +73,10 @@ class TestEquivalence:
         embedded = [by_id[pid] for pid in sorted(P.ids())]
         gadget = [by_id[pid] for pid in sorted(inst.partition[1])]
         # a horizontal and a vertical segment, crossing at (3, 0) only
-        assert hull_support(query(3, 0), embedded) is not None
-        assert hull_support(query(3, 0), gadget) is not None
-        assert hull_support(query(3, "1/2"), embedded) is None
-        assert hull_support(query("5/2", 0), gadget) is None
+        assert hull_judge(query(3, 0), embedded)(()) is not None
+        assert hull_judge(query(3, 0), gadget)(()) is not None
+        assert hull_judge(query(3, "1/2"), embedded)(()) is None
+        assert hull_judge(query("5/2", 0), gadget)(()) is None
 
     def test_gadget_survives_any_t_removals(self):
         P = line(1, 2, 3, 4, 5)
@@ -86,7 +86,7 @@ class TestEquivalence:
         c_lifted = query(3, 0)
         for removal in combinations(gadget_ids, inst.t):
             rest = [by_id[pid] for pid in gadget_ids if pid not in set(removal)]
-            assert hull_support(c_lifted, rest) is not None
+            assert hull_judge(c_lifted, rest)(()) is not None
 
 
 def planar_family(seed):

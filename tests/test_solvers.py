@@ -57,11 +57,12 @@ class TestBruteForce:
 
 
 def count_lps(monkeypatch, module):
-    """Record every ``common_intersection`` call made through ``module``."""
+    """Record every ``intersection_judge`` built through ``module``: each
+    judge there is called once, cold, so one build is one LP."""
     calls = []
-    solve = module.common_intersection
-    monkeypatch.setattr(module, "common_intersection",
-                        lambda sets, dim: calls.append(1) or solve(sets, dim))
+    build = module.intersection_judge
+    monkeypatch.setattr(module, "intersection_judge",
+                        lambda sets, dim: calls.append(1) or build(sets, dim))
     return calls
 
 

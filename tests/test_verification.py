@@ -11,9 +11,9 @@ from tolerant_tverberg import (
     PointSet,
     TverbergError,
     centerpoint_depth,
-    common_intersection,
     exact_tolerance,
-    hull_support,
+    hull_judge,
+    intersection_judge,
     lp,
     random_point_set,
     tolerant_tverberg_1d,
@@ -33,7 +33,7 @@ def removal_separates(point_set, partition, removed):
         [by_id[pid] for pid in part if pid not in removed]
         for part in partition
     ]
-    return common_intersection(sets, point_set.dim) is None
+    return intersection_judge(sets, point_set.dim)(()) is None
 
 
 class TestVerifyTolerance:
@@ -41,7 +41,7 @@ class TestVerifyTolerance:
         assert verify_tolerance(FOUR, SPLIT, 0) is None
         by_id = FOUR.by_id()
         sets = [[by_id[pid] for pid in sorted(part)] for part in SPLIT]
-        support = common_intersection(sets, 1)
+        support = intersection_judge(sets, 1)(())
         # the support alone still carries a common point
         assert support is not None and oracles.intervals_intersect(
             [[p.coords[0] for p in s if p.id in support] for s in sets])
@@ -97,6 +97,17 @@ class TestVerifyTolerance:
         T = from_iterables([set(range(1, 16)), set(range(16, 31))])
         with pytest.raises(TverbergError, match="instance too large"):
             verify_tolerance(P, T, 10, budget=1000)
+
+    def test_budget_is_charged_for_one_level(self):
+        # a planar 3-partition is enumerated, and verify charges only the
+        # C(11,2) = 55 removals of size t = 2, not the smaller levels
+        P = from_coords([(i, i % 2) for i in range(1, 12)])
+        T = from_iterables([{3, 6, 9}, {1, 4, 7, 10}, {2, 5, 8, 11}])
+        with pytest.raises(TverbergError, match=r"^instance too large: C\(11,2\) .*, 54$"):
+            verify_tolerance(P, T, 2, budget=54)
+        witness = verify_tolerance(P, T, 2)
+        assert witness is not None
+        assert verify_tolerance(P, T, 2, budget=55) == witness
 
     def test_monotone_in_t(self):
         P = integer_line(8)
@@ -355,7 +366,7 @@ class TestDepthRemovalEquivalence:
                 depth = tukey_depth(c, P)
                 for t in range(0, n + 1):
                     survives = all(
-                        hull_support(c, [p for p in pts if p.id not in set(R)]) is not None
+                        hull_judge(c, [p for p in pts if p.id not in set(R)])(()) is not None
                         for r in range(0, t + 1)
                         for R in combinations(range(1, n + 1), r)
                     )
