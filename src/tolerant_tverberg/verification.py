@@ -10,13 +10,13 @@ for the d >= 3 depth ascent, ``hull_judge`` over the points, and speaks
 point ids to it: a removal in, the ids of the surviving witness's
 support or None out, each solve starting where the last one ended.
 That makes them oracles for desk-scale instances rather than scalable
-algorithms.  Both first ask a count of the fewest
-refuting deletions, with no LP and no removal set, for one part (m = 1)
-in any dimension, any m in the line, and m = 2 in the plane (over
-separating lines, O(n^3) integer steps): ``exact_tolerance`` is that
-count minus 1, and ``verify_tolerance`` answers None when the count
-exceeds t; only a refutation, whose witness is the enumeration's, is
-still enumerated.
+algorithms.  Each checks its partition first, and ``verify_tolerance``
+then deletes a whole part when t reaches the smallest one.  Next both
+ask a count of the fewest refuting deletions, with no LP and no removal
+set, for one part (m = 1) in any dimension, any m in the line, and
+m = 2 in the plane (over separating lines, O(n^3) integer steps):
+``exact_tolerance`` is that count minus 1, and ``verify_tolerance``
+answers None when it exceeds t; only a refutation is still enumerated.
 Tukey depth takes the ascent from d = 3 on; in the line and the plane
 it is counted directly, by an exact O(n log n) angular sweep in
 integers that enumerates no removal set and solves no LP.
@@ -64,29 +64,29 @@ def verify_tolerance(
 
     Hulls only shrink when the removal grows, so it suffices to try the
     removals of size exactly min(t, n): any separating smaller set
-    extends to a separating one of that size.  The removal returned is
-    the lexicographically first refutation, except when some part has at
-    most t points — then deleting that whole part is an immediate
-    refutation and is returned padded to full size.  It is checkable
-    independently: deleting it leaves the parts' hulls with empty common
-    intersection.  ``budget`` bounds the C(n, min(t, n)) removal sets; it is
-    not charged for that immediate refutation, nor for a tolerant verdict
-    when m = 1, d = 1, or d = 2 and m = 2.
+    extends to a separating one of that size.  When some part has at
+    most t points, deleting that whole part refutes at once: it is
+    returned padded with the smallest other ids, before any count.
+    Otherwise the removal is the lexicographically first refutation.  It
+    is checkable independently: deleting it leaves the parts' hulls with
+    empty common intersection.  ``budget`` bounds the C(n, t) removal
+    sets; it is not charged for that immediate refutation, nor for a
+    tolerant verdict when m = 1, d = 1, or d = 2 and m = 2.
     """
     _check_budget(budget)
     if t < 0:
         raise TverbergError(f"t must be nonnegative, got t={short_repr(t)}")
-    fewest = _fewest_refuting(point_set, partition)
-    if fewest is not None and fewest > t:
-        return None
+    check_partition(partition, point_set.ids())
     ids = sorted(point_set.ids())
-    size = min(t, len(ids))
     smallest = min(partition, key=len)
     if t >= len(smallest):
         rest = [pid for pid in ids if pid not in smallest]
-        return smallest | frozenset(rest[: size - len(smallest)])
-    # size < min part size here, so no part is ever emptied
-    return _first_refutation(ids, [size], _partition_judge(point_set, partition), budget)
+        return smallest | frozenset(rest[: t - len(smallest)])
+    fewest = _fewest_refuting(point_set, partition)
+    if fewest is not None and fewest > t:
+        return None
+    # t < min part size here, so no part is ever emptied
+    return _first_refutation(ids, [t], _partition_judge(point_set, partition), budget)
 
 
 def exact_tolerance(
@@ -106,6 +106,7 @@ def exact_tolerance(
     parts in the plane, no level is enumerated and nothing is charged.
     """
     _check_budget(budget)
+    check_partition(partition, point_set.ids())
     fewest = _fewest_refuting(point_set, partition)
     if fewest is None:
         ids, stop = sorted(point_set.ids()), min(map(len, partition))
@@ -123,15 +124,14 @@ def _partition_judge(point_set: PointSet, partition: Partition) -> Judge:
 
 
 def _fewest_refuting(point_set: PointSet, partition: Partition) -> int | None:
-    """The fewest deletions that refute ``partition``, after checking it,
-    counted with no LP and no removal set for one part in any dimension
-    (a nonempty hull meets itself, so all of it must go), in the line for
+    """The fewest deletions that refute the valid ``partition``, counted
+    with no LP and no removal set for one part in any dimension (a
+    nonempty hull meets itself, so all of it must go), in the line for
     any m and in the plane for m = 2; None elsewhere.
 
     In the line, intervals share a point exactly when every two of them
     do (Helly), so the fewest is the least over the pairs of parts.
     """
-    check_partition(partition, point_set.ids())
     m = len(partition)
     if m == 1:
         return len(partition[0])

@@ -1,6 +1,8 @@
 """Short constructors for the point sets and partitions the tests write out."""
 
-from tolerant_tverberg import Point, PointSet, to_scalar
+from hypothesis import strategies as st
+
+from tolerant_tverberg import Point, PointSet, random_point_set, to_scalar
 from tolerant_tverberg.solvers import restricted_growth_strings
 
 
@@ -44,3 +46,26 @@ def all_m_partitions(values, m):
         for v, block in zip(values, rgs):
             parts[block].append(v)
         yield parts
+
+
+@st.composite
+def spatial_inputs(draw, n):
+    """n points in 3-D: a generated set in general position, or points on
+    the 0..3 grid with duplicates and runs in one axis-parallel plane."""
+    if draw(st.booleans()):
+        return random_point_set(n, 3, seed=draw(st.integers(0, 10**6)))
+    cell = st.integers(0, 3)
+    coords = []
+    while len(coords) < n:
+        kind = draw(st.sampled_from(["fresh", "duplicate", "coplanar"]))
+        if kind == "duplicate" and coords:
+            coords.append(draw(st.sampled_from(coords)))
+        elif kind == "coplanar":
+            axis, level = draw(st.integers(0, 2)), draw(cell)
+            for _ in range(draw(st.integers(3, 6))):
+                p = [draw(cell), draw(cell)]
+                p.insert(axis, level)
+                coords.append(tuple(p))
+        else:
+            coords.append((draw(cell), draw(cell), draw(cell)))
+    return from_coords(coords[:n])

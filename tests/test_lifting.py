@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import from_coords
+from helpers import from_coords, spatial_inputs
 from oracles import cross_section_fraction
 from tolerant_tverberg import (
     TverbergError,
@@ -235,6 +235,24 @@ def test_lifted_partition_is_tolerant_on_degenerate_inputs(instance):
     T = tolerant_tverberg_lifted(P, m, t)
     check_partition(T, P.ids())
     assert verify_tolerance(P, T, t) is None
+
+
+@st.composite
+def lifted_spatial_instances(draw):
+    """A 3-D target, m = 2 with t <= 3 or m = 3 with t <= 2, and
+    4(m(t+2) - 1) points for it plus up to 3 surplus."""
+    m, t = draw(st.sampled_from([(2, t) for t in range(4)] + [(3, t) for t in range(3)]))
+    n = 4 * (m * (t + 2) - 1) + draw(st.integers(0, 3))
+    return draw(spatial_inputs(n)), m, t
+
+
+@settings(max_examples=100, deadline=None)
+@given(lifted_spatial_instances())
+@example((random_point_set(44, 3, seed=0), 2, 4))
+def test_lifted_spatial_partition_reaches_its_t(instance):
+    # degenerate_instances stops at 24 points, so at t = 1 in 3-D
+    P, m, t = instance
+    assert verify_tolerance(P, tolerant_tverberg_lifted(P, m, t), t) is None
 
 
 @st.composite

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import from_coords, from_iterables, line
+from helpers import from_coords, from_iterables, line, spatial_inputs
 from tolerant_tverberg import (
     MergeBlock,
     PointSet,
@@ -222,6 +222,24 @@ def test_planar_chunk_and_merge_reaches_its_guarantee(P, solver):
     # two parts in the plane: exact_tolerance counts over separating lines
     merged = chunk_and_merge(P, 2, get_solver(solver, 2))
     assert exact_tolerance(P, merged.partition) >= merged.tolerance
+
+
+@st.composite
+def spatial_chunk_inputs(draw):
+    """A 3-D block solver and points for m = 2: 10-25 for ``brute``,
+    which takes 5 a block, and 12-36 for ``lift``, which takes 12."""
+    solver = draw(st.sampled_from(["brute", "lift"]))
+    n = draw(st.integers(10, 25) if solver == "brute" else st.integers(12, 36))
+    return draw(spatial_inputs(n)), solver
+
+
+@settings(max_examples=60, deadline=None)
+@given(spatial_chunk_inputs())
+def test_spatial_chunk_and_merge_reaches_its_guarantee(instance):
+    # brute stops at 25 points: C(36, 6) removal sets exceed the default budget
+    P, solver = instance
+    merged = chunk_and_merge(P, 2, get_solver(solver, 3))
+    assert verify_tolerance(P, merged.partition, merged.tolerance) is None
 
 
 class TestManualBlockSplit:

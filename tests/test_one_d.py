@@ -18,11 +18,6 @@ from tolerant_tverberg import (
 from tolerant_tverberg.solvers import restricted_growth_strings
 
 
-def parts_as_values(point_set, partition):
-    by_id = point_set.by_id()
-    return [[by_id[pid].coords[0] for pid in part] for part in partition]
-
-
 class TestMaxTolerance:
     def test_eleven_points_three_parts(self):
         assert max_tolerance_1d(11, 3) == 2

@@ -19,6 +19,7 @@ from tolerant_tverberg import (
     tolerant_tverberg_1d,
     tolerant_tverberg_lifted,
     tukey_depth,
+    verification,
     verify_tolerance,
 )
 
@@ -34,6 +35,14 @@ def removal_separates(point_set, partition, removed):
         for part in partition
     ]
     return intersection_judge(sets, point_set.dim)(()) is None
+
+
+def forbid_the_count(monkeypatch):
+    """Fail the test if the verifier counts the fewest refuting deletions."""
+    def no_count(point_set, partition):
+        pytest.fail("the count ran")
+
+    monkeypatch.setattr(verification, "_fewest_refuting", no_count)
 
 
 class TestVerifyTolerance:
@@ -76,6 +85,29 @@ class TestVerifyTolerance:
         single = from_iterables([P.ids()])
         for t in (30, 31):
             assert verify_tolerance(P, single, t, budget=0) == P.ids()
+
+    def test_smallest_part_is_asked_before_the_count(self, monkeypatch):
+        # the count is never above the smallest part's size, so it is not
+        # asked when t reaches that size
+        forbid_the_count(monkeypatch)
+        P = integer_line(9)
+        T = tolerant_tverberg_1d(P, 3)
+        assert min(T, key=len) == {3, 6}
+        assert verify_tolerance(P, T, 2) == {3, 6}
+        assert verify_tolerance(P, T, 4) == {1, 2, 3, 6}
+        Q = random_point_set(12, 2, seed=0)
+        L = tolerant_tverberg_lifted(Q, 2, 1)
+        assert min(L, key=len) == {2, 6, 9, 12}
+        assert verify_tolerance(Q, L, 6) == {1, 2, 3, 6, 9, 12}
+        assert verify_tolerance(Q, from_iterables([Q.ids()]), 12) == Q.ids()
+
+    def test_partition_rule_is_asked_before_the_count(self, monkeypatch):
+        forbid_the_count(monkeypatch)
+        for verifier in (lambda T: verify_tolerance(FOUR, T, 0), lambda T: exact_tolerance(FOUR, T)):
+            with pytest.raises(TverbergError, match="^invalid partition: does not cover the point set$"):
+                verifier(from_iterables([{1, 2}]))
+            with pytest.raises(TverbergError, match="^invalid partition: id 2 in two parts$"):
+                verifier(from_iterables([{1, 2}, {2, 3, 4}]))
 
     def test_invalid_partition_rejected(self):
         with pytest.raises(TverbergError, match="^invalid partition: does not cover the point set$"):
