@@ -13,13 +13,13 @@ That makes them oracles for desk-scale instances rather than scalable
 algorithms.  Each checks its partition first, and ``verify_tolerance``
 then deletes a whole part when t reaches the smallest one.  Next both
 ask a count of the fewest refuting deletions, with no LP and no removal
-set, for one part (m = 1) in any dimension, any m in the line, and
-m = 2 in the plane (over separating lines, O(n^3) integer steps):
+set, for one part (m = 1) in any dimension, any m in the line (one walk
+over the sorted parts, O(n log n)), and m = 2 in the plane (O(n^3)):
 ``exact_tolerance`` is that count minus 1, and ``verify_tolerance``
 answers None when it exceeds t; only a refutation is still enumerated.
 Tukey depth takes the ascent from d = 3 on; in the line and the plane
-it is counted directly, by an exact O(n log n) angular sweep in
-integers that enumerates no removal set and solves no LP.
+it is counted directly, by an exact O(n log n) angular sweep that
+enumerates no removal set and solves no LP.
 
 Every feasible LP reports its witness's support, the points with
 nonzero weight; a basic witness has at most one per LP equality (Carathéodory).
@@ -43,7 +43,7 @@ from __future__ import annotations
 import math
 from functools import cmp_to_key
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .core import (
     Partition, Point, PointSet, RemovalSet, TverbergError, check_partition, check_query, short_repr,
@@ -127,25 +127,25 @@ def _fewest_refuting(point_set: PointSet, partition: Partition) -> int | None:
     """The fewest deletions that refute the valid ``partition``, counted
     with no LP and no removal set for one part in any dimension (a
     nonempty hull meets itself, so all of it must go), in the line for
-    any m and in the plane for m = 2; None elsewhere.
-
-    In the line, intervals share a point exactly when every two of them
-    do (Helly), so the fewest is the least over the pairs of parts.
-    """
+    any m by one rule over all the parts at once, and in the plane for
+    m = 2 over separating lines; None elsewhere."""
     m = len(partition)
     if m == 1:
         return len(partition[0])
     if not (point_set.dim == 1 or (point_set.dim == 2 and m == 2)):
         return None
-    points = point_set.points
-    coords = dict(zip([p.id for p in points], _scaled(points)))
-    parts = [[coords[pid] for pid in part] for part in partition]
-    return min(_fewest_deletions(a, b) for a, b in combinations(parts, 2))
+    by_id = point_set.by_id()
+    if point_set.dim == 1:
+        return _fewest_on_line([[by_id[pid].coords[0] for pid in part] for part in partition])
+    scale = math.lcm(*(x.denominator for p in point_set.points for x in p.coords))
+    a, b = ([tuple(x.numerator * (scale // x.denominator) for x in by_id[pid].coords)
+             for pid in part] for part in partition)
+    return _fewest_deletions(a, b)
 
 
-def _fewest_deletions(a: list[tuple[int, ...]], b: list[tuple[int, ...]]) -> int:
+def _fewest_deletions(a: list[tuple[int, int]], b: list[tuple[int, int]]) -> int:
     """The fewest points to delete from a and b, integer points in the
-    line or the plane, so that their hulls miss or one of them is empty.
+    plane, so that their hulls miss or one of them is empty.
 
     Disjoint hulls have a strictly separating line, and the open cell of
     separators that keep a given pattern has a vertex in its closure: a
@@ -153,12 +153,10 @@ def _fewest_deletions(a: list[tuple[int, ...]], b: list[tuple[int, ...]]) -> int
     point off H on its side, and put the points on H on either side of a
     cut along H or all on one side.  So the answer is the least, over
     every H and both orientations, of the a points strictly on the + side
-    and the b points strictly on the - side, plus the 1-D rule for the
-    points on H, ordered by their projection on H's direction; and
+    and the b points strictly on the - side, plus the line rule for the
+    points on H, valued by their projection on H's direction; and
     min(|a|, |b|), which also covers every point at one place.  O(n^3).
     """
-    if len(a[0]) == 1:
-        return _fewest_on_line([(x, 1, 0) for x, in a] + [(x, 0, 1) for x, in b])
     weights: dict[tuple[int, ...], list[int]] = {}
     for p in a:
         weights.setdefault(p, [0, 0])[0] += 1
@@ -187,24 +185,32 @@ def _fewest_deletions(a: list[tuple[int, ...]], b: list[tuple[int, ...]]) -> int
             else:
                 cost = min(a_plus + b_minus, a_minus + b_plus)
                 if cost < best:
-                    best = min(best, cost + _fewest_on_line(on_h))
+                    on_a = [v for v, na, _ in on_h for _ in range(na)]
+                    on_b = [v for v, _, nb in on_h for _ in range(nb)]
+                    best = min(best, cost + _fewest_on_line([on_a, on_b]))
     return best
 
 
-def _fewest_on_line(points: list[tuple[int, int, int]]) -> int:
-    """The 1-D rule on (value, #a, #b) entries: the least, over every cut
-    strictly between two consecutive distinct values, of #a right + #b
-    left and #a left + #b right, and min(|a|, |b|)."""
-    points.sort()
-    total_a = sum(na for _, na, _ in points)
-    total_b = sum(nb for _, _, nb in points)
-    best = min(total_a, total_b)
-    left_a = left_b = 0
-    for (x, na, nb), (nxt, _, _) in zip(points, points[1:]):
-        left_a += na
-        left_b += nb
-        if x != nxt:
-            best = min(best, total_a - left_a + left_b, left_a + total_b - left_b)
+def _fewest_on_line(parts: list[list]) -> int:
+    """The fewest values to delete from the parts, one list each, so that
+    their intervals share no point or one of them is empty.
+
+    With s the smallest part's size, let hi[k] be the lowest top of any
+    part after deleting its k largest values and lo[j] the highest bottom
+    after deleting its j smallest, for k, j < s: the answer is the least
+    of s and the k + j with hi[k] < lo[j] (a part giving both has k + j
+    >= its size).  hi only falls and lo only rises, so one walk after one
+    sort per part finds it: O(n log n).
+    """
+    parts = [sorted(part) for part in parts]
+    s = min(map(len, parts))
+    hi = [min(part[-1 - k] for part in parts) for k in range(s)]
+    best = k = s  # k: the fewest top deletions with hi[k] < lo[j]
+    for j in range(s):
+        low = max(part[j] for part in parts)
+        while k and hi[k - 1] < low:
+            k -= 1
+        best = min(best, j + k)
     return best
 
 
@@ -242,15 +248,16 @@ def _planar_depth(c: Point, points: tuple[Point, ...]) -> int:
     v_j = p_j - c outside the opposite open half-plane, and the most an
     open half-plane through c holds is the most v_j in one half-open arc
     [v_k, v_k + pi).  So depth = z + #{v} - that maximum, n when every
-    point is c (no v, maximum 0).  Coordinates are scaled by the lcm of
-    their denominators and directions reduced by their gcd, then sorted
-    counter-clockwise by half-plane and cross product; the arc's far end
-    only moves forward.
+    point is c (no v, maximum 0).  Each v is scaled by its own four
+    denominators, a positive integer, and reduced by its gcd, then the
+    directions are sorted counter-clockwise by half-plane and cross
+    product; the arc's far end only moves forward.
     """
-    (cx, cy), *scaled = _scaled((c, *points))
+    (cxn, cxd), (cyn, cyd) = ((x.numerator, x.denominator) for x in c.coords)
     weights: dict[tuple[int, int], int] = {}
-    for x, y in scaled:
-        x, y = x - cx, y - cy
+    for p in points:
+        (xn, xd), (yn, yd) = ((x.numerator, x.denominator) for x in p.coords)
+        x, y = (xn * cxd - cxn * xd) * yd * cyd, (yn * cyd - cyn * yd) * xd * cxd
         if x or y:
             g = math.gcd(x, y)
             u = (x // g, y // g)
@@ -273,13 +280,6 @@ def _planar_depth(c: Point, points: tuple[Point, ...]) -> int:
         if end > i + 1:
             inside -= weights[dirs[(i + 1) % k]]
     return len(points) - best
-
-
-def _scaled(points: Sequence[Point]) -> list[tuple[int, ...]]:
-    """The points' coordinates times the lcm of all their denominators:
-    integers in the same order and on the same lines."""
-    scale = math.lcm(*(x.denominator for p in points for x in p.coords))
-    return [tuple(x.numerator * (scale // x.denominator) for x in p.coords) for p in points]
 
 
 def _ccw_cmp(u: tuple[int, int], v: tuple[int, int]) -> int:

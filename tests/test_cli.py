@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import random
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -987,3 +988,15 @@ def test_malformed_flags_never_escape_main(dim, coords, removal_ids):
             _assert_exit_contract(["reduce-center", "--input", pts, *form("--point", point)])
             _assert_exit_contract(["plot", "--input", planar, "--output", svg,
                                    *form("--removal", removal)])
+
+
+def test_readme_session_runs_as_written(tmp_path, monkeypatch):
+    """Every ``tverberg`` line of the README's CLI session exits 0, in order,
+    in an empty directory."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = next(b for b in readme.split("```")[1::2] if "tverberg gen" in b)
+    lines = [line for line in block.splitlines() if line.startswith("tverberg ")]
+    assert len(lines) > 1
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        assert main(shlex.split(line)[1:]) == 0, line

@@ -15,6 +15,7 @@ from tolerant_tverberg import (
     hull_judge,
     intersection_judge,
     lp,
+    max_tolerance_1d,
     random_point_set,
     tolerant_tverberg_1d,
     tolerant_tverberg_lifted,
@@ -314,6 +315,14 @@ class TestTukeyDepth:
             c = rng.randint(-12, 12)
             assert tukey_depth(query(c), P) == oracles.halfspace_depth_1d(c, values)
 
+    def test_large_denominators_2d(self):
+        # each v = p - c is scaled by its own denominators, not by one lcm
+        rng = random.Random(60)
+        c = (Fraction(1, 3), Fraction(-2, 7))
+        coords = list(zip(big_denominators(rng, 60), big_denominators(rng, 60)))
+        coords += coords[:3] + [c] * 2  # duplicates, and points at c
+        assert tukey_depth(query(*c), from_coords(coords)) == oracles.halfspace_depth_2d(c, coords)
+
     def test_matches_halfspace_oracle_2d(self):
         rng = random.Random(27)
         for _ in range(8):
@@ -602,3 +611,57 @@ class TestSeparatingLines:
         # a refutation is the enumeration's lexicographically first
         assert verify_tolerance(P, T, exact + 1) is not None
         assert solved
+
+
+@st.composite
+def line_partitions(draw):
+    """2..8 parts of at most 30 points in the line, with distinct,
+    non-contiguous ids; values in halves and thirds on a narrow grid, so
+    ties within and across parts are common."""
+    m = draw(st.integers(2, 8))
+    n = draw(st.integers(m, 30))
+    values = draw(st.lists(st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3])),
+                           min_size=n, max_size=n))
+    ids = draw(st.lists(st.integers(-100, 100), min_size=n, max_size=n, unique=True))
+    labels = draw(st.permutations(list(range(m)) + draw(
+        st.lists(st.integers(0, m - 1), min_size=n - m, max_size=n - m))))
+    P = PointSet(1, tuple(pt(pid, v) for pid, v in zip(ids, values)))
+    parts = [[v for v, b in zip(values, labels) if b == j] for j in range(m)]
+    T = from_iterables([[pid for pid, b in zip(ids, labels) if b == j] for j in range(m)])
+    return P, T, parts
+
+
+def big_denominators(rng, k):
+    """k random rationals with distinct denominators of about 300 digits."""
+    dens = set()
+    while len(dens) < k:
+        dens.add(rng.randrange(10**299, 10**300))
+    return [Fraction(rng.randrange(-10**300, 10**300), d) for d in sorted(dens)]
+
+
+class TestLineRule:
+    """In the line the fewest refuting deletions come from one walk over
+    every part's sorted values at once, for any number of parts."""
+
+    @given(line_partitions())
+    @settings(max_examples=200, deadline=None)
+    def test_agrees_with_the_interval_oracle(self, instance):
+        P, T, parts = instance
+        expect = -1
+        while oracles.tolerant_1d(parts, expect + 1):
+            expect += 1
+        assert exact_tolerance(P, T, budget=0) == expect
+        if len(P) <= 9:
+            assert expect == oracles.exact_tolerance_exhaustive(P, T)
+
+    def test_many_parts(self):
+        P = integer_line(4000)
+        T = tolerant_tverberg_1d(P, 1333)
+        assert exact_tolerance(P, T, budget=0) == max_tolerance_1d(4000, 1333) == 1
+
+    def test_large_denominators(self):
+        # the count compares values only, so 300-digit denominators cost
+        # no more than the ranks they sort into
+        P = line(*big_denominators(random.Random(5), 400))
+        T = tolerant_tverberg_1d(P, 3)
+        assert exact_tolerance(P, T, budget=0) == max_tolerance_1d(400, 3) == 131
