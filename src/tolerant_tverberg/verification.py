@@ -19,7 +19,8 @@ over the sorted parts, O(n log n)), and m = 2 in the plane (O(n^3)):
 answers None when it exceeds t; only a refutation is still enumerated.
 Tukey depth takes the ascent from d = 3 on; in the line and the plane
 it is counted directly, by an exact O(n log n) angular sweep that
-enumerates no removal set and solves no LP.
+enumerates no removal set and solves no LP.  Both planar rules read each
+point as integers (X, Y, W) by its own denominators, never all n at once.
 
 Every feasible LP reports its witness's support, the points with
 nonzero weight; a basic witness has at most one per LP equality (Carathéodory).
@@ -135,17 +136,13 @@ def _fewest_refuting(point_set: PointSet, partition: Partition) -> int | None:
     if not (point_set.dim == 1 or (point_set.dim == 2 and m == 2)):
         return None
     by_id = point_set.by_id()
-    if point_set.dim == 1:
-        return _fewest_on_line([[by_id[pid].coords[0] for pid in part] for part in partition])
-    scale = math.lcm(*(x.denominator for p in point_set.points for x in p.coords))
-    a, b = ([tuple(x.numerator * (scale // x.denominator) for x in by_id[pid].coords)
-             for pid in part] for part in partition)
-    return _fewest_deletions(a, b)
+    parts = [[by_id[pid].coords for pid in part] for part in partition]
+    return _fewest_on_line(parts) if point_set.dim == 1 else _fewest_deletions(*parts)
 
 
-def _fewest_deletions(a: list[tuple[int, int]], b: list[tuple[int, int]]) -> int:
-    """The fewest points to delete from a and b, integer points in the
-    plane, so that their hulls miss or one of them is empty.
+def _fewest_deletions(a: list[tuple], b: list[tuple]) -> int:
+    """The fewest points to delete from a and b, points of the plane as
+    given, so that their hulls miss or one of them is empty.
 
     Disjoint hulls have a strictly separating line, and the open cell of
     separators that keep a given pattern has a vertex in its closure: a
@@ -154,24 +151,25 @@ def _fewest_deletions(a: list[tuple[int, int]], b: list[tuple[int, int]]) -> int
     cut along H or all on one side.  So the answer is the least, over
     every H and both orientations, of the a points strictly on the + side
     and the b points strictly on the - side, plus the line rule for the
-    points on H, valued by their projection on H's direction; and
-    min(|a|, |b|), which also covers every point at one place.  O(n^3).
+    points on H, ordered by x, or by y when H is vertical; and
+    min(|a|, |b|), which also covers every point at one place.  H is the
+    cross product of two ``_homogeneous`` triples, and a point's side the
+    sign of its triple's dot product with H.  O(n^3).
     """
-    weights: dict[tuple[int, ...], list[int]] = {}
-    for p in a:
-        weights.setdefault(p, [0, 0])[0] += 1
-    for p in b:
-        weights.setdefault(p, [0, 0])[1] += 1
-    points = [(x, y, na, nb) for (x, y), (na, nb) in weights.items()]
+    weights: dict[tuple, list[int]] = {}
+    for s, part in enumerate((a, b)):
+        for p in part:
+            weights.setdefault(p, [0, 0])[s] += 1
+    points = [(p, *_homogeneous(p), na, nb) for p, (na, nb) in weights.items()]
     best = min(len(a), len(b))
-    for j, (qx, qy, _, _) in enumerate(points):
+    for j, (_, qx, qy, qw, _, _) in enumerate(points):
         for i in range(j):
-            px, py = points[i][:2]
-            dx, dy = qx - px, qy - py
+            px, py, pw = points[i][1:4]
+            hx, hy, hw = py * qw - pw * qy, pw * qx - px * qw, px * qy - py * qx
             a_plus = a_minus = b_plus = b_minus = 0
             on_h = []
-            for k, (x, y, na, nb) in enumerate(points):
-                side = dx * (y - py) - dy * (x - px)
+            for k, (p, x, y, w, na, nb) in enumerate(points):
+                side = hx * x + hy * y + hw * w
                 if side > 0:
                     a_plus += na
                     b_plus += nb
@@ -181,7 +179,7 @@ def _fewest_deletions(a: list[tuple[int, int]], b: list[tuple[int, int]]) -> int
                 elif k < j and k != i:
                     break  # H was counted at its first two points
                 else:
-                    on_h.append((dx * x + dy * y, na, nb))
+                    on_h.append((p[0] if hy else p[1], na, nb))
             else:
                 cost = min(a_plus + b_minus, a_minus + b_plus)
                 if cost < best:
@@ -189,6 +187,13 @@ def _fewest_deletions(a: list[tuple[int, int]], b: list[tuple[int, int]]) -> int
                     on_b = [v for v, _, nb in on_h for _ in range(nb)]
                     best = min(best, cost + _fewest_on_line([on_a, on_b]))
     return best
+
+
+def _homogeneous(p: tuple) -> tuple[int, int, int]:
+    """The planar point p as integers (X, Y, W), W > 0, with p = (X/W, Y/W),
+    from its own denominators: the one integer form of a planar point."""
+    (xn, xd), (yn, yd) = ((x.numerator, x.denominator) for x in p)
+    return xn * yd, yn * xd, xd * yd
 
 
 def _fewest_on_line(parts: list[list]) -> int:
@@ -248,16 +253,16 @@ def _planar_depth(c: Point, points: tuple[Point, ...]) -> int:
     v_j = p_j - c outside the opposite open half-plane, and the most an
     open half-plane through c holds is the most v_j in one half-open arc
     [v_k, v_k + pi).  So depth = z + #{v} - that maximum, n when every
-    point is c (no v, maximum 0).  Each v is scaled by its own four
-    denominators, a positive integer, and reduced by its gcd, then the
+    point is c (no v, maximum 0).  Each v is (X W_c - X_c W, Y W_c - Y_c W)
+    from the ``_homogeneous`` forms of p and c, reduced by its gcd; the
     directions are sorted counter-clockwise by half-plane and cross
-    product; the arc's far end only moves forward.
+    product, and the arc's far end only moves forward.
     """
-    (cxn, cxd), (cyn, cyd) = ((x.numerator, x.denominator) for x in c.coords)
+    cx, cy, cw = _homogeneous(c.coords)
     weights: dict[tuple[int, int], int] = {}
     for p in points:
-        (xn, xd), (yn, yd) = ((x.numerator, x.denominator) for x in p.coords)
-        x, y = (xn * cxd - cxn * xd) * yd * cyd, (yn * cyd - cyn * yd) * xd * cxd
+        px, py, pw = _homogeneous(p.coords)
+        x, y = px * cw - cx * pw, py * cw - cy * pw
         if x or y:
             g = math.gcd(x, y)
             u = (x // g, y // g)

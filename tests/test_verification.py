@@ -3,7 +3,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from helpers import from_coords, from_iterables, integer_line, line, pt, query
@@ -36,6 +36,18 @@ def removal_separates(point_set, partition, removed):
         for part in partition
     ]
     return intersection_judge(sets, point_set.dim)(()) is None
+
+
+# (x, y) -> (-x/7 + 1/3, 5y/3 - 2/9): an affine map with new coprime
+# denominators that reverses orientation; tolerance and depth are invariant
+AFFINE = ((Fraction(-1, 7), Fraction(1, 3)), (Fraction(5, 3), Fraction(-2, 9)))
+
+
+def affine_image(p):
+    """The point p, or every point of a PointSet, under ``AFFINE``."""
+    if isinstance(p, PointSet):
+        return PointSet(p.dim, tuple(map(affine_image, p.points)))
+    return pt(p.id, *(a * x + b for (a, b), x in zip(AFFINE, p.coords)))
 
 
 def forbid_the_count(monkeypatch):
@@ -377,6 +389,7 @@ class TestLineAndPlaneSweep:
             expect = oracles.halfspace_depth_2d(c.coords, coords)
         assert tukey_depth(c, P) == expect
         assert oracles.tukey_depth_exhaustive(c, P) == expect
+        assert tukey_depth(affine_image(c), affine_image(P)) == expect
 
 
 def reaches_centerpoint_depth(c, point_set):
@@ -522,13 +535,13 @@ class TestVerdictsRecheck:
 @st.composite
 def line_and_plane_partitions(draw):
     """2..4 parts in the line or 2 in the plane, over at most 8 points
-    with distinct, non-contiguous ids; coordinates in thirds and halves
-    on a narrow grid (duplicates are common), and in the plane sometimes
+    with distinct, non-contiguous ids; coordinates in halves, thirds and
+    sevenths on a narrow grid (duplicates are common), and in the plane sometimes
     a collinear run or every point on one line."""
     dim = draw(st.sampled_from([1, 2]))
     n = draw(st.integers(2, 8))
     m = draw(st.integers(2, min(4, n))) if dim == 1 else 2
-    coord = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 2, 3]))
+    coord = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 2, 3, 7]))
     rows = draw(st.lists(st.lists(coord, min_size=dim, max_size=dim), min_size=n, max_size=n))
     if dim == 2 and draw(st.booleans()):
         (ax, ay), (ux, uy) = draw(st.lists(st.tuples(coord, coord), min_size=2, max_size=2))
@@ -584,11 +597,13 @@ class TestSeparatingLines:
     LP and no budget; exit-1 witnesses still come from the enumeration."""
 
     @given(line_and_plane_partitions())
+    @example((from_coords([(0, 0), (0, 2), (0, 1), (0, 3)]), from_iterables([{1, 2}, {3, 4}])))
     @settings(max_examples=150, deadline=None)
     def test_agrees_with_the_unpruned_enumeration(self, instance):
         P, T = instance
         exact = exact_tolerance(P, T)
         assert exact == oracles.exact_tolerance_exhaustive(P, T)
+        assert exact_tolerance(affine_image(P), T) == exact
         for t in range(max(exact - 1, 0), exact + 3):  # tolerant, then refuted
             assert verify_tolerance(P, T, t) == oracles.verify_tolerance_exhaustive(P, T, t)
 
@@ -611,6 +626,15 @@ class TestSeparatingLines:
         # a refutation is the enumeration's lexicographically first
         assert verify_tolerance(P, T, exact + 1) is not None
         assert solved
+
+    def test_large_denominators(self):
+        # each point is read in integers by its own denominators, so the
+        # count's integers never carry all n distinct 300-digit denominators
+        rng = random.Random(20)
+        P = from_coords(list(zip(big_denominators(rng, 20), big_denominators(rng, 20))))
+        T = tolerant_tverberg_lifted(P, 2, 0)
+        assert exact_tolerance(P, T, budget=0) == 4
+        assert verify_tolerance(P, T, 4, budget=0) is None
 
 
 @st.composite
