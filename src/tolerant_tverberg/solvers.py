@@ -14,16 +14,18 @@ would guarantee on top of them (tolerance floor(n / n_A(m)) - 1).
 
 The exact brute-force solver enumerates every partition, so it refuses
 inputs of more than the constant ``BRUTE_FORCE_CAP`` = 12 points.  A
-partition whose part bounding boxes miss on some axis cannot be
-Tverberg; it is refuted by comparing coordinate ranks and skips the LP.
+partition with one part wholly above another along an axis, or in d = 2
+and 3 along a normal of a line or plane through input points, cannot be
+Tverberg; it is refuted by comparing ranks and skips the LP.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Callable
 
-from .core import Partition, PointSet, TverbergError, short_repr
+from .core import Partition, PointSet, TverbergError, short_repr, to_scalar
 from .lifting import lifted_points_needed, tolerant_tverberg_lifted
 from .lp import intersection_judge
 
@@ -64,21 +66,41 @@ def restricted_growth_strings(n: int, blocks: int):
     yield from rec(0, -1)
 
 
-def _dense_ranks(values: list) -> list[int]:
-    """Each value's index among the distinct values, in ascending order:
-    the order and the ties of ``values`` as small ints."""
-    index = {v: i for i, v in enumerate(sorted(set(values)))}
-    return [index[v] for v in values]
+def _rank_lists(point_set: PointSet) -> list[tuple[int, ...]]:
+    """Dense ranks of the points along each axis and, in d = 2 and 3, along
+    the normal of the line or plane through each pair or triple of them:
+    one tuple per distinct order, the axes first.  A normal is made with -
+    and * alone on the coordinates (ints where integral), so it is exact;
+    zero normals are left out.  In d = 1 the axis is every direction, and
+    in d >= 4 cofactor normals cost more than the LPs they save."""
+    coords = [tuple(map(to_scalar, p.coords)) for p in point_set.points]
+    values = [[c[k] for c in coords] for k in range(point_set.dim)]
+    if point_set.dim == 2:
+        for (px, py), (qx, qy) in combinations(coords, 2):
+            a, b = py - qy, qx - px
+            if a or b:
+                values.append([a * x + b * y for x, y in coords])
+    elif point_set.dim == 3:
+        for (px, py, pz), (qx, qy, qz), (rx, ry, rz) in combinations(coords, 3):
+            ux, uy, uz, vx, vy, vz = qx - px, qy - py, qz - pz, rx - px, ry - py, rz - pz
+            a, b, c = uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx
+            if a or b or c:
+                values.append([a * x + b * y + c * z for x, y, z in coords])
+    orders: dict[tuple[int, ...], None] = {}
+    for v in values:
+        index = {x: i for i, x in enumerate(sorted(set(v)))}
+        orders[tuple(map(index.__getitem__, v))] = None
+    return list(orders)
 
 
-def _boxes_miss(axis_ranks: list[list[int]], rgs: tuple[int, ...], m: int) -> bool:
-    """True when on some axis one part lies wholly above another.
+def _separated(rank_lists: list[tuple[int, ...]], rgs: tuple[int, ...], m: int) -> bool:
+    """True when along some direction one part lies wholly above another.
 
-    A common point of the part hulls lies in every part's box, so on
-    every axis the largest lower end is at most the smallest upper end;
-    hulls meeting only where the two ends are equal are not refuted.
+    Along a direction u, a common point x of the part hulls has u.x in
+    every part's interval [min u.P_i, max u.P_i], so the largest lower end
+    is at most the smallest upper end; hulls meeting where they are equal pass.
     """
-    for ranks in axis_ranks:
+    for ranks in rank_lists:
         lo = [len(ranks)] * m
         hi = [-1] * m
         for r, block in zip(ranks, rgs):
@@ -95,10 +117,11 @@ def brute_force_tverberg(point_set: PointSet, m: int) -> Partition | None:
     """First partition (in canonical restricted-growth order) whose part
     hulls share a point, or None after exhausting all of them.
 
-    A partition whose part boxes miss on some axis is skipped without an
-    LP; it is never Tverberg, so the answer is the same.  Every other
-    partition is judged cold by ``intersection_judge``.  The enumeration is
-    Bell-number sized, hence the fixed cap of ``BRUTE_FORCE_CAP`` points.
+    A partition with one part wholly above another along an axis, or in
+    d = 2 and 3 along a normal of a line or plane through input points, is
+    skipped without an LP: it is never Tverberg, so the answer is the same.
+    Every other partition is judged cold by ``intersection_judge``.  The
+    enumeration is Bell-number sized, hence the cap of ``BRUTE_FORCE_CAP``.
     """
     if m < 1:
         raise TverbergError(f"m must be at least 1, got m={short_repr(m)}")
@@ -106,9 +129,9 @@ def brute_force_tverberg(point_set: PointSet, m: int) -> Partition | None:
     if n > BRUTE_FORCE_CAP:
         raise TverbergError(f"instance too large for brute force: {n} > cap {BRUTE_FORCE_CAP}")
     points = list(point_set.points)
-    axis_ranks = [_dense_ranks([p.coords[k] for p in points]) for k in range(point_set.dim)]
+    rank_lists = _rank_lists(point_set)
     for rgs in restricted_growth_strings(n, m):
-        if _boxes_miss(axis_ranks, rgs, m):
+        if _separated(rank_lists, rgs, m):
             continue
         sets: list[list] = [[] for _ in range(m)]
         for p, block in zip(points, rgs):

@@ -13,6 +13,7 @@ from tolerant_tverberg import (
     TverbergError,
     brute_force_tverberg,
     get_solver,
+    intersection_judge,
     random_point_set,
     solvers,
     tolerant_tverberg_1d,
@@ -83,6 +84,15 @@ def brute_instances(draw):
 # first Tverberg partition {1, 2, 4} | {3} meets only at y = 0, where the
 # triangle's lowest y equals the point's: equal box ends are not skipped.
 TOUCHING = from_coords([[0, 0], [2, 0], [1, 0], [1, 1]])
+# Degenerate directions: a run on one line with a repeated point, whose
+# normals are zero or repeat one order; four points in the plane z = 0;
+# and coordinates whose normals are Fractions.
+COLLINEAR_RUN = from_coords([[0, 0], [1, 1], [2, 2], [3, 3], [2, 0], [0, 3], [1, 1]])
+COPLANAR_QUADRUPLE = from_coords(
+    [[0, 0, 0], [2, 0, 0], [0, 2, 0], [1, 1, 0], [1, 0, 1], [0, 1, -1]])
+THIRDS_AND_SEVENTHS = from_coords(
+    [["1/3", "2/7"], ["-2/3", "1/7"], ["4/7", "-1/3"], ["0", "5/7"], ["2/3", "2/3"],
+     ["-1/7", "-3/7"], ["1/3", "-5/7"]])
 
 
 class TestBoxFilter:
@@ -99,6 +109,21 @@ class TestBoxFilter:
         assert T == (frozenset({1, 2, 4}), frozenset({3}))
         assert len(lps) == 1  # (0, 0, 0, 1) is refuted by the boxes
 
+    @settings(max_examples=50, deadline=None)
+    @given(brute_instances())
+    @example((COLLINEAR_RUN, 3))
+    @example((COPLANAR_QUADRUPLE, 2))
+    @example((THIRDS_AND_SEVENTHS, 3))
+    def test_every_refuted_partition_is_infeasible(self, instance):
+        # refutation is exact: each string skipped without an LP has part
+        # hulls with no common point, whatever the direction that refutes it
+        P, m = instance
+        rank_lists = solvers._rank_lists(P)
+        for rgs in solvers.restricted_growth_strings(len(P), m):
+            if solvers._separated(rank_lists, rgs, m):
+                sets = [[p for p, block in zip(P.points, rgs) if block == i] for i in range(m)]
+                assert intersection_judge(sets, P.dim)(()) is None, rgs
+
     def test_lp_count(self, monkeypatch):
         # the unfiltered enumeration solves 171 LPs before the same answer
         P = random_point_set(7, 2, seed=0)
@@ -106,8 +131,15 @@ class TestBoxFilter:
         oracle_lps = count_lps(monkeypatch, oracles)
         T = brute_force_tverberg(P, 3)
         assert T == brute_force_tverberg_exhaustive(P, 3)
-        assert len(lps) == 21
+        assert len(lps) == 2
         assert len(oracle_lps) == 171
+
+    @pytest.mark.parametrize("n,dim,seed,m,lp_count", [(9, 2, 1, 4, 14), (8, 3, 0, 3, 19)])
+    def test_no_tverberg_partition(self, monkeypatch, n, dim, seed, m, lp_count):
+        # every string is walked; the axes alone leave 224 and 117 to the LP
+        lps = count_lps(monkeypatch, solvers)
+        assert brute_force_tverberg(random_point_set(n, dim, seed=seed), m) is None
+        assert len(lps) == lp_count
 
 
 # points_needed(m) for m = 1..5: brute (d+1)(m-1)+1, lift 2^(d-1)(2m-1)
