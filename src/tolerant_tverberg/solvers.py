@@ -14,18 +14,18 @@ would guarantee on top of them (tolerance floor(n / n_A(m)) - 1).
 
 The exact brute-force solver enumerates every partition, so it refuses
 inputs of more than the constant ``BRUTE_FORCE_CAP`` = 12 points.  A
-partition with one part wholly above another along an axis, or in d = 2
-and 3 along a normal of a line or plane through input points, cannot be
-Tverberg; it is refuted by comparing ranks and skips the LP.
+partition with one part wholly above another along an axis (or, in the
+plane, a line's normal) is never Tverberg; ranks refute it with no LP.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import lcm
 from typing import Callable
 
-from .core import Partition, PointSet, TverbergError, short_repr, to_scalar
+from .core import Partition, PointSet, TverbergError, short_repr
 from .lifting import lifted_points_needed, tolerant_tverberg_lifted
 from .lp import intersection_judge
 
@@ -66,28 +66,25 @@ def restricted_growth_strings(n: int, blocks: int):
     yield from rec(0, -1)
 
 
-def _rank_lists(point_set: PointSet) -> list[tuple[int, ...]]:
-    """Dense ranks of the points along each axis and, in d = 2 and 3, along
-    the normal of the line or plane through each pair or triple of them:
-    one tuple per distinct order, the axes first.  A normal is made with -
-    and * alone on the coordinates (ints where integral), so it is exact;
-    zero normals are left out.  In d = 1 the axis is every direction, and
-    in d >= 4 cofactor normals cost more than the LPs they save."""
-    coords = [tuple(map(to_scalar, p.coords)) for p in point_set.points]
-    values = [[c[k] for c in coords] for k in range(point_set.dim)]
-    if point_set.dim == 2:
+def _rank_lists(point_set: PointSet, lines: bool) -> list[tuple[int, ...]]:
+    """Dense ranks of the points along each axis and, if ``lines``, along
+    the normal (p_y - q_y, q_x - p_x) of the line through each pair of
+    planar points: one tuple per distinct order, axes first, zero normals
+    left out.  Each axis is scaled to ints by the lcm of its denominators,
+    a positive diagonal map that keeps all these orders."""
+    columns = []
+    for k in range(point_set.dim):
+        column = [p.coords[k] for p in point_set.points]
+        scale = lcm(*(c.denominator for c in column))
+        columns.append([c.numerator * (scale // c.denominator) for c in column])
+    if lines:
+        coords = list(zip(*columns))
         for (px, py), (qx, qy) in combinations(coords, 2):
             a, b = py - qy, qx - px
             if a or b:
-                values.append([a * x + b * y for x, y in coords])
-    elif point_set.dim == 3:
-        for (px, py, pz), (qx, qy, qz), (rx, ry, rz) in combinations(coords, 3):
-            ux, uy, uz, vx, vy, vz = qx - px, qy - py, qz - pz, rx - px, ry - py, rz - pz
-            a, b, c = uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx
-            if a or b or c:
-                values.append([a * x + b * y + c * z for x, y, z in coords])
+                columns.append([a * x + b * y for x, y in coords])
     orders: dict[tuple[int, ...], None] = {}
-    for v in values:
+    for v in columns:
         index = {x: i for i, x in enumerate(sorted(set(v)))}
         orders[tuple(map(index.__getitem__, v))] = None
     return list(orders)
@@ -117,11 +114,11 @@ def brute_force_tverberg(point_set: PointSet, m: int) -> Partition | None:
     """First partition (in canonical restricted-growth order) whose part
     hulls share a point, or None after exhausting all of them.
 
-    A partition with one part wholly above another along an axis, or in
-    d = 2 and 3 along a normal of a line or plane through input points, is
-    skipped without an LP: it is never Tverberg, so the answer is the same.
-    Every other partition is judged cold by ``intersection_judge``.  The
-    enumeration is Bell-number sized, hence the cap of ``BRUTE_FORCE_CAP``.
+    A partition with one part wholly above another along an axis is never
+    Tverberg and is skipped without an LP; in d = 2, once an LP refutes,
+    the normals of the lines through two points join the axes (they cost
+    about one LP).  Every other partition is judged cold by
+    ``intersection_judge``.  Bell-number many, hence ``BRUTE_FORCE_CAP``.
     """
     if m < 1:
         raise TverbergError(f"m must be at least 1, got m={short_repr(m)}")
@@ -129,7 +126,7 @@ def brute_force_tverberg(point_set: PointSet, m: int) -> Partition | None:
     if n > BRUTE_FORCE_CAP:
         raise TverbergError(f"instance too large for brute force: {n} > cap {BRUTE_FORCE_CAP}")
     points = list(point_set.points)
-    rank_lists = _rank_lists(point_set)
+    rank_lists, lines = _rank_lists(point_set, False), point_set.dim == 2
     for rgs in restricted_growth_strings(n, m):
         if _separated(rank_lists, rgs, m):
             continue
@@ -138,6 +135,8 @@ def brute_force_tverberg(point_set: PointSet, m: int) -> Partition | None:
             sets[block].append(p)
         if intersection_judge(sets, point_set.dim)(()) is not None:
             return tuple(frozenset(p.id for p in s) for s in sets)
+        if lines:
+            rank_lists, lines = _rank_lists(point_set, True), False
     return None
 
 

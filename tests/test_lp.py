@@ -360,7 +360,7 @@ class TestWorkCounters:
     def test_brute_force(self):
         ps = random_point_set(7, 2, seed=0)
         partition, lps, pivots = self._count(lambda: brute_force_tverberg(ps, 3))
-        assert partition is not None and (lps, pivots) == (2, 16)
+        assert partition is not None and (lps, pivots) == (3, 27)
 
     @pytest.mark.parametrize("run", [
         lambda: intersection_judge([[pt(1, 0)], []], 1)(()),

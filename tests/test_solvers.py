@@ -85,8 +85,9 @@ def brute_instances(draw):
 # triangle's lowest y equals the point's: equal box ends are not skipped.
 TOUCHING = from_coords([[0, 0], [2, 0], [1, 0], [1, 1]])
 # Degenerate directions: a run on one line with a repeated point, whose
-# normals are zero or repeat one order; four points in the plane z = 0;
-# and coordinates whose normals are Fractions.
+# normals are zero or repeat one order; four points in the plane z = 0,
+# refuted along the axes alone; and coordinates with two denominators,
+# scaled to ints before the normals are taken.
 COLLINEAR_RUN = from_coords([[0, 0], [1, 1], [2, 2], [3, 3], [2, 0], [0, 3], [1, 1]])
 COPLANAR_QUADRUPLE = from_coords(
     [[0, 0, 0], [2, 0, 0], [0, 2, 0], [1, 1, 0], [1, 0, 1], [0, 1, -1]])
@@ -118,7 +119,7 @@ class TestBoxFilter:
         # refutation is exact: each string skipped without an LP has part
         # hulls with no common point, whatever the direction that refutes it
         P, m = instance
-        rank_lists = solvers._rank_lists(P)
+        rank_lists = solvers._rank_lists(P, P.dim == 2)
         for rgs in solvers.restricted_growth_strings(len(P), m):
             if solvers._separated(rank_lists, rgs, m):
                 sets = [[p for p, block in zip(P.points, rgs) if block == i] for i in range(m)]
@@ -131,12 +132,14 @@ class TestBoxFilter:
         oracle_lps = count_lps(monkeypatch, oracles)
         T = brute_force_tverberg(P, 3)
         assert T == brute_force_tverberg_exhaustive(P, 3)
-        assert len(lps) == 2
+        assert len(lps) == 3  # the first refuting LP brings in the normals
         assert len(oracle_lps) == 171
 
-    @pytest.mark.parametrize("n,dim,seed,m,lp_count", [(9, 2, 1, 4, 14), (8, 3, 0, 3, 19)])
+    @pytest.mark.parametrize("n,dim,seed,m,lp_count",
+                             [(9, 2, 1, 4, 15), (9, 2, 0, 4, 1), (8, 3, 0, 3, 117)])
     def test_no_tverberg_partition(self, monkeypatch, n, dim, seed, m, lp_count):
-        # every string is walked; the axes alone leave 224 and 117 to the LP
+        # every string is walked; the axes alone leave 224, 152 and 117 to
+        # the LP, and in space they are all the filter has
         lps = count_lps(monkeypatch, solvers)
         assert brute_force_tverberg(random_point_set(n, dim, seed=seed), m) is None
         assert len(lps) == lp_count
