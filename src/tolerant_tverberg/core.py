@@ -58,8 +58,8 @@ def to_scalar(value: int | str | Fraction) -> int | Fraction:
         raise TverbergError(f"not an exact scalar: {value!r}")
     if isinstance(value, int):
         return value
-    if isinstance(value, Fraction):
-        return value.numerator if value.denominator == 1 else value
+    # str before Fraction: parsed input is all strings, and the Fraction
+    # test goes through the numbers ABC
     if isinstance(value, str):
         ratio = _RATIO.fullmatch(value)
         if ratio and (den := int(ratio[2])):
@@ -68,6 +68,8 @@ def to_scalar(value: int | str | Fraction) -> int | Fraction:
             scalar = Fraction(int(ratio[1]), den)
             return scalar.numerator if scalar.denominator == 1 else scalar
         return _parse_text(value)
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
     raise TverbergError(
         f"not an exact scalar: {short_repr(value)} (floats are not accepted)"
     )

@@ -29,14 +29,18 @@ it cannot refute and is skipped; only removals that hit every support
 found so far are judged.  Skipped sets never refute, so the reported
 refutation is still the lexicographically first: ``verify_tolerance``
 returns that removal itself, or None when the partition is tolerant.
+Conversely, s + 1 pairwise disjoint supports certify a level of size s
+with no walk: s deletions cannot hit them all.  The walk grows such a
+family before each level by judging its union, and walks only once a
+union refutes, so only tolerant verdicts are cut short.
 All three searches are one walk, ``_first_refutation``, over a list of
 levels: ``verify_tolerance`` gives it the one critical size, and
 ``exact_tolerance`` and the depth ascent every size below the one known
 to refute; the supports found at one level prune the later ones.  The
 walk charges the budget for every removal set of a level as it reaches
-that level, judged or not, and for nothing else: the counted shapes,
-the planar sweep and a level known to refute without a judge (a whole
-part, or all n points) are not charged.
+that level, judged, certified or not, and for nothing else: the counted
+shapes, the planar sweep and a level known to refute without a judge (a
+whole part, or all n points) are not charged.
 """
 
 from __future__ import annotations
@@ -298,18 +302,37 @@ def _first_refutation(
     """The lexicographically first removal that ``judge`` refutes, of the
     first of ``sizes`` that has one, or None.
 
-    Each size is charged against one ``budget`` as the walk reaches it.
-    A removal disjoint from a known support leaves that witness valid, so
-    it is skipped unjudged, and the supports found at one size prune the
-    later ones.  ``judge`` returns the support of the witness that
-    survives a removal, or None to refute.
+    Each size is charged against one ``budget`` as the walk reaches it,
+    before any judge.  ``judge`` returns the support of the witness that
+    survives a removal, or None to refute.  Before walking a size s, a
+    family of pairwise disjoint supports grows by judging the union of
+    its members: a witness that survives it avoids every member and
+    joins.  Once the family has s + 1 members no s deletions hit them
+    all, so the size is tolerant unwalked, and so is every later size the
+    family still exceeds.  The first refuted union ends the family for
+    good; from then on each size is walked in lexicographic order.  A
+    removal disjoint from a known support leaves that witness valid, so
+    it is skipped unjudged, and the refuted union is not judged again.
     """
     n = len(ids)
-    supports: list[frozenset[int]] = []
+    supports: list[frozenset[int]] = []  # pairwise disjoint until a union refutes
+    union: frozenset[int] = frozenset()
+    refuted: frozenset[int] | None = None
     for size in sizes:
         budget -= _charge(n, size, budget)
+        while refuted is None and len(supports) <= size:
+            support = judge(union)
+            if support is None:
+                refuted = union
+            else:
+                supports.append(support)
+                union |= support
+        if refuted is None:
+            continue  # size + 1 disjoint supports: the pigeonhole certificate
         for combo in combinations(ids, size):
             removed = frozenset(combo)
+            if removed == refuted:
+                return removed
             if any(removed.isdisjoint(s) for s in supports):
                 continue
             support = judge(removed)

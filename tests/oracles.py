@@ -9,11 +9,13 @@ re-checks them with the library's own LP, and the ``*_exhaustive``
 functions, which judge every removal set or partition with that LP:
 they are the unpruned enumerations the library must agree with.
 ``lex_key_plain``, ``cross_section_fraction``,
-``degenerate_index_exhaustive`` and ``point_set_from_obj_per_value`` are
-the plain forms of code the library runs faster: the coordinate tuple as
-sort key, the segment's cross section in Fraction arithmetic, the scan
-of every (d+1)-subset, and a point set read with one ``to_scalar`` call
-per coordinate.
+``degenerate_index_exhaustive``, ``point_set_from_obj_per_value``,
+``to_scalar_fraction_first`` and ``first_refutation_walk`` are the plain
+forms of code the library runs faster: the coordinate tuple as sort key,
+the segment's cross section in Fraction arithmetic, the scan of every
+(d+1)-subset, a point set read with one ``to_scalar`` call per
+coordinate, ``to_scalar`` testing Fraction before str, and the
+support-pruned walk of every level with no disjoint-support certificate.
 
 ``_phase1``/``_pivot`` are the reference LP engine: the phase-1 simplex
 under Bland's rule on a plain Fraction tableau, on a sign-flipped copy
@@ -36,6 +38,7 @@ from tolerant_tverberg import (
 )
 from tolerant_tverberg.core import short_repr
 from tolerant_tverberg.solvers import restricted_growth_strings
+from tolerant_tverberg.verification import _charge
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -193,6 +196,41 @@ def degenerate_index_exhaustive(coords, dim):
         mat = [[coords[j][k] - base[k] for k in range(dim)] for j in subset[1:]]
         if det_by_fractions(mat) == 0:
             return subset[-1]
+    return None
+
+
+def to_scalar_fraction_first(value):
+    """``to_scalar`` with its type tests in the order bool, int, Fraction,
+    str; strings go to ``to_scalar`` itself."""
+    if isinstance(value, bool):
+        raise TverbergError(f"not an exact scalar: {value!r}")
+    if isinstance(value, int):
+        return value
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
+    if isinstance(value, str):
+        return to_scalar(value)
+    raise TverbergError(
+        f"not an exact scalar: {short_repr(value)} (floats are not accepted)"
+    )
+
+
+def first_refutation_walk(ids, sizes, judge, budget):
+    """``verification._first_refutation`` with no family of disjoint
+    supports: each size charged as it is reached, then every removal of
+    it in lexicographic order, skipping those that miss a known support;
+    the first refuted removal, or None."""
+    supports = []
+    for size in sizes:
+        budget -= _charge(len(ids), size, budget)
+        for combo in combinations(ids, size):
+            removed = frozenset(combo)
+            if any(removed.isdisjoint(s) for s in supports):
+                continue
+            support = judge(removed)
+            if support is None:
+                return removed
+            supports.append(support)
     return None
 
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import oracles
 import tolerant_tverberg
 from helpers import from_coords, from_iterables, line, pt
 from oracles import lex_key_plain, point_set_from_obj_per_value
@@ -124,6 +125,25 @@ class TestScalar:
             return type(value), value
 
         assert outcome(to_scalar) == outcome(core._parse_text)
+
+    @given(st.one_of(
+        st.booleans(), st.integers(), st.fractions(), st.floats(), st.none(),
+        st.decimals(allow_nan=False), st.complex_numbers(), st.lists(st.integers(), max_size=2),
+        st.builds("{}/{}".format, st.integers(), st.integers()), st.text(max_size=8),
+    ))
+    @example(True)
+    @example(Fraction(-4, 2))
+    @example("736/1")
+    @example(10**100)
+    def test_type_order_does_not_change_any_outcome(self, value):
+        def outcome(convert):
+            try:
+                scalar = convert(value)
+            except TverbergError as exc:
+                return "error", str(exc)
+            return type(scalar), scalar
+
+        assert outcome(to_scalar) == outcome(oracles.to_scalar_fraction_first)
 
     def test_short_repr_cuts_ints_like_their_repr(self):
         # around the 4 * ECHO_LIMIT-bit switch to leading digits, at powers

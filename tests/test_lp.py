@@ -10,11 +10,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from helpers import from_coords, pt, query
+from helpers import from_coords, from_iterables, pt, query
 from tolerant_tverberg import (
     Point,
     TverbergError,
     brute_force_tverberg,
+    exact_tolerance,
     hull_judge,
     intersection_judge,
     lp,
@@ -353,9 +354,24 @@ class TestWorkCounters:
     def test_lifted_planar_verify(self):
         ps = random_point_set(22, 2, seed=0)
         partition = tolerant_tverberg_lifted(ps, 3, 2)
-        # one warm tableau: 12 solves of 49 pivots (cold, each LP from the
-        # artificials: 11 of 144)
-        assert self._count(lambda: verify_tolerance(ps, partition, 2)) == (None, 12, 49)
+        # one warm tableau: 3 solves of 37 pivots, the greedy family's
+        # unions and nothing walked (the walk alone: 12 solves of 49)
+        assert self._count(lambda: verify_tolerance(ps, partition, 2)) == (None, 3, 37)
+
+    def test_lifted_spatial_verify_past_its_tolerance(self):
+        ps = random_point_set(36, 3, seed=1)
+        partition = tolerant_tverberg_lifted(ps, 2, 3)
+        # five pairwise disjoint supports certify t = 4 (the walk alone:
+        # 16 solves of 54 pivots)
+        assert self._count(lambda: verify_tolerance(ps, partition, 4)) == (None, 5, 46)
+
+    def test_a_level_0_refutation_is_one_lp(self):
+        # the family's first union, nothing removed, refutes; the walk
+        # returns it without judging it again
+        apart = from_coords([[0, 0, 0], [1, 0, 0], [0, 1, 0], [5, 5, 5], [6, 5, 5], [5, 6, 5]])
+        T = from_iterables([{1, 2, 3}, {4, 5, 6}])
+        assert self._count(lambda: exact_tolerance(apart, T))[:2] == (-1, 1)
+        assert self._count(lambda: tukey_depth(query(9, 9, 9), apart))[:2] == (0, 1)
 
     def test_brute_force(self):
         ps = random_point_set(7, 2, seed=0)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from helpers import from_coords, from_iterables, integer_line, line, pt, query
+from helpers import from_coords, from_iterables, integer_line, line, pt, query, spatial_inputs
 from tolerant_tverberg import (
     PointSet,
     TverbergError,
@@ -462,8 +462,38 @@ def spatial_depth_instances(draw):
     return from_coords(coords), query(*c)
 
 
+@st.composite
+def spatial_partitions(draw):
+    """(P, T, t): 4..7 points in 3-D from ``spatial_inputs`` (general
+    position, or a grid with duplicates and coplanar runs) in 2..3 parts,
+    which often do not intersect, and a t."""
+    P = draw(spatial_inputs(draw(st.integers(4, 7))))
+    m = draw(st.integers(2, 3))
+    labels = list(range(m)) + draw(
+        st.lists(st.integers(0, m - 1), min_size=len(P) - m, max_size=len(P) - m))
+    labels = draw(st.permutations(labels))
+    T = from_iterables(
+        [[p.id for p, b in zip(P.points, labels) if b == j] for j in range(m)])
+    return P, T, draw(st.integers(0, 3))
+
+
+# One instance for each way ``_first_refutation`` ends.  Six points at
+# one place: every level of all three verifiers is certified unwalked.
+SIX = from_coords([[0, 0, 0]] * 6)
+# Parts apart, c outside: in all three the empty union refutes, one LP.
+APART = from_coords([[0, 0, 0], [1, 0, 0], [0, 1, 0], [5, 5, 5], [6, 5, 5], [5, 6, 5]])
+# A duplicate: verify and depth walk to a refutation after a union
+# refutes; exact_tolerance stops at the empty union.
+TWIN = from_coords([[0, 0, 1], [1, 3, 1], [1, 3, 1], [1, 1, 1]])
+# A coplanar run with a duplicate: verify walks and finds no refutation;
+# exact_tolerance and depth walk to one.
+FLAT = from_coords([[2, 0, 3], [2, 2, 2], [2, 1, 3], [2, 0, 1], [2, 0, 0], [2, 0, 1]])
+HALVES = from_iterables([{1, 2, 3}, {4, 5, 6}])
+
+
 class TestPrunedAgreesWithExhaustive:
-    """Witness-support pruning changes how many LPs run, never an answer."""
+    """Witness-support pruning and the disjoint-support certificate change
+    how many LPs run, never an answer."""
 
     @given(small_instances(), st.integers(0, 4))
     @settings(max_examples=200, deadline=None)
@@ -483,11 +513,116 @@ class TestPrunedAgreesWithExhaustive:
         P, _, c = instance
         assert tukey_depth(c, P) == oracles.tukey_depth_exhaustive(c, P)
 
+    @given(spatial_partitions())
+    @example((SIX, HALVES, 2))
+    @example((APART, HALVES, 0))
+    @example((TWIN, from_iterables([{2, 3}, {1, 4}]), 1))
+    @example((FLAT, from_iterables([{3, 4, 5}, {1, 2, 6}]), 1))
+    @settings(max_examples=100, deadline=None)
+    def test_verify_tolerance_3d(self, instance):
+        P, T, t = instance
+        assert verify_tolerance(P, T, t) == oracles.verify_tolerance_exhaustive(P, T, t)
+
+    @given(spatial_partitions())
+    @example((SIX, HALVES, 0))
+    @example((APART, HALVES, 0))
+    @example((TWIN, from_iterables([{2, 3}, {1, 4}]), 0))
+    @example((FLAT, from_iterables([{3, 4, 5}, {1, 2, 6}]), 0))
+    @settings(max_examples=60, deadline=None)
+    def test_exact_tolerance_3d(self, instance):
+        P, T, _ = instance
+        assert exact_tolerance(P, T) == oracles.exact_tolerance_exhaustive(P, T)
+
     @given(spatial_depth_instances())
+    @example((SIX, query(0, 0, 0)))
+    @example((APART, query(9, 9, 9)))
+    @example((TWIN, query(1, 2, 1)))
+    @example((FLAT, query(2, 0, 1)))
     @settings(max_examples=100, deadline=None)
     def test_tukey_depth_3d(self, instance):
         P, c = instance
         assert tukey_depth(c, P) == oracles.tukey_depth_exhaustive(c, P)
+
+
+def list_judge(supports, judged):
+    """A judge that answers the first of ``supports`` a removal misses, or
+    None, and appends every removal it is asked to ``judged``."""
+    def judge(removed):
+        judged.append(frozenset(removed))
+        return next((s for s in supports if s.isdisjoint(removed)), None)
+    return judge
+
+
+@st.composite
+def support_lists(draw):
+    """Ids 1..n, a list of supports over them (some pairwise disjoint
+    runs, some overlapping), and one level or an ascent of levels."""
+    n = draw(st.integers(1, 7))
+    ids = list(range(1, n + 1))
+    support = st.frozensets(st.sampled_from(ids), min_size=1, max_size=3)
+    supports = draw(st.lists(support, max_size=6))
+    if draw(st.booleans()):
+        sizes = [draw(st.integers(0, n))]
+    else:
+        sizes = range(draw(st.integers(1, n + 1)))
+    return ids, supports, sizes
+
+
+class TestDisjointSupportCertificate:
+    """``_first_refutation`` certifies a level of size s by s + 1 pairwise
+    disjoint supports and otherwise walks as the plain walk does."""
+
+    @pytest.mark.parametrize("s", range(5))
+    def test_s_plus_1_disjoint_supports_end_the_walk(self, s):
+        disjoint = [frozenset({2 * k + 1, 2 * k + 2}) for k in range(s + 1)]
+        supports = [*disjoint, frozenset({1, 3, 5, 7, 9})]
+        for sizes in ([s], range(s + 1)):
+            judged = []
+            assert verification._first_refutation(
+                list(range(1, 13)), sizes, list_judge(supports, judged), 10**6) is None
+            # each call judges the union of the family so far
+            assert judged == [frozenset(range(1, 2 * k + 1)) for k in range(s + 1)]
+
+    def test_a_level_0_refutation_is_one_judge_call(self):
+        judged = []
+        removal = verification._first_refutation([1, 2, 3], range(3), list_judge([], judged), 10)
+        assert removal == frozenset() and judged == [frozenset()]
+
+    def test_each_level_is_charged_before_any_judge(self):
+        def judge(removed):
+            pytest.fail("judged before the level was charged")
+
+        with pytest.raises(TverbergError, match=r"^instance too large: C\(6,2\) .*, 14$"):
+            verification._first_refutation(list(range(1, 7)), [2], judge, 14)
+        # two disjoint supports cover levels 0 and 1; level 2 is still
+        # charged, before the family's next union is judged
+        judged = []
+        supports = [frozenset({1}), frozenset({2}), frozenset({3})]
+        with pytest.raises(TverbergError, match=r"^instance too large: C\(6,2\) .*, 14$"):
+            verification._first_refutation(list(range(1, 7)), range(6),
+                                           list_judge(supports, judged), 1 + 6 + 14)
+        assert judged == [frozenset(), frozenset({1})]
+
+    @given(support_lists(), st.integers(0, 200))
+    @example(([1, 2, 3], [frozenset({1, 2}), frozenset({2, 3}), frozenset({1, 3})], [1]), 10**6)
+    @example(([1, 2, 3], [frozenset({1, 2}), frozenset({2, 3}), frozenset({1, 3})], [2]), 10**6)
+    @example(([1, 2, 3, 4], [frozenset({1}), frozenset({2}), frozenset({3, 4})], range(5)), 10**6)
+    @example(([1, 2, 3, 4], [frozenset({1}), frozenset({2}), frozenset({3, 4})], range(5)), 10)
+    @settings(max_examples=300, deadline=None)
+    def test_agrees_with_the_plain_walk(self, instance, budget):
+        ids, supports, sizes = instance
+
+        def outcome(walk):
+            judged = []
+            try:
+                return walk(list_judge(supports, judged)), judged
+            except TverbergError as exc:
+                return str(exc), judged
+
+        got, judged = outcome(lambda judge: verification._first_refutation(ids, sizes, judge, budget))
+        expected, _ = outcome(lambda judge: oracles.first_refutation_walk(ids, sizes, judge, budget))
+        assert got == expected
+        assert len(set(judged)) == len(judged)  # no removal is judged twice
 
 
 @st.composite
