@@ -4,16 +4,19 @@
 Fractions; computed points may hold integral Fractions, and no decision
 depends on which.  Nothing divides a coordinate with ``/``, so every
 geometric decision made downstream (hull membership, LP feasibility,
-tolerance verdicts) is exact.  Every type here is immutable after
-construction and safe to share across threads.
+tolerance verdicts) is exact.  Where a decision needs integers,
+``homogeneous`` is the one integer form of a rational vector: its
+numerators over W, the lcm of its denominators, then W > 0.  Every type
+here is immutable after construction and safe to share across threads.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 # A removal set is just a set of point ids drawn from one PointSet.
 RemovalSet = frozenset[int]
@@ -149,6 +152,12 @@ class PointSet:
     def by_id(self) -> dict[int, Point]:
         return {p.id: p for p in self.points}
 
+    def parts(self, partition: Partition) -> list[list[Point]]:
+        """Each part's points in id order, once ``check_partition`` passes."""
+        check_partition(partition, self.ids())
+        by_id = self.by_id()
+        return [[by_id[pid] for pid in sorted(part)] for part in partition]
+
 
 def check_partition(partition: Partition, ids: frozenset[int]) -> None:
     """Raise an ``invalid partition: ...`` TverbergError naming the first
@@ -168,6 +177,15 @@ def check_partition(partition: Partition, ids: frozenset[int]) -> None:
         raise TverbergError("invalid partition: ids outside the point set")
     if len(seen) != len(ids):
         raise TverbergError("invalid partition: does not cover the point set")
+
+
+def homogeneous(values: Sequence[int | Fraction]) -> tuple[int, ...]:
+    """The numerators of ``values`` over W, the lcm of their denominators,
+    followed by W: integers, with no factor common to all of them, whose
+    ratios to the last are the values.  Scaling by W > 0 keeps every sign
+    and order."""
+    w = math.lcm(*[v.denominator for v in values])
+    return (*[v.numerator * (w // v.denominator) for v in values], w)
 
 
 def check_query(c: Point, point_set: PointSet) -> None:

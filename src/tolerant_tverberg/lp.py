@@ -4,8 +4,8 @@ Both hull questions the package asks (do the parts' hulls share a point?
 does c lie in a hull?) are feasibility questions of one form: is there a
 w with rows . w = rhs and w >= 0?  ``lp_feasible`` answers it with a
 phase-1 simplex under Bland's anti-cycling rule on an integer tableau, a
-``Tableau``: row i is scaled by +-den_i, the lcm of its denominators
-signed so that its rhs is nonnegative, and every pivot is fraction-free,
+``Tableau``: row i is its ``core.homogeneous`` form, numerators over
+den_i, negated when its rhs is negative, and every pivot is fraction-free,
 (a*p - f*b) // d with d the previous pivot, as in Edmonds-Bareiss
 elimination.  Every reduced-cost sign and ratio comparison is the one a
 Fraction tableau would see.  The artificials are only basis labels, with
@@ -63,7 +63,7 @@ import math
 from fractions import Fraction
 from typing import Callable, Collection, Sequence
 
-from .core import Point, TverbergError, short_repr
+from .core import Point, TverbergError, homogeneous, short_repr
 
 # removed ids -> the ids of the surviving witness's support, or None
 Judge = Callable[[Collection[int]], frozenset[int] | None]
@@ -82,13 +82,12 @@ class Tableau:
     def __init__(self, rows: Sequence[Sequence[int | Fraction]], rhs: Sequence[int | Fraction],
                  ids: Sequence[int]):
         self.rows, self.rhs, self.ids = rows, rhs, ids
-        dens = [math.lcm(b.denominator, *(c.denominator for c in row)) for row, b in zip(rows, rhs)]
         self.tab: list[list[int]] = []
-        for row, b, den in zip(rows, rhs, dens):
-            scale = den if b >= 0 else -den
-            line = [c.numerator * (scale // c.denominator) for c in row]
-            line.append(b.numerator * (scale // b.denominator))
-            self.tab.append(line)
+        dens = []
+        for row, b in zip(rows, rhs):
+            *line, den = homogeneous([*row, b])
+            self.tab.append(line if b >= 0 else [-v for v in line])
+            dens.append(den)
         self.basis = [len(ids) + i for i in range(len(rows))]
         self.lcm = math.lcm(*dens)
         self.weights = [self.lcm // den for den in dens]

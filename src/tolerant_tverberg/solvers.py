@@ -22,10 +22,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import lcm
 from typing import Callable
 
-from .core import Partition, PointSet, TverbergError, short_repr
+from .core import Partition, PointSet, TverbergError, homogeneous, short_repr
 from .lifting import lifted_points_needed, tolerant_tverberg_lifted
 from .lp import intersection_judge
 
@@ -70,13 +69,9 @@ def _rank_lists(point_set: PointSet, lines: bool) -> list[tuple[int, ...]]:
     """Dense ranks of the points along each axis and, if ``lines``, along
     the normal (p_y - q_y, q_x - p_x) of the line through each pair of
     planar points: one tuple per distinct order, axes first, zero normals
-    left out.  Each axis is scaled to ints by the lcm of its denominators,
-    a positive diagonal map that keeps all these orders."""
-    columns = []
-    for k in range(point_set.dim):
-        column = [p.coords[k] for p in point_set.points]
-        scale = lcm(*(c.denominator for c in column))
-        columns.append([c.numerator * (scale // c.denominator) for c in column])
+    left out.  Each axis is its ``homogeneous`` form less W, a positive
+    diagonal map that keeps all these orders."""
+    columns = [homogeneous(axis)[:-1] for axis in zip(*(p.coords for p in point_set.points))]
     if lines:
         coords = list(zip(*columns))
         for (px, py), (qx, qy) in combinations(coords, 2):

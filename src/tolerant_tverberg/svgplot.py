@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 
-from .core import Partition, PointSet, TverbergError, check_partition
+from .core import Partition, PointSet, TverbergError
 
 PALETTE = [
     "#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
@@ -44,14 +44,8 @@ def render_svg(
         py = HEIGHT - MARGIN - (float(p.coords[1]) - y0) / span_y * (HEIGHT - 2 * MARGIN)
         return px, py
 
-    groups: list[tuple[str, list]] = []
-    if partition is None:
-        groups.append((PALETTE[0], list(point_set.points)))
-    else:
-        check_partition(partition, point_set.ids())
-        by_id = point_set.by_id()
-        for j, part in enumerate(partition):
-            groups.append((PALETTE[j % len(PALETTE)], [by_id[pid] for pid in sorted(part)]))
+    parts = [list(point_set.points)] if partition is None else point_set.parts(partition)
+    groups = [(PALETTE[j % len(PALETTE)], part) for j, part in enumerate(parts)]
     if not removed <= point_set.ids():
         raise TverbergError("invalid removal: ids outside the point set")
 

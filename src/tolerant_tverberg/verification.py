@@ -20,7 +20,7 @@ answers None when it exceeds t; only a refutation is still enumerated.
 Tukey depth takes the ascent from d = 3 on; in the line and the plane
 it is counted directly, by an exact O(n log n) angular sweep that
 enumerates no removal set and solves no LP.  Both planar rules read each
-point as integers (X, Y, W) by its own denominators, never all n at once.
+point by its own ``core.homogeneous`` form (X, Y, W), never all n at once.
 
 Every feasible LP reports its witness's support, the points with
 nonzero weight; a basic witness has at most one per LP equality (Carathéodory).
@@ -51,7 +51,7 @@ from itertools import combinations
 from typing import Iterable
 
 from .core import (
-    Partition, Point, PointSet, RemovalSet, TverbergError, check_partition, check_query, short_repr,
+    Partition, Point, PointSet, RemovalSet, TverbergError, check_query, homogeneous, short_repr,
 )
 from .lp import Judge, hull_judge, intersection_judge
 
@@ -81,17 +81,17 @@ def verify_tolerance(
     _check_budget(budget)
     if t < 0:
         raise TverbergError(f"t must be nonnegative, got t={short_repr(t)}")
-    check_partition(partition, point_set.ids())
+    parts = point_set.parts(partition)
     ids = sorted(point_set.ids())
     smallest = min(partition, key=len)
     if t >= len(smallest):
         rest = [pid for pid in ids if pid not in smallest]
         return smallest | frozenset(rest[: t - len(smallest)])
-    fewest = _fewest_refuting(point_set, partition)
+    fewest = _fewest_refuting(parts, point_set.dim)
     if fewest is not None and fewest > t:
         return None
     # t < min part size here, so no part is ever emptied
-    return _first_refutation(ids, [t], _partition_judge(point_set, partition), budget)
+    return _first_refutation(ids, [t], intersection_judge(parts, point_set.dim), budget)
 
 
 def exact_tolerance(
@@ -111,37 +111,28 @@ def exact_tolerance(
     parts in the plane, no level is enumerated and nothing is charged.
     """
     _check_budget(budget)
-    check_partition(partition, point_set.ids())
-    fewest = _fewest_refuting(point_set, partition)
+    parts = point_set.parts(partition)
+    fewest = _fewest_refuting(parts, point_set.dim)
     if fewest is None:
-        ids, stop = sorted(point_set.ids()), min(map(len, partition))
-        judge = _partition_judge(point_set, partition)
+        ids, stop = sorted(point_set.ids()), min(map(len, parts))
+        judge = intersection_judge(parts, point_set.dim)
         removal = _first_refutation(ids, range(stop), judge, budget)
         fewest = stop if removal is None else len(removal)
     return fewest - 1
 
 
-def _partition_judge(point_set: PointSet, partition: Partition) -> Judge:
-    """The judge of the parts' common point, each part's points in id order."""
-    by_id = point_set.by_id()
-    return intersection_judge([[by_id[pid] for pid in sorted(part)] for part in partition],
-                              point_set.dim)
-
-
-def _fewest_refuting(point_set: PointSet, partition: Partition) -> int | None:
-    """The fewest deletions that refute the valid ``partition``, counted
-    with no LP and no removal set for one part in any dimension (a
-    nonempty hull meets itself, so all of it must go), in the line for
-    any m by one rule over all the parts at once, and in the plane for
-    m = 2 over separating lines; None elsewhere."""
-    m = len(partition)
-    if m == 1:
-        return len(partition[0])
-    if not (point_set.dim == 1 or (point_set.dim == 2 and m == 2)):
+def _fewest_refuting(parts: list[list[Point]], dim: int) -> int | None:
+    """The fewest deletions that refute a valid partition, given as its
+    parts' points, counted with no LP and no removal set for one part in
+    any dimension (a nonempty hull meets itself, so all of it must go),
+    in the line for any m by one rule over all the parts at once, and in
+    the plane for m = 2 over separating lines; None elsewhere."""
+    if len(parts) == 1:
+        return len(parts[0])
+    if not (dim == 1 or (dim == 2 and len(parts) == 2)):
         return None
-    by_id = point_set.by_id()
-    parts = [[by_id[pid].coords for pid in part] for part in partition]
-    return _fewest_on_line(parts) if point_set.dim == 1 else _fewest_deletions(*parts)
+    coords = [[p.coords for p in part] for part in parts]
+    return _fewest_on_line(coords) if dim == 1 else _fewest_deletions(*coords)
 
 
 def _fewest_deletions(a: list[tuple], b: list[tuple]) -> int:
@@ -157,14 +148,14 @@ def _fewest_deletions(a: list[tuple], b: list[tuple]) -> int:
     and the b points strictly on the - side, plus the line rule for the
     points on H, ordered by x, or by y when H is vertical; and
     min(|a|, |b|), which also covers every point at one place.  H is the
-    cross product of two ``_homogeneous`` triples, and a point's side the
+    cross product of two ``homogeneous`` triples, and a point's side the
     sign of its triple's dot product with H.  O(n^3).
     """
     weights: dict[tuple, list[int]] = {}
     for s, part in enumerate((a, b)):
         for p in part:
             weights.setdefault(p, [0, 0])[s] += 1
-    points = [(p, *_homogeneous(p), na, nb) for p, (na, nb) in weights.items()]
+    points = [(p, *homogeneous(p), na, nb) for p, (na, nb) in weights.items()]
     best = min(len(a), len(b))
     for j, (_, qx, qy, qw, _, _) in enumerate(points):
         for i in range(j):
@@ -191,13 +182,6 @@ def _fewest_deletions(a: list[tuple], b: list[tuple]) -> int:
                     on_b = [v for v, _, nb in on_h for _ in range(nb)]
                     best = min(best, cost + _fewest_on_line([on_a, on_b]))
     return best
-
-
-def _homogeneous(p: tuple) -> tuple[int, int, int]:
-    """The planar point p as integers (X, Y, W), W > 0, with p = (X/W, Y/W),
-    from its own denominators: the one integer form of a planar point."""
-    (xn, xd), (yn, yd) = ((x.numerator, x.denominator) for x in p)
-    return xn * yd, yn * xd, xd * yd
 
 
 def _fewest_on_line(parts: list[list]) -> int:
@@ -258,14 +242,14 @@ def _planar_depth(c: Point, points: tuple[Point, ...]) -> int:
     open half-plane through c holds is the most v_j in one half-open arc
     [v_k, v_k + pi).  So depth = z + #{v} - that maximum, n when every
     point is c (no v, maximum 0).  Each v is (X W_c - X_c W, Y W_c - Y_c W)
-    from the ``_homogeneous`` forms of p and c, reduced by its gcd; the
+    from the ``homogeneous`` forms of p and c, reduced by its gcd; the
     directions are sorted counter-clockwise by half-plane and cross
     product, and the arc's far end only moves forward.
     """
-    cx, cy, cw = _homogeneous(c.coords)
+    cx, cy, cw = homogeneous(c.coords)
     weights: dict[tuple[int, int], int] = {}
     for p in points:
-        px, py, pw = _homogeneous(p.coords)
+        px, py, pw = homogeneous(p.coords)
         x, y = px * cw - cx * pw, py * cw - cy * pw
         if x or y:
             g = math.gcd(x, y)

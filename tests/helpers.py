@@ -1,5 +1,7 @@
 """Short constructors for the point sets and partitions the tests write out."""
 
+from fractions import Fraction
+
 from hypothesis import strategies as st
 
 from tolerant_tverberg import Point, PointSet, random_point_set, to_scalar
@@ -17,6 +19,14 @@ def from_coords(rows, start_id=1):
 def from_iterables(parts):
     """A partition from any iterables of ids, in part order."""
     return tuple(frozenset(part) for part in parts)
+
+
+def big_denominators(rng, k):
+    """k random rationals with distinct denominators of about 300 digits."""
+    dens = set()
+    while len(dens) < k:
+        dens.add(rng.randrange(10**299, 10**300))
+    return [Fraction(rng.randrange(-10**300, 10**300), d) for d in sorted(dens)]
 
 
 def line(*values, start_id=1):

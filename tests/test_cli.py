@@ -253,6 +253,8 @@ NINES_4300 = "9" * 4300  # the longest int argparse reads
      "point id must be an integer, got 'x'"),
     (["depth", "--input", "coords_not_list.json", "--point", "0"],
      "coords of point 1 must be a list"),
+    (["depth", "--input", "no_coords.json", "--point", "0"], "each point needs 'id' and 'coords'"),
+    (["depth", "--input", "no_id.json", "--point", "0"], "each point needs 'id' and 'coords'"),
     (["depth", "--input", "dim_0.json", "--point", "0"], "dimension must be positive, got 0"),
     (["tolerance", "--input", "planar.json", "--partition", "no_key.json"],
      "partition JSON must have 'parts'"),
@@ -318,6 +320,8 @@ def test_each_error_kind_is_one_exact_line(tmp_path, capsys, argv, message):
         "points_not_list.json": {"dim": 1, "points": {}},
         "text_id.json": {"dim": 1, "points": [{"id": "x", "coords": [0]}]},
         "coords_not_list.json": {"dim": 1, "points": [{"id": 1, "coords": 0}]},
+        "no_coords.json": {"dim": 1, "points": [{"id": 1}]},
+        "no_id.json": {"dim": 1, "points": [{"coords": [0]}]},
         "dim_0.json": {"dim": 0, "points": [{"id": 1, "coords": []}]},
         "dim_text.json": {"dim": "2", "points": [{"id": 1, "coords": [0, 0]}]},
         "dim_bool.json": {"dim": True, "points": [{"id": 1, "coords": [0]}]},

@@ -1,4 +1,6 @@
 import json
+import math
+import re
 import sys
 from fractions import Fraction
 
@@ -7,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import oracles
 import tolerant_tverberg
-from helpers import from_coords, from_iterables, line, pt
+from helpers import big_denominators, from_coords, from_iterables, line, pt
 from oracles import lex_key_plain, point_set_from_obj_per_value
 from tolerant_tverberg import (
     Point,
@@ -19,7 +21,7 @@ from tolerant_tverberg import (
     to_scalar,
 )
 from tolerant_tverberg import core
-from tolerant_tverberg.core import ECHO_LIMIT, short_repr
+from tolerant_tverberg.core import ECHO_LIMIT, homogeneous, short_repr
 
 
 def test_export_list_resolves_without_duplicates():
@@ -219,6 +221,58 @@ class TestValidatePartition:
         for parts, fault in cases:
             with pytest.raises(TverbergError, match=f"^invalid partition: {fault}$"):
                 check_partition(from_iterables(parts), line(10, 20, 30, 40).ids())
+
+
+class TestParts:
+    """PointSet.parts lists each part's points in id order, after check_partition."""
+
+    def test_each_part_in_id_order(self):
+        P = PointSet(1, (pt(9, 0), pt(2, 5), pt(5, 1), pt(1, 3)))
+        assert P.parts(from_iterables([{9, 1, 5}, {2}])) == [[pt(1, 3), pt(5, 1), pt(9, 0)],
+                                                             [pt(2, 5)]]
+
+    def test_refuses_with_the_line_check_partition_raises(self):
+        P = line(10, 20, 30, 40)
+        cases = [
+            [],
+            [{1, 2}, {2, 3}, {99}],
+            [{1, 3}, {3, 4}, {2, 4}],
+            [{1, 99}, set()],
+            [{1}, {99}],
+            [{1, 2}, {4}],
+            [{1, 2, 3, 4}, set()],
+        ]
+        for parts in cases:
+            T = from_iterables(parts)
+            with pytest.raises(TverbergError) as expected:
+                check_partition(T, P.ids())
+            assert str(expected.value).startswith("invalid partition: ")
+            with pytest.raises(TverbergError, match=f"^{re.escape(str(expected.value))}$"):
+                P.parts(T)
+
+
+@st.composite
+def rational_vectors(draw):
+    """Ints, small fractions and negatives, with some ~300-digit denominators."""
+    small = st.one_of(st.integers(-10**6, 10**6), st.fractions(max_denominator=12))
+    values = draw(st.lists(small, max_size=6))
+    values += big_denominators(draw(st.randoms(use_true_random=False)), draw(st.integers(0, 3)))
+    return draw(st.permutations(values))
+
+
+class TestHomogeneous:
+    """homogeneous(values) is the numerators over W, the lcm of the denominators, then W."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(rational_vectors())
+    @example([Fraction(1, 2), Fraction(-1, 3), 2])  # (3, -2, 12, 6)
+    @example([4, -7])
+    @example([Fraction(1, 6), Fraction(-1, 4)])  # (2, -3, 12): the lcm, not the product 24
+    def test_canonical_integer_form(self, values):
+        *numerators, w = homogeneous(values)
+        assert [Fraction(x, w) for x in numerators] == values
+        assert w == math.lcm(*(Fraction(v).denominator for v in values))
+        assert math.gcd(*numerators, w) == 1
 
 
 class TestTotalOrder1D:

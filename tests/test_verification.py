@@ -6,7 +6,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from helpers import from_coords, from_iterables, integer_line, line, pt, query, spatial_inputs
+from helpers import (
+    big_denominators, from_coords, from_iterables, integer_line, line, pt, query, spatial_inputs,
+)
 from tolerant_tverberg import (
     PointSet,
     TverbergError,
@@ -52,7 +54,7 @@ def affine_image(p):
 
 def forbid_the_count(monkeypatch):
     """Fail the test if the verifier counts the fewest refuting deletions."""
-    def no_count(point_set, partition):
+    def no_count(parts, dim):
         pytest.fail("the count ran")
 
     monkeypatch.setattr(verification, "_fewest_refuting", no_count)
@@ -788,14 +790,6 @@ def line_partitions(draw):
     parts = [[v for v, b in zip(values, labels) if b == j] for j in range(m)]
     T = from_iterables([[pid for pid, b in zip(ids, labels) if b == j] for j in range(m)])
     return P, T, parts
-
-
-def big_denominators(rng, k):
-    """k random rationals with distinct denominators of about 300 digits."""
-    dens = set()
-    while len(dens) < k:
-        dens.add(rng.randrange(10**299, 10**300))
-    return [Fraction(rng.randrange(-10**300, 10**300), d) for d in sorted(dens)]
 
 
 class TestLineRule:
