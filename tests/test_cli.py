@@ -253,8 +253,6 @@ NINES_4300 = "9" * 4300  # the longest int argparse reads
      "point id must be an integer, got 'x'"),
     (["depth", "--input", "coords_not_list.json", "--point", "0"],
      "coords of point 1 must be a list"),
-    (["depth", "--input", "no_coords.json", "--point", "0"], "each point needs 'id' and 'coords'"),
-    (["depth", "--input", "no_id.json", "--point", "0"], "each point needs 'id' and 'coords'"),
     (["depth", "--input", "dim_0.json", "--point", "0"], "dimension must be positive, got 0"),
     (["tolerance", "--input", "planar.json", "--partition", "no_key.json"],
      "partition JSON must have 'parts'"),
@@ -311,6 +309,8 @@ NINES_4300 = "9" * 4300  # the longest int argparse reads
      "dimension must be positive, got -" + "9" * 59 + "..."),
     (["compute", "--input", "planar.json", "--algorithm", "chunk_merge", "--solver", "x" * 5000,
       "--m", "2"], "unknown solver '" + "x" * 59 + "... (choose from: brute, 1d, lift)"),
+    (["depth", "--input", "no_coords.json", "--point", "0"], "each point needs 'id' and 'coords'"),
+    (["depth", "--input", "no_id.json", "--point", "0"], "each point needs 'id' and 'coords'"),
 ])
 def test_each_error_kind_is_one_exact_line(tmp_path, capsys, argv, message):
     docs = {
